@@ -89,6 +89,13 @@ class PowerStateMachine:
         record_visits: bool = False,
     ):
         self.device = device
+        self._power: dict[PowerState, float] = {
+            PowerState.STANDBY: device.standby_power_w,
+            PowerState.SEEK: device.seek_power_w,
+            PowerState.READ_WRITE: device.read_write_power_w,
+            PowerState.IDLE: device.idle_power_w,
+            PowerState.SHUTDOWN: device.shutdown_power_w,
+        }
         self._state = initial_state
         self._state_entry_time = 0.0
         self._now = 0.0
@@ -106,14 +113,7 @@ class PowerStateMachine:
 
     def power_of(self, state: PowerState) -> float:
         """Electrical power (watts) drawn in ``state``."""
-        device = self.device
-        return {
-            PowerState.STANDBY: device.standby_power_w,
-            PowerState.SEEK: device.seek_power_w,
-            PowerState.READ_WRITE: device.read_write_power_w,
-            PowerState.IDLE: device.idle_power_w,
-            PowerState.SHUTDOWN: device.shutdown_power_w,
-        }[state]
+        return self._power[state]
 
     # -- clock ------------------------------------------------------------------
 

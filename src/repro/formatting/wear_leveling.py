@@ -11,7 +11,8 @@ module makes that assumption executable:
 * placement policies — :class:`DirectPlacement` (logical = physical,
   no levelling), :class:`RotatingPlacement` (start-shifted round robin,
   the classic log-style leveller), :class:`LeastWornPlacement` (greedy
-  optimum, an upper bound),
+  optimum, an upper bound); each places a whole write sequence at once
+  with an exact closed form of its per-write rule,
 * :func:`simulate_wear` — drive a policy with a (possibly skewed)
   write workload and report the *wear-levelling efficiency*: the ratio
   of achieved lifetime (limited by the most-worn sector) to the ideal
@@ -45,13 +46,28 @@ class SectorWearMap:
         self.write_cycle_rating = write_cycle_rating
         self._writes = np.zeros(sector_count, dtype=np.int64)
 
-    def record_write(self, physical_sector: int) -> None:
-        """Count one overwrite of ``physical_sector``."""
+    def _check_sector(self, physical_sector: int) -> None:
         if not 0 <= physical_sector < self.sector_count:
             raise ConfigurationError(
                 f"sector {physical_sector} outside 0..{self.sector_count - 1}"
             )
+
+    def record_write(self, physical_sector: int) -> None:
+        """Count one overwrite of ``physical_sector``."""
+        self._check_sector(physical_sector)
         self._writes[physical_sector] += 1
+
+    def record_writes(self, physical_sectors: np.ndarray) -> None:
+        """Count one overwrite of each sector in ``physical_sectors``.
+
+        The bulk twin of :meth:`record_write`: it rejects the same
+        sectors, and records nothing when any of them is out of range.
+        """
+        sectors = np.asarray(physical_sectors, dtype=np.int64)
+        if sectors.size:
+            self._check_sector(int(sectors.min()))
+            self._check_sector(int(sectors.max()))
+        self._writes += np.bincount(sectors, minlength=self.sector_count)
 
     # -- statistics -----------------------------------------------------------
 
@@ -72,6 +88,7 @@ class SectorWearMap:
 
     def writes_to(self, physical_sector: int) -> int:
         """Writes recorded against one sector."""
+        self._check_sector(physical_sector)
         return int(self._writes[physical_sector])
 
     @property
@@ -113,12 +130,27 @@ class PlacementPolicy(ABC):
     def place(self, logical_sector: int, wear: SectorWearMap) -> int:
         """Physical sector to absorb a write of ``logical_sector``."""
 
+    def place_all(self, logical_writes: np.ndarray, wear: SectorWearMap) -> None:
+        """Place every write of ``logical_writes``, in order, into ``wear``.
+
+        One :meth:`place` and :meth:`SectorWearMap.record_write` per
+        write, so a policy that defines only :meth:`place` works as is.
+        An override must leave ``wear`` and the policy in exactly the
+        state this loop leaves them in.
+        """
+        for logical in logical_writes:
+            wear.record_write(self.place(int(logical), wear))
+
 
 class DirectPlacement(PlacementPolicy):
     """No levelling: logical address = physical address (baseline)."""
 
     def place(self, logical_sector: int, wear: SectorWearMap) -> int:
         return logical_sector % self.sector_count
+
+    def place_all(self, logical_writes: np.ndarray, wear: SectorWearMap) -> None:
+        writes = np.asarray(logical_writes, dtype=np.int64)
+        wear.record_writes(writes % self.sector_count)
 
 
 class RotatingPlacement(PlacementPolicy):
@@ -145,6 +177,21 @@ class RotatingPlacement(PlacementPolicy):
             self._offset = (self._offset + 1) % self.sector_count
         return physical
 
+    def place_all(self, logical_writes: np.ndarray, wear: SectorWearMap) -> None:
+        # Before write i the offset has advanced once for every multiple
+        # of the period in (seen, seen + i].
+        writes = np.asarray(logical_writes, dtype=np.int64)
+        seen, period = self._writes_seen, self.rotation_period
+        rotations = (seen + np.arange(writes.size)) // period - seen // period
+        wear.record_writes(
+            (writes % self.sector_count + self._offset + rotations)
+            % self.sector_count
+        )
+        self._writes_seen = seen + writes.size
+        self._offset = (
+            self._offset + self._writes_seen // period - seen // period
+        ) % self.sector_count
+
 
 class LeastWornPlacement(PlacementPolicy):
     """Greedy optimum: always write the least-worn sector.
@@ -155,6 +202,24 @@ class LeastWornPlacement(PlacementPolicy):
 
     def place(self, logical_sector: int, wear: SectorWearMap) -> int:
         return int(np.argmin(wear._writes))
+
+    def place_all(self, logical_writes: np.ndarray, wear: SectorWearMap) -> None:
+        # argmin takes the lowest index among ties, so the greedy loop is
+        # a water-fill: every sector is raised to the highest level the
+        # writes can fill, and the writes left over go one each to the
+        # lowest-index sectors at that level.
+        total = len(logical_writes)
+        worn = wear._writes
+        levels = np.sort(worn)
+        # cost[k]: writes that raise the k + 1 least-worn sectors to
+        # levels[k]; it never decreases with k, and cost[0] is 0.
+        cost = np.arange(1, worn.size + 1) * levels - np.cumsum(levels)
+        raised = int(np.searchsorted(cost, total, side="right"))
+        level = (total + int(levels[:raised].sum())) // raised
+        gained = np.maximum(level - worn, 0)
+        left_over = total - int(gained.sum())
+        gained[np.flatnonzero(worn <= level)[:left_over]] += 1
+        wear.record_writes(np.repeat(np.arange(worn.size), gained))
 
 
 @dataclass(frozen=True)
@@ -209,8 +274,7 @@ def simulate_wear(
 ) -> WearSimulationResult:
     """Drive a placement policy with a write sequence; report balance."""
     wear = SectorWearMap(policy.sector_count, write_cycle_rating)
-    for logical in logical_writes:
-        wear.record_write(policy.place(int(logical), wear))
+    policy.place_all(logical_writes, wear)
     return WearSimulationResult(
         policy=type(policy).__name__,
         sector_count=policy.sector_count,

@@ -11,6 +11,7 @@ from repro.errors import ConfigurationError
 from repro.formatting.wear_leveling import (
     DirectPlacement,
     LeastWornPlacement,
+    PlacementPolicy,
     RotatingPlacement,
     SectorWearMap,
     simulate_wear,
@@ -18,6 +19,10 @@ from repro.formatting.wear_leveling import (
 )
 
 SECTORS = 64
+
+
+def writes_per_sector(wear: SectorWearMap) -> list[int]:
+    return [wear.writes_to(sector) for sector in range(wear.sector_count)]
 
 
 class TestSectorWearMap:
@@ -64,6 +69,29 @@ class TestSectorWearMap:
             wear.record_write(4)
         with pytest.raises(ConfigurationError):
             wear.record_write(-1)
+
+    def test_record_writes_counts_like_record_write(self):
+        bulk, single = SectorWearMap(4, 100), SectorWearMap(4, 100)
+        sectors = [3, 0, 3, 1, 3]
+        bulk.record_writes(np.array(sectors))
+        for sector in sectors:
+            single.record_write(sector)
+        assert writes_per_sector(bulk) == writes_per_sector(single) == [1, 1, 0, 3]
+        bulk.record_writes(np.array([], dtype=np.int64))
+        assert writes_per_sector(bulk) == [1, 1, 0, 3]
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_out_of_range_sector_rejected_everywhere(self, bad):
+        wear = SectorWearMap(4, 100)
+        with pytest.raises(ConfigurationError) as single:
+            wear.record_write(bad)
+        with pytest.raises(ConfigurationError) as bulk:
+            wear.record_writes(np.array([0, bad, 2]))
+        with pytest.raises(ConfigurationError) as lookup:
+            wear.writes_to(bad)
+        assert str(bulk.value) == str(lookup.value) == str(single.value)
+        # The bulk check runs before anything is recorded.
+        assert wear.total_writes == 0
 
 
 class TestWorkloads:
@@ -150,3 +178,64 @@ class TestPolicies:
         ):
             result = simulate_wear(policy, writes)
             assert 0 < result.wear_efficiency <= 1.0
+
+
+class TestPlaceAll:
+    """Each built-in closed form against the per-write loop it replaces."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_write_loop(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=24), label="sectors")
+        period = data.draw(st.integers(min_value=1, max_value=20),
+                           label="rotation period")
+        prior = data.draw(
+            st.lists(st.integers(min_value=0, max_value=6),
+                     min_size=n, max_size=n),
+            label="wear before the first call",
+        )
+        # Several calls on one policy and one map: a reused rotating
+        # policy must carry its counters over exactly as the loop does.
+        calls = data.draw(
+            st.lists(
+                st.lists(st.integers(min_value=-100, max_value=100),
+                         max_size=120),
+                min_size=1, max_size=3,
+            ),
+            label="logical writes per call",
+        )
+        for make in (
+            DirectPlacement,
+            lambda sectors: RotatingPlacement(sectors, rotation_period=period),
+            LeastWornPlacement,
+        ):
+            fast, loop = make(n), make(n)
+            fast_wear, loop_wear = SectorWearMap(n, 100), SectorWearMap(n, 100)
+            for wear in (fast_wear, loop_wear):
+                wear.record_writes(np.repeat(np.arange(n), prior))
+            for writes in calls:
+                fast.place_all(np.array(writes, dtype=np.int64), fast_wear)
+                PlacementPolicy.place_all(
+                    loop, np.array(writes, dtype=np.int64), loop_wear
+                )
+                assert writes_per_sector(fast_wear) == writes_per_sector(loop_wear)
+                assert vars(fast) == vars(loop)
+
+    def test_policy_defining_only_place_runs_the_loop(self):
+        class ReversedPlacement(PlacementPolicy):
+            def __init__(self, sector_count):
+                super().__init__(sector_count)
+                self.asked = []
+
+            def place(self, logical_sector, wear):
+                self.asked.append(logical_sector)
+                return self.sector_count - 1 - logical_sector % self.sector_count
+
+        policy = ReversedPlacement(4)
+        result = simulate_wear(policy, np.array([0, 0, 1, 5, 7]))
+        assert policy.asked == [0, 0, 1, 5, 7]
+        assert all(isinstance(logical, int) for logical in policy.asked)
+        assert result.policy == "ReversedPlacement"
+        assert result.total_writes == 5
+        assert result.max_writes == 2
+        assert result.mean_writes == pytest.approx(1.25)
