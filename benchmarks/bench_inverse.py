@@ -2,7 +2,7 @@
 
 Not a paper artefact; keeps the library's own performance honest.  The
 closed-form energy inverse must stay orders of magnitude faster than the
-Brent fallback, and one full §IV.C dimensioning call must remain cheap
+numeric bisection, and one full §IV.C dimensioning call must remain cheap
 enough for dense Figure 3 sweeps.
 """
 

@@ -233,7 +233,6 @@ def _sharded_sweep(
             jobs=jobs,
             store_path=store_path,
             store_backend=store_backend,
-            cache_preload="specs",
             strict=True,
         )
         columns = collect_arrays(store_path, campaign, store_backend)

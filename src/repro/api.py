@@ -120,7 +120,9 @@ def run_campaign(
 ) -> CampaignResult:
     """Execute a campaign (facade spelling of the engine keywords).
 
-    Extra keyword arguments pass straight through to
+    With a ``store``, the cache warms only this campaign's own content
+    keys (``cache_preload="specs"``, the default), however much else
+    the store holds.  Extra keyword arguments pass straight through to
     :func:`repro.runner.campaign.run_campaign` (``monitor=``,
     ``strict=``, ``cache_preload=``, ``bus=``, ``cancel=``, ...).
     """

@@ -3,8 +3,8 @@
 The paper's design-space exploration rests on inverting the four forward
 models.  Three inverses are exact/closed-form (energy, springs, probes via
 the sector-layout inverse); this module supplies the energy inverse, a
-generic bracketing/bisection inverse used to cross-check every closed form
-in the tests, and a façade (:class:`InverseSolver`) bundling all four.
+generic bracketing/bisection inverse used to cross-check the energy closed
+form in the tests, and a façade (:class:`InverseSolver`) bundling all four.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ..config import DesignGoal, MEMSDeviceConfig, WorkloadConfig
 from ..errors import ConfigurationError, InfeasibleDesignError, SolverError
@@ -34,16 +33,17 @@ def invert_monotone(
     """Numerically invert a monotone function of the buffer size.
 
     Finds ``x`` in ``[lower, upper]`` with ``func(x) == target`` by root
-    bracketing and Brent's method.  The upper bound is expanded
-    geometrically (up to ``max_expansions`` doublings) if the target is not
-    yet bracketed — convenient for saving-style curves that approach their
-    supremum asymptotically.
+    bracketing and bisection.  The upper bound is expanded geometrically
+    (up to ``max_expansions`` doublings) if the target is not yet
+    bracketed — convenient for saving-style curves that approach their
+    supremum asymptotically.  The root is returned to within
+    ``tolerance + 1e-12 * |root|``.
 
     Raises
     ------
     SolverError
         If the target cannot be bracketed (e.g. it exceeds the function's
-        supremum) or Brent's method fails to converge.
+        supremum).
     """
     if lower <= 0 or upper <= lower:
         raise ConfigurationError("need 0 < lower < upper")
@@ -54,13 +54,12 @@ def invert_monotone(
         return sign * (func(x) - target)
 
     lo, hi = lower, upper
-    gap_lo = gap(lo)
-    if gap_lo >= 0:
+    if gap(lo) >= 0:
         return lo  # already satisfied at the lower end
     gap_hi = gap(hi)
     expansions = 0
     while gap_hi < 0 and expansions < max_expansions:
-        hi *= 2.0
+        lo, hi = hi, hi * 2.0
         gap_hi = gap(hi)
         expansions += 1
     if gap_hi < 0:
@@ -69,11 +68,17 @@ def invert_monotone(
             f"{'below' if increasing else 'above'} it after "
             f"{max_expansions} expansions"
         )
-    try:
-        root = brentq(gap, lo, hi, xtol=tolerance, rtol=1e-12, maxiter=200)
-    except (ValueError, RuntimeError) as exc:  # pragma: no cover - defensive
-        raise SolverError(f"Brent solve failed: {exc}") from exc
-    return float(root)
+    # The root lies in (lo, hi]; bisect in log space (lower > 0) until
+    # the bracket is within tolerance, or down to adjacent floats.
+    while hi - lo > tolerance + 1e-12 * lo:
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        if not lo < mid < hi:
+            break
+        if gap(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 class InverseSolver:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Iterator, Mapping
+from typing import Any, Collection, Iterable, Iterator, Mapping
 
 from ...errors import ConfigurationError
 from ...faults import ACTION_TORN_WRITE, InjectedFault, fault_site
@@ -187,13 +187,16 @@ class JsonlBackend:
     def __iter__(self) -> Iterator[dict[str, Any]]:
         return self.iter_records()
 
-    def _iter_winning_offsets(self, status: str | None) -> list[int]:
+    def _iter_winning_offsets(
+        self, status: str | None, keys: Collection[str] | None = None
+    ) -> list[int]:
         """Byte offsets of the latest record per key, in append order.
 
         The memory-bounded half of :meth:`iter_latest_by_key`: one scan
         keeps an integer per key instead of the decoded records, so a
         million-point sweep history costs a dict of offsets, not its
-        payloads.
+        payloads.  With ``keys``, a line of any other key is dropped
+        before its checksum is verified.
         """
         winners: dict[str, int] = {}
         offset = 0
@@ -217,6 +220,8 @@ class JsonlBackend:
                     ) from error
                 if not isinstance(record, dict):
                     continue
+                if keys is not None and record.get("key") not in keys:
+                    continue
                 if verify_jsonable(record) is False:
                     metrics().count("store.jsonl.corrupt")
                     metrics().count("store.jsonl.quarantined")
@@ -227,19 +232,26 @@ class JsonlBackend:
         return sorted(winners.values())
 
     def iter_latest_by_key(
-        self, status: str | None = "ok"
+        self,
+        status: str | None = "ok",
+        keys: Iterable[str] | None = None,
     ) -> Iterator[dict[str, Any]]:
         """Stream the latest record per key without materialising them.
 
         Two passes over the file: the first keeps only a byte offset per
         key (latest wins), the second seeks to each winning line and
         decodes just those — peak memory is O(keys), independent of how
-        much superseded history or payload the log carries.
+        much superseded history or payload the log carries.  ``keys``
+        restricts the winners to those content keys: the first pass
+        skips every other line before verifying its checksum, and the
+        second never decodes it.
         """
         if not os.path.exists(self.path):
             return
         fault_site("store.iter")
-        offsets = self._iter_winning_offsets(status)
+        offsets = self._iter_winning_offsets(
+            status, None if keys is None else frozenset(keys)
+        )
         if not offsets:
             return
         with open(self.path, "rb") as handle:

@@ -126,8 +126,9 @@ class ResultCache:
         """Resolve exactly ``wanted`` from the store, nothing else.
 
         SQLite answers each key from its covering index; the JSONL
-        backend streams the history once, keeping only wanted winners —
-        either way memory is bounded by ``wanted``, not by the store.
+        backend streams the history once, skipping every unwanted line
+        before verifying or decoding it — either way memory is bounded
+        by ``wanted``, not by the store.
         """
         if self._store is None or not wanted:
             return
@@ -135,12 +136,8 @@ class ResultCache:
             for key in wanted:
                 self._admit(key, self._store.get(key))
             return
-        pending: dict[str, dict[str, Any]] = {}
-        for record in self._store.iter_latest_by_key():
-            if record["key"] in wanted:
-                pending[record["key"]] = record
-        for key, record in pending.items():
-            self._admit(key, record)
+        for record in self._store.iter_latest_by_key(keys=wanted):
+            self._admit(record["key"], record)
 
     @property
     def store(self) -> ResultStore | None:

@@ -309,11 +309,13 @@ def run_campaign(
     cache:
         Explicit cache instance (overrides store-derived caching).
     cache_preload:
-        How the store-derived cache warms up: ``"all"`` (default)
-        preloads the store's whole latest-per-key view, ``"lazy"``
-        resolves keys on first lookup, and ``"specs"`` preloads exactly
-        this campaign's content keys — the memory-bounded choice when
-        the store also holds millions of per-point sweep records.
+        How the store-derived cache warms up: ``"specs"`` (the default,
+        also spelled ``None``) preloads exactly this campaign's content
+        keys, the only keys the scheduler looks up — a JSONL store
+        skips every other record before verifying or decoding it, and
+        SQLite answers one indexed ``get`` per key.  ``"all"`` preloads
+        the store's whole latest-per-key view and ``"lazy"`` resolves
+        keys on first lookup.
     observers, monitor:
         Extra scheduler observers; ``monitor`` is appended last so its
         counters see every event.
@@ -374,12 +376,12 @@ def run_campaign(
         store = owned_store = ResultStore(store_path, backend=store_backend)
     try:
         if cache is None and store is not None:
-            if cache_preload == "specs":
+            if cache_preload in (None, "specs"):
                 cache = ResultCache(
                     store, preload=[spec.key for spec in campaign.specs]
                 )
             else:
-                cache = ResultCache(store, preload=cache_preload or "all")
+                cache = ResultCache(store, preload=cache_preload)
         all_observers = list(observers)
         if monitor is not None:
             all_observers.append(monitor)

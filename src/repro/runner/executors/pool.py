@@ -180,7 +180,15 @@ class PoolExecutor(ExecutionBackend):
             if self._main is None:
                 self._main = make_pool(self._max_workers)
             pool = self._main
-        future = self._submit_to(pool, spec, attempt)
+        try:
+            future = self._submit_to(pool, spec, attempt)
+        except BrokenProcessPool:
+            # Only the shared pool can already be broken: a worker died
+            # since the last poll.  Account its tickets like any break,
+            # then submit to a fresh pool.
+            self._handle_break(pool)
+            pool = self._main = make_pool(self._max_workers)
+            future = self._submit_to(pool, spec, attempt)
         cutoff = (
             time.monotonic() + deadline_s if deadline_s is not None else None
         )

@@ -837,7 +837,6 @@ def run_sharded_sweep(
         jobs=jobs,
         store_path=store_path,
         store_backend=store_backend,
-        cache_preload="specs",
         observers=observers,
         monitor=monitor,
         strict=strict,

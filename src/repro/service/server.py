@@ -608,7 +608,6 @@ class CampaignServer:
                     jobs=int(run.spec.get("jobs", self.jobs)),
                     store_path=self.store_path,
                     store_backend=self.store_backend,
-                    cache_preload="specs",
                     strict=False,
                     bus=bus,
                     cancel=run.cancel.is_set,

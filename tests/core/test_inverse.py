@@ -56,6 +56,38 @@ class TestInvertMonotone:
             invert_monotone(lambda x: x, 1.0, lower=2.0, upper=1.0)
 
 
+class TestInvertMonotoneAccuracy:
+    """Known inverses of ``a * x**p``, rooted far above the bracket."""
+
+    @given(
+        scale=st.floats(min_value=0.01, max_value=100.0),
+        power=st.floats(min_value=0.25, max_value=4.0),
+        root_over_upper=st.floats(min_value=2.0, max_value=1e12),
+        upper=st.floats(min_value=1.0, max_value=1e6),
+        increasing=st.booleans(),
+        tolerance=st.sampled_from([1e-9, 1e-6, 1e-3]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_root_within_tolerance(
+        self, scale, power, root_over_upper, upper, increasing, tolerance
+    ):
+        exponent = power if increasing else -power
+        root = upper * root_over_upper
+
+        def func(x):
+            return scale * x**exponent
+
+        found = invert_monotone(
+            func,
+            func(root),
+            lower=upper / 2,
+            upper=upper,
+            increasing=increasing,
+            tolerance=tolerance,
+        )
+        assert abs(found - root) <= tolerance + 1e-12 * root
+
+
 class TestEnergyInverse:
     def test_closed_form_matches_numeric(self, solver):
         for saving in (0.3, 0.5, 0.7, 0.78):

@@ -266,7 +266,8 @@ class TestLazyPreload:
 
 
 class TestCampaignCachePreload:
-    def test_specs_preload_skips_point_records(self, tmp_path):
+    @pytest.mark.parametrize("cache_preload", ["specs", None])
+    def test_specs_preload_skips_point_records(self, tmp_path, cache_preload):
         from repro.runner import run_campaign, run_sharded_sweep
         from repro.runner.sharding import sharded_sweep_campaign
 
@@ -290,7 +291,7 @@ class TestCampaignCachePreload:
             shards=4,
         )
         rerun = run_campaign(
-            campaign, store_path=store_path, cache_preload="specs"
+            campaign, store_path=store_path, cache_preload=cache_preload
         )
         assert rerun.status_counts() == {"cached": 5}
         # Only the campaign's own keys were warmed, not the 20 point

@@ -12,6 +12,7 @@ import os
 import signal
 import threading
 import time
+from concurrent.futures import wait
 
 import pytest
 
@@ -23,6 +24,8 @@ from repro.runner.events import (
 )
 from repro.runner.executors import (
     EXECUTOR_ENV_VAR,
+    OUTCOME_LOST,
+    OUTCOME_OK,
     FleetExecutor,
     PoolExecutor,
     SerialExecutor,
@@ -154,6 +157,27 @@ class TestPoolBackend:
         killer_kinds = [e.kind for e in events if e.job_id == "killer"]
         assert EVENT_LOST in killer_kinds
         assert EVENT_REQUEUED in killer_kinds
+
+    def test_submit_after_unpolled_break_uses_a_fresh_pool(self):
+        """A worker death between two submissions breaks the shared
+        pool before any poll sees it; the next submit still lands."""
+        backend = PoolExecutor(2)
+        try:
+            killer = backend.submit(_spec("killer", "die"), 1, None)
+            done, _ = wait([backend._tickets[killer].future], timeout=30)
+            assert done
+            after = backend.submit(_spec("after", "add", a=1, b=2), 1, None)
+            outcomes = {}
+            give_up = time.monotonic() + 30
+            while len(outcomes) < 2 and time.monotonic() < give_up:
+                for ticket in backend.poll(1.0):
+                    outcomes[ticket] = backend.collect(ticket)
+        finally:
+            backend.shutdown()
+        assert outcomes[killer].status == OUTCOME_LOST
+        assert outcomes[killer].requeue
+        assert outcomes[after].status == OUTCOME_OK
+        assert outcomes[after].value == 3
 
 
 class TestFleetBackend:

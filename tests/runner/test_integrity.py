@@ -17,6 +17,7 @@ from repro.runner.integrity import (
     verify_jsonable,
 )
 from repro.runner.store import ResultStore
+from repro.telemetry import metrics
 
 BACKENDS = ("jsonl", "sqlite")
 
@@ -149,6 +150,54 @@ class TestBackendIntegrity:
         finally:
             store.close()
         assert refreshed is not None and refreshed["value"] == 1.5
+
+
+def _quarantined():
+    return metrics().counter_value("store.jsonl.quarantined")
+
+
+class TestKeyFilteredReads:
+    """A JSONL read filtered to wanted keys still verifies what it yields."""
+
+    def _filled(self, tmp_path):
+        store = _store(tmp_path, "jsonl")
+        store.append_many([record("k"), record("other", value=3.5)])
+        store.append(record("k", value=2.5))
+        store.close()
+        return store.backend.path
+
+    def _flip(self, path, line_index, old, new):
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+        assert old in lines[line_index]
+        lines[line_index] = lines[line_index].replace(old, new)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(lines)
+
+    def test_corrupt_latest_of_wanted_key_serves_earlier(self, tmp_path):
+        path = self._filled(tmp_path)
+        self._flip(path, 2, '"value":2.5', '"value":7.5')
+        before = _quarantined()
+        store = ResultStore(path)
+        try:
+            winners = list(store.iter_latest_by_key(keys={"k"}))
+        finally:
+            store.close()
+        assert [(r["key"], r["value"]) for r in winners] == [("k", 1.5)]
+        assert _quarantined() == before + 1
+
+    def test_corrupt_unwanted_record_changes_nothing(self, tmp_path):
+        path = self._filled(tmp_path)
+        store = ResultStore(path)
+        clean = list(store.iter_latest_by_key(keys={"k"}))
+        self._flip(path, 1, '"value":3.5', '"value":7.5')
+        before = _quarantined()
+        try:
+            assert list(store.iter_latest_by_key(keys={"k"})) == clean
+        finally:
+            store.close()
+        assert [(r["key"], r["value"]) for r in clean] == [("k", 2.5)]
+        assert _quarantined() == before
 
 
 class TestLegacyRecords:

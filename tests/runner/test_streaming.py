@@ -10,8 +10,12 @@ merge resumes from per-shard cache without recomputing shards.
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.runner import (
@@ -253,6 +257,53 @@ class TestIterLatestByKey:
         with open(path, "rb") as handle:
             handle.seek(offsets[0])
             assert json.loads(handle.readline())["value"] == 19
+
+    @given(
+        history=st.lists(
+            st.tuples(
+                st.sampled_from("abcde"), st.sampled_from(["ok", "failed"])
+            ),
+            max_size=25,
+        ),
+        keys=st.sets(st.sampled_from("abcdef")),
+        status=st.sampled_from(["ok", None, "failed"]),
+        torn=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_jsonl_key_filter_restricts_winners(
+        self, history, keys, status, torn
+    ):
+        """Filtered winners are the unfiltered ones restricted to keys."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "r.jsonl")
+            backend = JsonlBackend(path)
+            backend.append_many(
+                [
+                    {"key": key, "status": outcome, "value": index}
+                    for index, (key, outcome) in enumerate(history)
+                ]
+            )
+            if torn:
+                with open(path, "a", encoding="utf-8") as handle:
+                    handle.write('{"key": "a", "status": "ok", "val')
+            everything = list(backend.iter_latest_by_key(status))
+            filtered = list(backend.iter_latest_by_key(status, keys=keys))
+        assert filtered == [r for r in everything if r["key"] in keys]
+
+    def test_jsonl_offsets_only_for_wanted_keys(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        backend = JsonlBackend(path)
+        self._fill(backend)
+        offsets = backend._iter_winning_offsets(None, {"b", "c"})
+        assert set(offsets) < set(backend._iter_winning_offsets(None))
+        with open(path, "rb") as handle:
+            winners = []
+            for offset in offsets:
+                handle.seek(offset)
+                record = json.loads(handle.readline())
+                winners.append((record["key"], record["value"]))
+        assert winners == [("b", 4), ("c", 5)]
+        assert backend._iter_winning_offsets("ok", {"zz"}) == []
 
 
 class TestStreamingCompact:

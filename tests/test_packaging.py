@@ -1,7 +1,8 @@
-"""Packaging: every third-party module the package imports is declared.
+"""Packaging: declared dependencies and imports match, both ways.
 
 A clean ``pip install`` gets only what ``pyproject.toml`` declares, so an
-import of an undeclared distribution works here and fails there.
+import of an undeclared distribution works here and fails there; and a
+runtime dependency the code no longer imports only slows every install.
 """
 
 from __future__ import annotations
@@ -19,19 +20,28 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
 
 
-def declared_distributions() -> set[str]:
-    """Names in ``dependencies`` and every optional extra, normalised."""
+def project_table() -> dict:
     with open(ROOT / "pyproject.toml", "rb") as handle:
-        project = tomllib.load(handle)["project"]
-    requirements = list(project.get("dependencies", []))
-    for extra in project.get("optional-dependencies", {}).values():
-        requirements += extra
+        return tomllib.load(handle)["project"]
+
+
+def distribution_names(requirements: list[str]) -> set[str]:
+    """Requirement strings -> bare distribution names, normalised."""
     return {
         re.split(r"[\s<>=!~;\[]", requirement, maxsplit=1)[0]
         .lower()
         .replace("-", "_")
         for requirement in requirements
     }
+
+
+def declared_distributions() -> set[str]:
+    """Names in ``dependencies`` and every optional extra, normalised."""
+    project = project_table()
+    requirements = list(project.get("dependencies", []))
+    for extra in project.get("optional-dependencies", {}).values():
+        requirements += extra
+    return distribution_names(requirements)
 
 
 def third_party_imports() -> dict[str, set[str]]:
@@ -66,7 +76,7 @@ def test_every_third_party_import_is_declared():
     # in the wrong place and would pass vacuously.
     assert "numpy" in imports
     # Import names equal distribution names for everything used so far
-    # (numpy, scipy, numba); a future import whose distribution is named
+    # (numpy, numba); a future import whose distribution is named
     # differently needs a mapping here.
     declared = declared_distributions()
     undeclared = {
@@ -75,3 +85,11 @@ def test_every_third_party_import_is_declared():
         if module.lower() not in declared
     }
     assert not undeclared, f"imported but not declared: {undeclared}"
+
+
+def test_every_runtime_dependency_is_imported():
+    runtime = distribution_names(project_table().get("dependencies", []))
+    assert runtime, "no runtime dependencies declared"
+    imported = {module.lower() for module in third_party_imports()}
+    unused = sorted(runtime - imported)
+    assert not unused, f"declared but never imported: {unused}"
