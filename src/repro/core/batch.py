@@ -9,10 +9,12 @@ now carries an array-native twin (``*_batch`` methods on
 :class:`~repro.core.lifetime.LifetimeModel`, and
 :meth:`~repro.core.dimensioning.BufferDimensioner.require_batch`) that
 evaluates a whole grid in a handful of vectorised passes: the
-closed-form inverses directly, the exact sector-layout inverse as one
-sorted walk over subsector sizes.  Scalar and batch paths agree to
-float rounding (property-tested), and infeasible points map to ``inf``
-instead of raising — on a grid, infeasibility is a result.
+closed-form inverses directly, the exact sector-layout inverse as a
+masked walk that steps every target through its own scalar search,
+with the scalar inverse as the fallback past the walk's exact range.
+Scalar and batch paths agree to float rounding (property-tested), and
+infeasible points map to ``inf`` instead of raising — on a grid,
+infeasibility is a result.
 
 This module adds the grid-level entry points the campaign runner's
 sweep sharding (:mod:`repro.runner.sharding`) imports by dotted path:
@@ -123,7 +125,7 @@ def evaluate_rate_grid(
     return {
         "required_buffer_bits": requirement.required_buffer_bits.tolist(),
         "energy_buffer_bits": energy_buffers.tolist(),
-        "feasible": [bool(f) for f in requirement.feasible],
+        "feasible": requirement.feasible.tolist(),
         "dominant": requirement.labels(),
     }
 

@@ -197,11 +197,11 @@ class BatchRequirement:
 
     def labels(self) -> list[str]:
         """Per-rate dominance label (``"X"`` where infeasible)."""
-        feasible = self.feasible
-        return [
-            self.constraints[index].value if feasible[i] else "X"
-            for i, index in enumerate(self.dominant_index)
-        ]
+        names = np.array([c.value for c in self.constraints] + ["X"])
+        index = np.where(
+            self.feasible, self.dominant_index, len(self.constraints)
+        )
+        return names[index].tolist()
 
     def requirement_at(self, index: int) -> BufferRequirement:
         """Rebuild the scalar :class:`BufferRequirement` for one column."""

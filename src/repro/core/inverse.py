@@ -281,8 +281,9 @@ class InverseSolver:
 
         The batch twin of :meth:`buffers_for_goal`: every constraint is
         evaluated in a handful of vectorised passes (the closed-form
-        inverses directly; the sector-layout inverse as one sorted
-        walk), with infeasible points mapping to ``inf``.
+        inverses directly; the sector-layout inverse as a masked walk
+        over each point's own search, with a scalar fallback past its
+        exact range), with infeasible points mapping to ``inf``.
         """
         rates = np.atleast_1d(np.asarray(stream_rates_bps, dtype=float))
         results: dict[str, np.ndarray] = {}

@@ -268,7 +268,9 @@ class ProbesModel:
 
         Rates whose lifetime ceiling is below the target (the Lpb wall
         of Figure 3b) map to ``inf`` instead of raising; the exact
-        sector-layout inverse resolves the rest in one sorted pass.
+        sector-layout inverse resolves the rest as a masked walk, one
+        lane per rate, falling back to the scalar inverse past its
+        exact range.
         """
         if lifetime_years <= 0:
             raise ConfigurationError("lifetime must be > 0 years")

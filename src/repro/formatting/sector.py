@@ -35,6 +35,13 @@ from ..errors import ConfigurationError, InfeasibleDesignError
 from ..kernels import batch_chunk_rows, dispatch
 from .ecc import ECCScheme, FractionalECC, NoECC
 
+#: Passes of the batch inverse's walk before the lanes still open go to
+#: the scalar inverse.  Ordinary targets settle within a few passes.  The
+#: long searches belong to targets within ~1e-9 of the supremum or out of
+#: a chunky ECC scheme's reach, and there one numpy pass over a handful
+#: of lanes costs about 20 scalar steps.
+_WALK_PASSES = 32
+
 
 @dataclass(frozen=True)
 class SectorFormat:
@@ -347,7 +354,7 @@ class SectorLayout:
 
         c = self.sync_bits_per_subsector
         k = self.stripe_width
-        s_start = self._start_subsector(target)
+        s_start = int(self._start_subsector(target))
         # The envelope also bounds how far we may have to look: utilisation
         # within a subsector class s is at most (1 - c/s)/(1 + e) + slack of
         # one payload column, so a proportional safety margin suffices.
@@ -367,19 +374,21 @@ class SectorLayout:
             constraint="capacity",
         )
 
-    def _start_subsector(self, target: float) -> int:
+    def _start_subsector(self, target):
         """Smooth-envelope estimate of the subsector size ``target`` needs.
 
         The exact answer can only be >= this (ceilings never help), so
-        the inverse search starts here.  Monotone non-decreasing in the
-        target, which is what lets the batch inverse walk a sorted grid
-        of targets in one forward pass.
+        the inverse search starts here; it is never below ``c + 1``, the
+        smallest subsector with room for payload.  Works elementwise on
+        arrays and returns floats holding whole numbers: the scalar
+        inverse takes the ``int``, the batch inverse range-checks before
+        its int64 cast.
         """
         c = self.sync_bits_per_subsector
         if c == 0:
-            return 1
+            return np.ones_like(target, dtype=float)
         denominator = 1.0 - target * (1.0 + self.ecc.overhead_ratio())
-        return max(1 + c, math.floor(c / denominator))
+        return np.maximum(1 + c, np.floor(c / denominator))
 
     def min_user_bits_for_utilisation_batch(
         self, targets: np.ndarray
@@ -390,12 +399,14 @@ class SectorLayout:
         above the ECC supremum — or unreachable within the scalar
         search bound, which chunky ECC schemes can produce below it —
         map to ``inf`` (infeasibility is a result on a grid, not an
-        error).  Exactness is preserved: targets are
-        sorted and resolved in one forward walk over subsector sizes,
-        using the prefix property that within a subsector class a
-        smaller target is admitted whenever a larger one is — so every
-        point gets the same first-admitting subsector (and hence the
-        same answer, bit for bit) as the scalar search.
+        error).  Every target runs its own scalar search as one lane of
+        a masked walk (:meth:`_walk_targets`), so it reaches the same
+        first-admitting subsector, and the same answer bit for bit, as
+        :meth:`min_user_bits_for_utilisation`.  Two kinds of target go
+        through that scalar inverse one at a time instead: those so
+        close to the supremum that the walk's integers would reach
+        2**53, where float comparisons stop being exact, and the rare
+        stragglers still open after the walk's last pass.
         """
         t = np.asarray(targets, dtype=float)
         flat = t.ravel()
@@ -404,47 +415,52 @@ class SectorLayout:
             return out.reshape(t.shape)
         if np.any(np.isnan(flat)) or not bool((flat > 0).all()):
             raise ConfigurationError("targets must be positive")
-        feasible = np.flatnonzero(flat < self.utilisation_supremum)
-        if feasible.size:
-            order = feasible[np.argsort(flat[feasible], kind="stable")]
-            self._resolve_sorted_targets(flat, order, out)
+        lanes = np.flatnonzero(flat < self.utilisation_supremum)
+        start = self._start_subsector(flat[lanes])
+        # Checked in float, before the walk's int64 cast can overflow.
+        exact = self.stripe_width * (start + _WALK_PASSES) < 2.0**53
+        stragglers = self._walk_targets(flat, lanes[exact], start[exact], out)
+        for lane in np.concatenate([lanes[~exact], stragglers]):
+            try:
+                out[lane] = float(
+                    self.min_user_bits_for_utilisation(float(flat[lane]))
+                )
+            except InfeasibleDesignError:
+                pass
         return out.reshape(t.shape)
 
-    def _resolve_sorted_targets(
-        self, targets: np.ndarray, order: np.ndarray, out: np.ndarray
-    ) -> None:
-        """Resolve ``targets[order]`` (ascending) into ``out`` in place.
+    def _walk_targets(
+        self,
+        targets: np.ndarray,
+        lanes: np.ndarray,
+        start: np.ndarray,
+        out: np.ndarray,
+    ) -> np.ndarray:
+        """Resolve ``targets[lanes]`` into ``out``; return the lanes left open.
 
-        Walks subsector sizes upward once, resolving the prefix of
-        still-open targets each size admits; jumping to the next
-        target's envelope start skips only sizes the scalar search
-        would never have visited for any remaining target.
+        Each lane steps through the scalar search's subsector sizes from
+        ``start``.  A pass computes the payload bound once per distinct
+        size among the open lanes; lanes their size admits take
+        ``ceil(target * k * s)``, in the scalar's operation order, and
+        leave; the rest step to ``s + 1``.  The walk stops after
+        ``_WALK_PASSES`` passes, well inside every scalar search bound.
         """
         c = self.sync_bits_per_subsector
         k = self.stripe_width
-        pos = 0
-        s = 0
-        while pos < order.size:
-            s = max(
-                s, self._start_subsector(float(targets[order[pos]])), c + 1
-            )
-            su_max = self._max_user_bits_with_payload(k * (s - c))
-            while pos < order.size:
-                target = float(targets[order[pos]])
-                if s > max(self._start_subsector(target) * 4 + 64, 1024):
-                    # Past this target's scalar search bound without an
-                    # admitting subsector: the scalar path raises per
-                    # target (callers fold it to inf per point), so the
-                    # batch leaves inf and moves on — one chunky-ECC
-                    # target must not poison the rest of the grid.
-                    pos += 1
-                    continue
-                su_needed = math.ceil(target * k * s)
-                if su_max <= 0 or su_needed > su_max:
-                    break
-                out[order[pos]] = float(su_needed)
-                pos += 1
-            s += 1
+        scaled = targets[lanes] * k
+        s = start.astype(np.int64)
+        for _ in range(_WALK_PASSES):
+            if not lanes.size:
+                break
+            sizes, size_of = np.unique(s, return_inverse=True)
+            su_max = self._max_user_bits_with_payload_batch(k * (sizes - c))
+            need = np.ceil(scaled * s)
+            # need >= 1, so this also skips sizes with no room (su_max <= 0).
+            admitted = need <= su_max[size_of]
+            out[lanes[admitted]] = need[admitted]
+            left = ~admitted
+            lanes, scaled, s = lanes[left], scaled[left], s[left] + 1
+        return lanes
 
     def _max_user_bits_with_payload(self, payload_capacity: int) -> int:
         """Largest ``Su`` with ``Su + ecc_bits(Su) <= payload_capacity``."""

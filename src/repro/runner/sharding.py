@@ -175,7 +175,7 @@ def shard_values(
     count = len(full)
     lo = shard_index * count // shard_count
     hi = (shard_index + 1) * count // shard_count
-    return [float(v) for v in full[lo:hi]]
+    return full[lo:hi].tolist()
 
 
 def _check_series(result: Mapping[str, Any], count: int) -> dict[str, Any]:

@@ -51,10 +51,11 @@ def callable_spec(job_id, target, after=(), retries=0, **params):
     )
 
 
-def sweep(store, jobs):
+def sweep(store, jobs, backend=None):
     return run_sharded_sweep(
         "sweep", TARGET, "rate_bps", GRID,
         store_path=str(store), shards=3, jobs=jobs, strict=True,
+        store_backend=backend,
     )
 
 
@@ -112,7 +113,8 @@ class TestResultsUnchangedByTelemetry:
 
 class TestCrossWorkerAggregation:
     def test_parallel_sweep_merges_worker_metrics(self, tmp_path):
-        assert sweep(tmp_path / "s.sqlite", jobs=2).ok
+        # Pinned: REPRO_STORE_BACKEND=jsonl outranks the file extension.
+        assert sweep(tmp_path / "s.sqlite", jobs=2, backend="sqlite").ok
         registry = metrics()
         # Worker pids were collected from piggybacked deltas.
         assert registry.workers

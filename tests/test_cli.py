@@ -459,7 +459,8 @@ class TestTelemetryCli:
     def test_store_info_timings_and_bytes_descending(
         self, capsys, tmp_path
     ):
-        store, _ = self.swept(tmp_path, capsys)
+        # Pinned: REPRO_STORE_BACKEND=jsonl outranks the file extension.
+        store, _ = self.swept(tmp_path, capsys, "--store-backend", "sqlite")
         assert main(["store", "info", store, "--timings"]) == 0
         out = capsys.readouterr().out
         assert "timings  :" in out
