@@ -20,10 +20,9 @@ Claims under timing:
   timings it collects (codec pack, merge flush, store append) are
   exported via ``extra_info`` so ``scripts/check_bench.py`` gates
   phase-level regressions, not just end-to-end medians,
-* per-job dispatch overhead is measured for both process backends —
-  the warm ``pool`` future round-trip and the ``fleet``'s
-  spawn-a-worker-per-attempt lease protocol — and exported as phases
-  so either path regressing an order of magnitude fails the gate.
+* per-job dispatch overhead of the process pool (one future
+  round-trip into a warm worker) is measured and exported as a phase,
+  so an order-of-magnitude regression fails the gate.
 """
 
 from __future__ import annotations
@@ -136,12 +135,10 @@ def test_compacted_store_rerun_still_cached(benchmark, tmp_path):
     )
 
 
-#: Job counts for the dispatch-overhead benchmark.  A fleet attempt
-#: pays a fresh interpreter plus lease writes, so its count stays
-#: small; a pool attempt is a future round-trip into a warm worker
-#: and amortises over many more jobs.
+#: Job count for the dispatch-overhead benchmark.  A pool attempt is a
+#: future round-trip into a warm worker, so the cost amortises over
+#: many jobs.
 POOL_DISPATCH_N = int(os.environ.get("REPRO_BENCH_POOL_JOBS", "400"))
-FLEET_DISPATCH_N = int(os.environ.get("REPRO_BENCH_FLEET_JOBS", "24"))
 
 
 def _trivial_campaign(name, count):
@@ -156,48 +153,27 @@ def _trivial_campaign(name, count):
 
 
 @pytest.mark.benchmark(group="campaign")
-def test_dispatch_overhead_pool_vs_fleet(benchmark):
-    """Per-job dispatch cost of the pool vs the lease-based fleet.
+def test_dispatch_overhead_pool(benchmark):
+    """Per-job dispatch cost of the process pool.
 
-    Both backends run the same trivial jobs, so wall-clock is almost
-    pure dispatch overhead: a pool attempt is one future round-trip
-    into a warm worker; a fleet attempt spawns a fresh interpreter
-    and pays lease writes and heartbeats.  The per-job overheads ship
-    in ``extra_info["phases"]`` so ``scripts/check_bench.py`` gates
-    both paths; nothing is asserted about their ratio — the fleet
-    buys crash-survivable isolation, not latency.
+    The jobs are trivial, so wall-clock is almost pure dispatch
+    overhead: one future round-trip into a warm worker per attempt.
+    The per-job overhead ships in ``extra_info["phases"]`` so
+    ``scripts/check_bench.py`` gates it.
     """
-    start = time.perf_counter()
-    pool = run_campaign(
+    pool = run_once_slow(
+        benchmark, run_campaign,
         _trivial_campaign("bench-pool", POOL_DISPATCH_N),
         jobs=2, executor="pool",
     )
-    pool_s = time.perf_counter() - start
     assert pool.ok
-
-    fleet = run_once_slow(
-        benchmark, run_campaign,
-        _trivial_campaign("bench-fleet", FLEET_DISPATCH_N),
-        jobs=2, executor="fleet",
-    )
-    assert fleet.ok
-    assert fleet.status_counts() == {"ok": FLEET_DISPATCH_N}
-    # Same jobs, same answers: probe one value across backends.
-    assert (
-        fleet.results["unit-0000"].value == pool.results["unit-0000"].value
-    )
-    pool_per_job = pool_s / POOL_DISPATCH_N
-    fleet_per_job = fleet.duration_s / FLEET_DISPATCH_N
-    benchmark.extra_info["phases"] = {
-        "pool_dispatch_s": pool_per_job,
-        "fleet_dispatch_s": fleet_per_job,
-    }
+    assert pool.status_counts() == {"ok": POOL_DISPATCH_N}
+    pool_per_job = pool.duration_s / POOL_DISPATCH_N
+    benchmark.extra_info["phases"] = {"pool_dispatch_s": pool_per_job}
     print()
     print(
-        f"dispatch overhead: pool {POOL_DISPATCH_N} jobs {pool_s:.2f}s "
-        f"({pool_per_job * 1e3:.1f} ms/job), fleet {FLEET_DISPATCH_N} "
-        f"jobs {fleet.duration_s:.2f}s ({fleet_per_job * 1e3:.0f} "
-        f"ms/job, x{fleet_per_job / max(pool_per_job, 1e-9):.0f})"
+        f"dispatch overhead: pool {POOL_DISPATCH_N} jobs "
+        f"{pool.duration_s:.2f}s ({pool_per_job * 1e3:.2f} ms/job)"
     )
 
 

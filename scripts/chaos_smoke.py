@@ -16,11 +16,6 @@ silent data loss:
 * ``ws-drop``     — the campaign server's WebSocket send severed with
   no close frame; the client must surface it loudly without
   ``reconnect`` and resume bit-exactly with it.
-* ``fleet-kill``  — a fleet worker subprocess killed hard (``kill -9``
-  model) mid-shard; the supervisor must detect the lost lease, requeue
-  the attempt, converge bit-exact against an undisturbed baseline,
-  leave every lease terminal, and pass ``repro store verify`` clean.
-  The lease transcript is copied into the scratch dir as an artifact.
 
 Artifacts (event sidecars, client transcripts, a fault/metric
 summary) are left in the scratch directory given as ``argv[1]``
@@ -31,7 +26,7 @@ Usage::
     PYTHONPATH=src python scripts/chaos_smoke.py [scratch-dir] [scenario]
 
 ``scenario`` filters to one of ``worker-crash``, ``torn-write``,
-``ws-drop``, ``fleet-kill`` (default: all four).
+``ws-drop`` (default: all three).
 """
 
 from __future__ import annotations
@@ -41,7 +36,7 @@ import os
 import sys
 import time
 
-SCENARIOS = ("worker-crash", "torn-write", "ws-drop", "fleet-kill")
+SCENARIOS = ("worker-crash", "torn-write", "ws-drop")
 
 GRID = [float(v) for v in range(200)]
 
@@ -205,87 +200,6 @@ def ws_drop(scratch: str) -> dict[str, object]:
     return {"events": len(baseline), "run_id": run_id}
 
 
-def fleet_kill(scratch: str) -> dict[str, object]:
-    """A fleet worker killed hard mid-shard requeues and converges."""
-    import shutil
-
-    from repro.cli import main as repro_main
-    from repro.runner import (
-        ResultStore,
-        collect_points,
-        run_campaign,
-        sharded_sweep_campaign,
-    )
-    from repro.runner.executors.fleet import TERMINAL_LEASE_STATES
-
-    target = _workers_target()
-
-    def sweep(store_path):
-        return sharded_sweep_campaign(
-            "fleet", target, "values", GRID,
-            store_path=store_path, shards=2, retries=2,
-        )
-
-    baseline_store = os.path.join(scratch, "fleet-baseline.jsonl")
-    baseline_campaign = sweep(baseline_store)
-    assert run_campaign(
-        baseline_campaign, store_path=baseline_store
-    ).ok
-    baseline = collect_points(baseline_store, baseline_campaign)
-
-    store_path = os.path.join(scratch, "fleet.jsonl")
-    campaign = sweep(store_path)
-    # The crash fires inside the worker subprocess on the shard's
-    # first attempt — the kill -9 model: no result file, no terminal
-    # lease from the worker, only the supervisor's loss detection.
-    plan = {
-        "rules": [
-            {"site": "queue.attempt", "action": "crash",
-             "job_id": "fleet/shard0000#1"},
-        ]
-    }
-    events = []
-    result = run_campaign(
-        campaign, store_path=store_path, jobs=2, executor="fleet",
-        faults=plan, observers=[events.append],
-    )
-    assert result.ok, f"fleet did not converge: {result.failures}"
-    assert result.results["fleet/shard0000"].attempts == 2, (
-        "the kill must cost exactly one charged attempt"
-    )
-    kinds = [e.kind for e in events if e.job_id == "fleet/shard0000"]
-    assert "lost" in kinds, "supervisor never noticed the dead worker"
-    assert "requeued" in kinds, "lost attempt was not requeued"
-    assert collect_points(store_path, campaign) == baseline, (
-        "merged points drifted from the undisturbed baseline"
-    )
-
-    # Every lease in the transcript must have reached a terminal state,
-    # and the transcript itself is a CI artifact.
-    lease_path = store_path + ".fleet/leases.jsonl"
-    lease_store = ResultStore(lease_path, backend="jsonl")
-    try:
-        lease_view = lease_store.latest_by_key("ok")
-    finally:
-        lease_store.close()
-    states: dict[str, int] = {}
-    for key, record in lease_view.items():
-        state = (record.get("value") or {}).get("state")
-        assert state in TERMINAL_LEASE_STATES, (key, state)
-        states[state] = states.get(state, 0) + 1
-    shutil.copyfile(
-        lease_path, os.path.join(scratch, "fleet-leases.jsonl")
-    )
-
-    # The kill never tears the store: verify exits 0 (clean).
-    assert repro_main(["store", "verify", store_path]) == 0
-    return {
-        "shard_attempts": result.results["fleet/shard0000"].attempts,
-        "leases": len(lease_view),
-        "lease_states": states,
-    }
-
-
 def main() -> int:
     scratch = os.path.abspath(
         sys.argv[1] if len(sys.argv) > 1 else "chaos-smoke"
@@ -309,7 +223,6 @@ def main() -> int:
         "worker-crash": worker_crash,
         "torn-write": torn_write,
         "ws-drop": ws_drop,
-        "fleet-kill": fleet_kill,
     }
     summary: dict[str, object] = {}
     for name in wanted:

@@ -88,12 +88,11 @@ def _add_run_options(
             ),
         )
         parser.add_argument(
-            "--executor", choices=("serial", "pool", "fleet"),
+            "--executor", choices=("serial", "pool"),
             default=os.environ.get("REPRO_EXECUTOR") or None,
             help=(
                 "execution backend: 'serial' runs in-process, 'pool' "
-                "fans out over a process pool, 'fleet' runs independent "
-                "lease-tracked worker processes that survive crashes "
+                "fans out over a process pool "
                 "(default: $REPRO_EXECUTOR, else serial/pool by --jobs)"
             ),
         )
@@ -295,22 +294,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "export a Chrome trace per finished run into DIR "
             "(default: $REPRO_TRACE_DIR)"
         ),
-    )
-
-    worker_parser = subparsers.add_parser(
-        "worker",
-        help="run one fleet worker task and exit (internal)",
-        description=(
-            "Internal entry point spawned by the fleet execution "
-            "backend as 'repro worker --task FILE': load the pickled "
-            "task, heartbeat its lease from a daemon thread, run the "
-            "single job attempt, and commit the result file "
-            "atomically.  Not intended for interactive use."
-        ),
-    )
-    worker_parser.add_argument(
-        "--task", required=True, metavar="FILE",
-        help="pickled task file written by the fleet supervisor",
     )
 
     store_parser = subparsers.add_parser(
@@ -1118,10 +1101,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _command_sweep(args)
         if args.command == "serve":
             return _command_serve(args)
-        if args.command == "worker":
-            from .runner.executors.worker import worker_main
-
-            return worker_main(args.task)
         if args.command == "store":
             return _command_store(args)
         if args.command == "trace":

@@ -1,11 +1,11 @@
 """Deterministic, seedable fault injection for the campaign pipeline.
 
-This package is the fault model the ROADMAP's distributed-fleet work
-needs: a declarative :class:`FaultPlan` (site pattern × trigger ×
-action) armed per process, probed by ``fault_site()`` calls threaded
-through the scheduler, the store backends, the codec, the merge
-writer, and the service's WebSocket sends.  See :mod:`.plan` for the
-plan format and :mod:`.runtime` for activation semantics.
+This package is the pipeline's fault model: a declarative
+:class:`FaultPlan` (site pattern × trigger × action) armed per
+process, probed by ``fault_site()`` calls threaded through the
+scheduler, the store backends, the codec, the merge writer, and the
+service's WebSocket sends.  See :mod:`.plan` for the plan format and
+:mod:`.runtime` for activation semantics.
 
 Instrumented sites (globs in rules match against these names):
 

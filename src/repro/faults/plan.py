@@ -68,8 +68,7 @@ class FaultRule:
         ``fnmatch`` glob matched against the instrumented site name
         (``queue.attempt``, ``store.append``, ``store.iter``,
         ``store.get``, ``codec.unpack``, ``merge.flush``,
-        ``service.ws.send``, ``executor.dispatch``,
-        ``worker.heartbeat``, ``lease.renew``).
+        ``service.ws.send``).
     action:
         One of :data:`KNOWN_ACTIONS`.
     job_id:

@@ -8,9 +8,9 @@ and ``native`` (numba JIT twins, optional ``repro[native]`` extra).
 once and falls back to ``numpy`` cleanly, so the engine never *requires*
 the native tier — it only gets faster when it is present.
 
-Call sites dispatch with :func:`dispatch`; process pools and fleet
-workers call :func:`warm_kernels` once up front so JIT compilation
-(when any) happens before the first real batch.
+Call sites dispatch with :func:`dispatch`; process-pool workers call
+:func:`warm_kernels` once up front so JIT compilation (when any)
+happens before the first real batch.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .registry import (
     default_registry,
     dispatch,
     kernel_cache_dir,
-    pin_cache_dir,
     requested_tier,
     reset_kernels,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "dispatch",
     "kernel_cache_dir",
     "kernel_info",
-    "pin_cache_dir",
     "requested_tier",
     "reset_kernels",
     "warm_kernels",

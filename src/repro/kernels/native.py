@@ -4,17 +4,15 @@ Importing this module requires numba (the optional ``repro[native]``
 extra); the registry probes the import exactly once and falls back to
 the numpy tier when it fails, so nothing outside this file may import
 numba.  All kernels are ``@njit(cache=True)``: compiled machine code
-is cached on disk and reloaded by later processes, which matters for
-the fleet backend's single-job workers — without the cache every
-worker subprocess would pay full JIT compilation per attempt.
+is cached on disk and reloaded by later processes, so a fresh
+process-pool worker loads it instead of paying full JIT compilation.
 
 ``REPRO_KERNEL_CACHE_DIR`` pins the cache location (exported as
 ``NUMBA_CACHE_DIR`` *before* numba is first imported; numba reads it
-at import time).  The fleet executor pins it to a directory next to
-the store so all its workers share one cache.  :func:`warm_native`
-compiles every runtime signature up front and reports how many came
-from the on-disk cache versus a fresh compile — the
-``kernel.cache.hit`` / ``kernel.cache.miss`` counters.
+at import time).  :func:`warm_native` compiles every runtime
+signature up front and reports how many came from the on-disk cache
+versus a fresh compile — the ``kernel.cache.hit`` /
+``kernel.cache.miss`` counters.
 """
 
 from __future__ import annotations

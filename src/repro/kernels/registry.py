@@ -89,21 +89,6 @@ def kernel_cache_dir() -> str | None:
     return value or None
 
 
-def pin_cache_dir(path: str) -> str:
-    """Pin the JIT cache directory unless one is already pinned.
-
-    Returns the directory that ends up pinned.  Called by the fleet
-    executor with a directory next to the store, so every single-job
-    worker subprocess it spawns shares one on-disk cache and only the
-    first ever pays JIT compilation.
-    """
-    current = kernel_cache_dir()
-    if current is not None:
-        return current
-    os.environ[CACHE_DIR_ENV_VAR] = path
-    return path
-
-
 class KernelRegistry:
     """Named kernels with per-tier implementations and metered dispatch."""
 

@@ -11,7 +11,7 @@ content-addressed memoization, and a persistent JSONL result store:
 * :mod:`~repro.runner.queue` — the dependency-aware scheduler
   (:func:`run_jobs`, :func:`parallel_map`),
 * :mod:`~repro.runner.executors` — pluggable execution backends
-  (serial / process pool / lease-tracked worker fleet),
+  (serial / process pool),
 * :mod:`~repro.runner.cache` — content-addressed memoization with
   provenance-stamp invalidation,
 * :mod:`~repro.runner.store` — the persistent, resumable result store,
@@ -65,7 +65,6 @@ from .executors import (
     EXECUTOR_ENV_VAR,
     EXECUTOR_KINDS,
     ExecutionBackend,
-    FleetExecutor,
     PoolExecutor,
     SerialExecutor,
     make_executor,
@@ -117,7 +116,6 @@ __all__ = [
     "Event",
     "EventBus",
     "ExecutionBackend",
-    "FleetExecutor",
     "JobEvent",
     "JobResult",
     "JobSpec",

@@ -345,14 +345,8 @@ def run_campaign(
         Execution backend choice forwarded to
         :func:`~repro.runner.queue.run_jobs`: ``None`` (resolve from
         ``REPRO_EXECUTOR`` then the ``jobs`` count), a kind name
-        (``"serial"``/``"pool"``/``"fleet"``), or an
+        (``"serial"``/``"pool"``), or an
         :class:`~repro.runner.executors.ExecutionBackend` instance.
-        When the *fleet* kind is chosen by name and the campaign has a
-        ``store_path``, the fleet's working directory (leases, task
-        files, worker logs) is pinned next to the store at
-        ``<store_path>.fleet`` — which is what makes an interrupted
-        campaign resumable: a restarted supervisor fences orphaned
-        workers from the lease transcript before re-running.
     """
     if store_path is not None and store is not None:
         raise ConfigurationError("pass either store_path or store, not both")
@@ -385,29 +379,13 @@ def run_campaign(
         all_observers = list(observers)
         if monitor is not None:
             all_observers.append(monitor)
-        run_executor = executor
-        if run_executor is None or isinstance(run_executor, str):
-            from .executors.base import KIND_FLEET, resolve_executor_kind
-
-            kind = resolve_executor_kind(run_executor, jobs)
-            if kind == KIND_FLEET and store_path is not None:
-                # Pin the fleet working directory next to the store so
-                # a restarted supervisor finds the lease transcript of
-                # an interrupted campaign and fences its orphans.
-                from .executors.fleet import FleetExecutor
-
-                run_executor = FleetExecutor(
-                    jobs, fleet_dir=store_path + ".fleet"
-                )
-            else:
-                run_executor = kind
         start = time.perf_counter()
         results = run_jobs(
             campaign.specs,
             jobs=jobs,
             cache=cache,
             observers=all_observers,
-            executor=run_executor,
+            executor=executor,
             run_id=run_id,
             bus=bus,
             cancel=cancel,

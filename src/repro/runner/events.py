@@ -42,8 +42,8 @@ EVENT_SCHEDULED = "scheduled"
 EVENT_STARTED = "started"
 EVENT_TIMEOUT = "timeout"
 EVENT_RETRY = "retry"
-#: The attempt's worker vanished (crash, broken pool, expired lease)
-#: before producing a result.
+#: The attempt's worker vanished (crash, broken pool, deadline
+#: eviction) before producing a result.
 EVENT_LOST = "lost"
 #: A lost attempt's job went back in the queue (follows ``lost``).
 EVENT_REQUEUED = "requeued"

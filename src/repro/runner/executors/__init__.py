@@ -2,16 +2,16 @@
 
 The scheduler in :mod:`repro.runner.queue` owns policy (order, retry
 budgets, backoff, caching, events); the backends here own mechanism —
-where an attempt runs and how its loss is detected.  See
-:mod:`repro.runner.executors.base` for the protocol and
-:func:`make_executor` for resolution (explicit choice >
+where an attempt runs and how its loss is detected.  Two ship:
+:class:`SerialExecutor` (in-process) and :class:`PoolExecutor` (a
+local process pool).  See :mod:`repro.runner.executors.base` for the
+protocol and :func:`make_executor` for resolution (explicit choice >
 ``REPRO_EXECUTOR`` > jobs count).
 """
 
 from .base import (
     EXECUTOR_ENV_VAR,
     EXECUTOR_KINDS,
-    KIND_FLEET,
     KIND_POOL,
     KIND_SERIAL,
     OUTCOME_ERROR,
@@ -22,19 +22,16 @@ from .base import (
     DeadlineExceeded,
     ExecutionBackend,
     ExecutorFn,
-    WorkerInfo,
     make_executor,
     resolve_executor_kind,
     run_one_attempt,
 )
-from .fleet import FleetExecutor
 from .pool import PoolExecutor
 from .serial import SerialExecutor
 
 __all__ = [
     "EXECUTOR_ENV_VAR",
     "EXECUTOR_KINDS",
-    "KIND_FLEET",
     "KIND_POOL",
     "KIND_SERIAL",
     "OUTCOME_ERROR",
@@ -45,10 +42,8 @@ __all__ = [
     "DeadlineExceeded",
     "ExecutionBackend",
     "ExecutorFn",
-    "FleetExecutor",
     "PoolExecutor",
     "SerialExecutor",
-    "WorkerInfo",
     "make_executor",
     "resolve_executor_kind",
     "run_one_attempt",

@@ -4,16 +4,13 @@ The scheduler (:func:`repro.runner.queue.run_jobs`) owns *policy* —
 dependency order, retry budgets, backoff windows, caching, events —
 and delegates *mechanism* to an :class:`ExecutionBackend`: where an
 attempt runs, how its completion is observed, and how its loss is
-detected.  Three implementations ship:
+detected.  Two implementations ship:
 
 * :class:`~repro.runner.executors.serial.SerialExecutor` — in-process,
   one attempt at a time (the debugging baseline),
 * :class:`~repro.runner.executors.pool.PoolExecutor` — a local
   ``ProcessPoolExecutor`` with broken-pool isolation and deadline
-  eviction (refactored out of the old ``queue._run_pool`` path),
-* :class:`~repro.runner.executors.fleet.FleetExecutor` — N independent
-  single-job worker subprocesses coordinated through lease records,
-  with lost-worker requeue and speculative straggler re-dispatch.
+  eviction (refactored out of the old ``queue._run_pool`` path).
 
 A backend reports each finished attempt as an :class:`AttemptOutcome`.
 The ``status`` vocabulary is deliberately small:
@@ -22,14 +19,16 @@ The ``status`` vocabulary is deliberately small:
 ``ok``      the attempt produced a value
 ``error``   the attempt raised; ``error`` carries the text
 ``timeout`` the attempt outlived its wall-clock deadline
-``lost``    the attempt's worker vanished (crash, broken pool, lease
-            expiry) before producing a result
+``lost``    the attempt's worker vanished (crash, broken pool, deadline
+            eviction) before producing a result; a lost attempt is
+            always requeued, whatever the retry budget (pool-break
+            suspects must re-run in isolation even with zero retries —
+            that is how the culprit is found)
 ========== ==========================================================
 
 ``charge`` says whether the attempt counts against the spec's retry
-budget (an attempt that never started is refunded); ``requeue`` forces
-a re-run regardless of budget (pool-break suspects must re-run in
-isolation even with zero retries — that is how the culprit is found).
+budget (an attempt that never started, or an innocent evicted with its
+pool, is refunded).
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from __future__ import annotations
 import os
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from ...errors import ConfigurationError
@@ -53,8 +52,7 @@ EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
 
 KIND_SERIAL = "serial"
 KIND_POOL = "pool"
-KIND_FLEET = "fleet"
-EXECUTOR_KINDS = (KIND_SERIAL, KIND_POOL, KIND_FLEET)
+EXECUTOR_KINDS = (KIND_SERIAL, KIND_POOL)
 
 OUTCOME_OK = "ok"
 OUTCOME_ERROR = "error"
@@ -85,20 +83,6 @@ class AttemptOutcome:
     telemetry: Any = None
     #: Whether the attempt counts against the spec's retry budget.
     charge: bool = True
-    #: Re-run regardless of budget (pool-break suspects, refunds).
-    requeue: bool = False
-
-
-@dataclass(frozen=True)
-class WorkerInfo:
-    """Identity and liveness of one backend worker."""
-
-    worker_id: str
-    pid: int
-    state: str
-    job_id: str = ""
-    attempt: int = 0
-    last_beat: float = field(default=0.0, compare=False)
 
 
 class ExecutionBackend(ABC):
@@ -141,10 +125,6 @@ class ExecutionBackend(ABC):
     @abstractmethod
     def shutdown(self) -> None:
         """Release every resource; the instance is finished."""
-
-    def workers(self) -> tuple[WorkerInfo, ...]:
-        """Liveness snapshot of the backend's workers (may be empty)."""
-        return ()
 
 
 def run_one_attempt(
@@ -201,15 +181,11 @@ def make_executor(
     *,
     jobs: int,
     executor_fn: ExecutorFn | None = None,
-    fleet_dir: str | None = None,
 ) -> ExecutionBackend:
     """Build the execution backend one run will schedule over.
 
-    ``choice`` is a kind name (``"serial"`` / ``"pool"`` / ``"fleet"``)
-    or ``None`` to resolve from :data:`EXECUTOR_ENV_VAR` and the
-    ``jobs`` count.  ``fleet_dir`` pins the fleet backend's lease/task
-    directory (derived from the store path by the campaign layer so
-    leases survive a supervisor crash in a known place).
+    ``choice`` is a kind name (``"serial"`` / ``"pool"``) or ``None``
+    to resolve from :data:`EXECUTOR_ENV_VAR` and the ``jobs`` count.
     """
     if executor_fn is None:
         from ..jobs import execute as executor_fn
@@ -218,12 +194,6 @@ def make_executor(
         from .serial import SerialExecutor
 
         return SerialExecutor(executor_fn=executor_fn)
-    if kind == KIND_POOL:
-        from .pool import PoolExecutor
+    from .pool import PoolExecutor
 
-        return PoolExecutor(max(jobs, 1), executor_fn=executor_fn)
-    from .fleet import FleetExecutor
-
-    return FleetExecutor(
-        max(jobs, 1), executor_fn=executor_fn, fleet_dir=fleet_dir
-    )
+    return PoolExecutor(max(jobs, 1), executor_fn=executor_fn)

@@ -5,13 +5,13 @@ used to be.  A worker dying hard (segfault, OOM kill) breaks the whole
 :class:`~concurrent.futures.ProcessPoolExecutor`, which poisons every
 in-flight future with :class:`BrokenProcessPool` — the culprit is
 indistinguishable from innocent co-flying jobs.  On breakage every
-in-flight attempt is reported *lost* (charged, forced requeue) and its
-job marked a **suspect**: the next time the scheduler submits it, it
-runs alone on a fresh single-worker pool, where a broken pool can only
-mean this job killed its worker (a certain verdict, charged as an
-ordinary error).  Attempts that were submitted but never picked up by
-a worker are requeued *uncharged* and are not suspects — they cannot
-have killed anyone.
+in-flight attempt is reported *lost* (charged; the scheduler requeues
+every lost attempt) and its job marked a **suspect**: the next time
+the scheduler submits it, it runs alone on a fresh single-worker pool,
+where a broken pool can only mean this job killed its worker (a
+certain verdict, charged as an ordinary error).  Attempts that were
+submitted but never picked up by a worker are requeued *uncharged*
+and are not suspects — they cannot have killed anyone.
 
 Deadlines: a ticket's clock starts at submission.  Workers cannot be
 interrupted individually, so an expired running attempt evicts its
@@ -44,7 +44,6 @@ from .base import (
     AttemptOutcome,
     ExecutionBackend,
     ExecutorFn,
-    WorkerInfo,
     run_one_attempt,
     telemetry_delta,
     telemetry_marks,
@@ -340,7 +339,7 @@ class PoolExecutor(ExecutionBackend):
                     AttemptOutcome(
                         tid, ticket.spec.job_id, ticket.attempt,
                         OUTCOME_LOST, error=BROKEN_POOL_ERROR,
-                        charge=True, requeue=True,
+                        charge=True,
                     ),
                 )
             for tid in queued_behind:
@@ -350,7 +349,7 @@ class PoolExecutor(ExecutionBackend):
                     AttemptOutcome(
                         tid, ticket.spec.job_id, ticket.attempt,
                         OUTCOME_LOST, error=QUEUED_BEHIND_ERROR,
-                        charge=False, requeue=True,
+                        charge=False,
                     ),
                 )
         abandon_pool(pool)
@@ -400,7 +399,7 @@ class PoolExecutor(ExecutionBackend):
                         AttemptOutcome(
                             tid, ticket.spec.job_id, ticket.attempt,
                             OUTCOME_LOST, error=NEVER_STARTED_ERROR,
-                            charge=False, requeue=True,
+                            charge=False,
                         ),
                     )
                 elif tid in overdue:
@@ -417,7 +416,7 @@ class PoolExecutor(ExecutionBackend):
                         AttemptOutcome(
                             tid, ticket.spec.job_id, ticket.attempt,
                             OUTCOME_LOST, error=EVICTED_ERROR,
-                            charge=False, requeue=True,
+                            charge=False,
                         ),
                     )
             if pool is self._main:
@@ -449,11 +448,3 @@ class PoolExecutor(ExecutionBackend):
         if self._main is not None and self._main not in leftovers:
             self._main.shutdown(wait=True)
         self._main = None
-
-    def workers(self) -> tuple[WorkerInfo, ...]:
-        if self._main is None:
-            return ()
-        return tuple(
-            WorkerInfo(worker_id=f"pool-{pid}", pid=pid, state="live")
-            for pid in list(getattr(self._main, "_processes", {}) or {})
-        )

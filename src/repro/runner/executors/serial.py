@@ -10,7 +10,6 @@ campaign) and surfaces as :class:`~.base.DeadlineExceeded`.
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Any
 
@@ -23,7 +22,6 @@ from .base import (
     DeadlineExceeded,
     ExecutionBackend,
     ExecutorFn,
-    WorkerInfo,
     run_one_attempt,
 )
 
@@ -129,8 +127,3 @@ class SerialExecutor(ExecutionBackend):
 
     def shutdown(self) -> None:
         self._ready.clear()
-
-    def workers(self) -> tuple[WorkerInfo, ...]:
-        return (
-            WorkerInfo(worker_id="serial", pid=os.getpid(), state="live"),
-        )

@@ -15,18 +15,15 @@ delegates *mechanism* to an
   ``jobs=1``; no pickling, easiest to debug),
 * ``pool`` — a local :class:`~concurrent.futures.ProcessPoolExecutor`
   with broken-pool isolation and deadline eviction (default for
-  ``jobs > 1``),
-* ``fleet`` — independent single-job worker subprocesses under lease
-  records, with lost-worker requeue and speculative straggler
-  re-dispatch (see :mod:`repro.runner.executors.fleet`).
+  ``jobs > 1``).
 
-All backends share the same bookkeeping, produce the same results, and
+Both backends share the same bookkeeping, produce the same results, and
 schedule ready jobs in the stable order the specs were given, so a
 parallel campaign is a faithful — bit-identical — replay of the serial
 one.  A backend reporting an attempt *lost* (worker crash, broken
-pool, expired lease) emits ``lost``/``requeued`` events and the job
-re-runs under its retry budget — worker death is a recoverable event,
-not a run-fatal one.
+pool, deadline eviction) emits ``lost``/``requeued`` events and the
+job re-runs — worker death is a recoverable event, not a run-fatal
+one.
 
 Resilience: every attempt may carry a wall-clock **deadline**
 (``JobSpec.deadline_s``, or the ``REPRO_JOB_DEADLINE_S`` environment
@@ -286,9 +283,8 @@ class _Run:
     def resolve(self, result: JobResult) -> None:
         """Record a terminal result and emit its event.
 
-        A result carrying a worker telemetry delta (pool or fleet
-        attempts) has it merged into the parent's registries here,
-        exactly once.
+        A result carrying a worker telemetry delta (pool attempts) has
+        it merged into the parent's registries here, exactly once.
         """
         if result.telemetry is not None:
             metrics().merge(
@@ -438,13 +434,13 @@ def run_jobs(
           for tests; with a process-backed backend it must pickle).
           The backend is then resolved from ``REPRO_EXECUTOR`` and the
           ``jobs`` count, exactly as before this parameter grew.
-        * a **backend kind name** — ``"serial"``, ``"pool"``, or
-          ``"fleet"`` — selecting the execution backend with the
-          default :func:`~repro.runner.jobs.execute` function.
+        * a **backend kind name** — ``"serial"`` or ``"pool"`` —
+          selecting the execution backend with the default
+          :func:`~repro.runner.jobs.execute` function.
         * an :class:`~repro.runner.executors.ExecutionBackend`
-          **instance** — full control (custom function *and* backend,
-          or a pre-configured :class:`FleetExecutor`).  The run owns
-          the instance and shuts it down on exit.
+          **instance** — full control (custom function *and*
+          backend).  The run owns the instance and shuts it down on
+          exit.
     run_id:
         Identifier stamped into every published event (ignored when an
         explicit ``bus`` is given).
@@ -457,10 +453,9 @@ def run_jobs(
         decisions (pass a ``threading.Event``'s ``is_set``).  Once it
         returns True no further job starts: every not-yet-started spec
         resolves as skipped with error ``"cancelled"`` (emitting its
-        terminal event).  In-flight attempts are asked to abort; a
-        backend that can kill its workers (fleet) does so and the job
-        resolves as skipped, one that cannot (pool) lets the attempt
-        finish and keep its result.
+        terminal event).  In-flight attempts are asked to abort; one
+        the backend can still drop resolves as skipped, one already
+        executing finishes and keeps its result.
     backoff_seed:
         Seed for the run's retry-backoff jitter.  ``None`` (default)
         draws from entropy; a fixed seed makes the whole retry
@@ -698,35 +693,20 @@ def _dispatch_outcome(
             )
         return
     if outcome.status == OUTCOME_LOST:
+        # Always requeued, immediately: a pool-break suspect must
+        # re-run in isolation to find the culprit, and a refunded
+        # attempt (never started, or evicted as an innocent) re-runs
+        # as if it had never been dispatched.
         run._event(
             EVENT_LOST, spec.job_id, attempt=attempt, error=outcome.error
         )
         if not outcome.charge:
             attempts[spec.job_id] -= 1
-        if outcome.requeue or attempt <= spec.retries:
-            run._event(
-                EVENT_REQUEUED, spec.job_id,
-                attempt=attempts[spec.job_id], error=outcome.error,
-            )
-            if outcome.charge and not outcome.requeue:
-                # A budget-driven requeue (fleet worker loss) honours
-                # the existing backoff machinery; forced requeues
-                # (pool-break isolation, eviction refunds) re-dispatch
-                # immediately, as the pool path always has.
-                delay = run.backoff_delay(spec, attempt)
-                if delay > 0:
-                    not_before[spec.job_id] = time.monotonic() + delay
-            pending.append(spec)
-        else:
-            run.resolve(
-                JobResult(
-                    job_id=spec.job_id,
-                    key=spec.key,
-                    status=STATUS_FAILED,
-                    error=outcome.error,
-                    attempts=attempt,
-                )
-            )
+        run._event(
+            EVENT_REQUEUED, spec.job_id,
+            attempt=attempts[spec.job_id], error=outcome.error,
+        )
+        pending.append(spec)
         return
     # OUTCOME_ERROR: an ordinary job failure, retried under budget.
     if attempt <= spec.retries:

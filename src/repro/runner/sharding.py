@@ -813,8 +813,8 @@ def run_sharded_sweep(
     only the campaign's own content keys, so re-running against a
     store already holding millions of point records never loads them
     into memory.  ``executor`` picks the execution backend
-    (``"serial"``/``"pool"``/``"fleet"`` or a backend instance),
-    forwarded through :func:`~repro.runner.campaign.run_campaign`.
+    (``"serial"``/``"pool"`` or a backend instance), forwarded through
+    :func:`~repro.runner.campaign.run_campaign`.
     """
     from .campaign import run_campaign
 

@@ -54,6 +54,7 @@ from ..errors import ConfigurationError, ReproError
 from ..faults import ACTION_DROP, fault_site
 from ..runner.campaign import Campaign, run_campaign
 from ..runner.events import Event, EventBus, event_from_json, event_to_json
+from ..runner.executors.base import resolve_executor_kind
 from ..runner.jobs import json_safe
 from ..runner.sharding import (
     MERGE_TARGET,
@@ -243,8 +244,8 @@ class CampaignServer:
     jobs:
         Default worker processes per run (a spec's ``"jobs"`` wins).
     executor:
-        Default execution backend kind per run (``"serial"``,
-        ``"pool"``, or ``"fleet"``; a spec's ``"executor"`` wins).
+        Default execution backend kind per run (``"serial"`` or
+        ``"pool"``; a spec's ``"executor"`` wins).
         ``None`` resolves from ``REPRO_EXECUTOR`` then the jobs count.
     runs_dir:
         Directory of per-run event sidecars
@@ -491,6 +492,13 @@ class CampaignServer:
             return protocol.json_error(400, "body must be a JSON object")
         # Validate eagerly: a bad spec fails the POST, not the run.
         build_campaign(spec, self.store_path, self.store_backend)
+        if spec.get("executor") is not None:
+            resolve_executor_kind(spec["executor"], 1)
+        jobs = spec.get("jobs", 1)
+        if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+            raise ConfigurationError(
+                f"spec 'jobs' must be an integer >= 1, got {jobs!r}"
+            )
         run_id = new_service_run_id()
         run = _RunState(
             run_id=run_id,

@@ -18,7 +18,6 @@ from repro.kernels import (
     dispatch,
     kernel_cache_dir,
     kernel_info,
-    pin_cache_dir,
     requested_tier,
     reset_kernels,
 )
@@ -128,14 +127,6 @@ class TestCacheDirPinning:
     def test_unpinned_by_default(self, monkeypatch):
         monkeypatch.delenv(CACHE_DIR_ENV_VAR, raising=False)
         assert kernel_cache_dir() is None
-
-    def test_pin_sets_and_respects_existing(self, monkeypatch, tmp_path):
-        monkeypatch.delenv(CACHE_DIR_ENV_VAR, raising=False)
-        first = str(tmp_path / "cache-a")
-        assert pin_cache_dir(first) == first
-        assert kernel_cache_dir() == first
-        # A second pin must not steal an explicit/earlier pin.
-        assert pin_cache_dir(str(tmp_path / "cache-b")) == first
 
 
 class TestAdaptiveChunking:

@@ -1,42 +1,14 @@
-"""Warm paths: pool initializer, fleet workers, and the JIT cache.
-
-The native-tier test at the bottom is the satellite's warm-path proof:
-two consecutive fleet jobs against one pinned cache directory, and the
-second worker's telemetry delta shows zero JIT recompilation.
-"""
+"""Warm paths: the kernel warm-up the pool initializer runs."""
 
 from __future__ import annotations
 
-import importlib.util
-
-import pytest
-
 from repro.kernels import (
-    CACHE_DIR_ENV_VAR,
     KERNELS_ENV_VAR,
     active_tier,
     reset_kernels,
-    reset_warm,
     warm_kernels,
 )
-from repro.runner.jobs import JobSpec
-from repro.runner.queue import run_jobs
-from repro.telemetry import metrics, reset_telemetry
-
-NUMBA_PRESENT = importlib.util.find_spec("numba") is not None
-
-needs_numba = pytest.mark.skipif(
-    not NUMBA_PRESENT, reason="numba not installed (repro[native] extra)"
-)
-
-
-def _spec(job_id, target, **params):
-    return JobSpec(
-        job_id=job_id,
-        kind="callable",
-        target=f"kernel_workers:{target}",
-        params=params,
-    )
+from repro.telemetry import metrics
 
 
 class TestWarmKernels:
@@ -69,71 +41,3 @@ class TestWarmKernels:
         warm_reference_models()
         counters = metrics().snapshot()["counters"]
         assert counters["kernel.warm.calls"] == 1.0
-
-
-class TestFleetWarmPath:
-    def test_fleet_pins_cache_dir_for_workers(self, monkeypatch, tmp_path):
-        monkeypatch.delenv(CACHE_DIR_ENV_VAR, raising=False)
-        results = run_jobs(
-            [_spec("cache-env", "kernel_cache_env")],
-            jobs=1,
-            executor="fleet",
-        )
-        assert results["cache-env"].status == "ok"
-        value = results["cache-env"].value
-        assert value is not None and value.endswith("kernel-cache")
-
-    def test_explicit_cache_pin_survives_into_workers(
-        self, monkeypatch, tmp_path
-    ):
-        pinned = str(tmp_path / "my-cache")
-        monkeypatch.setenv(CACHE_DIR_ENV_VAR, pinned)
-        results = run_jobs(
-            [_spec("cache-env", "kernel_cache_env")],
-            jobs=1,
-            executor="fleet",
-        )
-        assert results["cache-env"].value == pinned
-
-    def test_worker_warm_counters_ride_the_telemetry_delta(self):
-        results = run_jobs(
-            [_spec("grid", "evaluate_small_grid")],
-            jobs=1,
-            executor="fleet",
-        )
-        assert results["grid"].status == "ok"
-        assert results["grid"].value == 3
-        # The worker's delta merged into this process's registry.
-        counters = metrics().snapshot()["counters"]
-        assert counters.get("kernel.warm.calls", 0.0) >= 1.0
-        assert counters.get("kernel.energy_wall_bisect.calls", 0.0) >= 1.0
-
-    @needs_numba
-    def test_second_native_worker_never_recompiles(
-        self, monkeypatch, tmp_path
-    ):
-        monkeypatch.setenv(KERNELS_ENV_VAR, "native")
-        monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path / "jit-cache"))
-        reset_kernels()
-        first = run_jobs(
-            [_spec("native-1", "evaluate_small_grid")],
-            jobs=1,
-            executor="fleet",
-        )
-        assert first["native-1"].status == "ok"
-        warm1 = metrics().snapshot()["counters"]
-        assert warm1.get("kernel.warm.calls", 0.0) >= 1.0
-
-        reset_telemetry()
-        reset_warm()
-        second = run_jobs(
-            [_spec("native-2", "evaluate_small_grid")],
-            jobs=1,
-            executor="fleet",
-        )
-        assert second["native-2"].status == "ok"
-        counters = metrics().snapshot()["counters"]
-        # The second worker is a fresh interpreter; everything it needs
-        # must load from the shared on-disk cache, not recompile.
-        assert counters.get("kernel.cache.miss", 0.0) == 0.0
-        assert counters.get("kernel.cache.hit", 0.0) > 0.0

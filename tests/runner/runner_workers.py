@@ -60,36 +60,6 @@ def flaky(marker):
     return 42
 
 
-def flaky_die(marker, value=7):
-    """Kill the worker outright on the first call; succeed afterwards.
-
-    The fleet analogue of :func:`flaky`: attempt one looks like a
-    segfault/OOM (no result file, nonzero exit), any later attempt —
-    typically on a different worker — returns normally.
-    """
-    if not os.path.exists(marker):
-        with open(marker, "w", encoding="utf-8"):
-            pass
-        os._exit(1)
-    return value
-
-
-def slow_once(marker, value=5, delay_s=60.0):
-    """Stall only the first caller; later callers return immediately.
-
-    Used to manufacture a deterministic straggler: the original fleet
-    worker parks in the sleep while a speculative twin (spawned after
-    the straggler threshold) sees the marker and wins the race.
-    """
-    import time
-
-    if not os.path.exists(marker):
-        with open(marker, "w", encoding="utf-8"):
-            pass
-        time.sleep(delay_s)
-    return value
-
-
 def break_even_kb(rate_bps):
     """A real model evaluation (picklable, deterministic)."""
     model = EnergyModel(ibm_mems_prototype(), table1_workload())

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.runner.events import TERMINAL_EVENTS, event_from_json
+from repro.runner.events import event_from_json
 from repro.runner.store import ResultStore
 from repro.service import (
     CampaignServer,
@@ -353,6 +353,10 @@ class TestRouting:
             {"kind": "campaign", "name": "x", "specs": []},
             {"kind": "teapot", "name": "x"},
             [1, 2, 3],
+            sweep_spec(executor="bogus"),
+            sweep_spec(executor="fleet"),
+            sweep_spec(jobs="many"),
+            sweep_spec(jobs=0),
         ]
         for spec in bad:
             with pytest.raises(ServiceError) as excinfo:
@@ -382,95 +386,3 @@ class TestRouting:
     def test_response_bodies_are_canonical_json(self, client):
         raw = client._request("GET", "/healthz")
         assert json.loads(json.dumps(raw, sort_keys=True)) == raw
-
-
-def fleet_leases(store_path, job_id):
-    """Latest lease value per key for one job, from the fleet transcript."""
-    lease_path = str(store_path) + ".fleet/leases.jsonl"
-    if not os.path.exists(lease_path):
-        return {}
-    store = ResultStore(lease_path, backend="jsonl")
-    try:
-        view = store.latest_by_key("ok")
-    finally:
-        store.close()
-    return {
-        key: record.get("value") or {}
-        for key, record in view.items()
-        if record.get("job_id") == job_id
-    }
-
-
-class TestFleetCancellation:
-    def test_delete_during_straggler_twin_cancels_both_attempts(
-        self, monkeypatch, server, client, store_path
-    ):
-        """DELETE while a speculative twin races its original attempt.
-
-        Cancelling the campaign must kill *both* worker processes (the
-        straggler and its twin), end both leases ``cancelled``, and
-        record exactly one terminal event for the job — never one per
-        in-flight attempt.
-        """
-        # Aggressive speculation: the two seed jobs calibrate the
-        # duration percentile, so the deliberately stalled drag job
-        # grows a twin within a couple of seconds.
-        monkeypatch.setenv("REPRO_STRAGGLER_PCT", "50")
-        monkeypatch.setenv("REPRO_STRAGGLER_FACTOR", "1.0")
-        monkeypatch.setenv("REPRO_STRAGGLER_MIN_DONE", "1")
-        run_id = client.submit(
-            {
-                "kind": "campaign",
-                "name": "twin-cancel",
-                "jobs": 2,
-                "executor": "fleet",
-                "specs": [
-                    {"job_id": "seed-a", "target": "runner_workers:add",
-                     "params": {"a": 1, "b": 2}},
-                    {"job_id": "seed-b", "target": "runner_workers:add",
-                     "params": {"a": 3, "b": 4}},
-                    {"job_id": "drag",
-                     "target": "runner_workers:slow_identity",
-                     "params": {"value": 11, "delay_s": 120.0}},
-                ],
-            }
-        )
-        # Wait until the original attempt AND its twin hold live leases.
-        deadline = time.monotonic() + 60.0
-        leases, live = {}, {}
-        while time.monotonic() < deadline:
-            leases = fleet_leases(store_path, "drag")
-            live = {
-                key: value for key, value in leases.items()
-                if value.get("state") in ("dispatched", "running")
-            }
-            if len(live) >= 2:
-                break
-            time.sleep(0.05)
-        assert len(live) == 2, f"no straggler twin appeared: {leases}"
-        pids = sorted(int(v["pid"]) for v in live.values() if v.get("pid"))
-        assert len(pids) == 2 and pids[0] != pids[1]
-        assert client.cancel(run_id)["cancelling"] is True
-        assert wait_terminal(client, run_id)["state"] == STATE_CANCELLED
-        # Both attempts' leases end cancelled ...
-        leases = fleet_leases(store_path, "drag")
-        assert len(leases) == 2
-        assert all(v.get("state") == "cancelled" for v in leases.values())
-        # ... both worker processes are dead ...
-        for pid in pids:
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                try:
-                    os.kill(pid, 0)
-                except OSError:
-                    break
-                time.sleep(0.05)
-            else:
-                raise AssertionError(f"worker {pid} survived the DELETE")
-        # ... and the job records exactly one terminal event.
-        kinds = [
-            event_from_json(line).kind
-            for line in sidecar_lines(server, run_id)
-            if event_from_json(line).job_id == "drag"
-        ]
-        assert sum(kind in TERMINAL_EVENTS for kind in kinds) == 1
