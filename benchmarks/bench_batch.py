@@ -18,14 +18,10 @@ Claims under timing:
   (observed ~30x / ~13x at 50k points, wider at 1M),
 * the streaming merge's peak tracked allocation stays O(chunk): under
   25% of the fully decoded point list (tracemalloc-asserted),
-* the **hot kernels** (``group="kernels"``): per-kernel microbenchmark
-  rows for the lockstep bisection, the saw-tooth peak search, and a
-  codec pack+unpack round trip; when the native (numba) tier is
-  importable the JIT twins must beat the numpy tier at least 3x on the
-  bisection and saw-tooth rows (skipped with a note otherwise — the
-  CI ``kernels-native`` job enforces it), and the adaptive-chunk
-  saw-tooth pass keeps its peak tracked allocation under 25% of the
-  unchunked candidate-matrix estimate.
+* the chunked saw-tooth peak search
+  (``SectorLayout.best_user_bits_at_most_batch``) keeps its peak
+  tracked allocation under 25% of the unchunked candidate-matrix
+  estimate.
 
 Run with ``--benchmark-json=BENCH_batch.json`` to emit the JSON
 artifact CI uploads and compares against the committed
@@ -45,6 +41,8 @@ import pytest
 from repro.config import DesignGoal
 from repro.core.design_space import DesignSpaceExplorer
 from repro.core.dimensioning import BufferDimensioner
+from repro.formatting.ecc import FractionalECC
+from repro.formatting.sector import SectorLayout
 from repro.runner import (
     ResultStore,
     collect_arrays,
@@ -351,177 +349,20 @@ def test_streaming_merge_memory_bounded(benchmark, tmp_path):
     assert resumed.status_counts() == {"cached": mem_shards, "ok": 1}
 
 
-#: Lane count for the per-kernel microbenchmarks.  Large enough that
-#: per-call dispatch overhead vanishes against the kernel body.
-KERNEL_N = int(os.environ.get("REPRO_BENCH_KERNEL_N", "200000"))
-
-#: Saw-tooth microbenchmark geometry: Table I stripe with sync overhead
-#: and the paper's 1/8 fractional ECC — the fig2a hot path's shape.
-SAWTOOTH_K, SAWTOOTH_C = 1024, 16
-SAWTOOTH_NUM, SAWTOOTH_DEN = 1, 8
-
-
-def _native_impl():
-    """The warmed native kernel module, or ``None`` without numba."""
-    from repro.kernels import default_registry
-
-    registry = default_registry()
-    if not registry.native_available():
-        return None
-    from repro.kernels import native
-
-    native.warm_native()
-    return native
-
-
-def _best_of(func, *args, rounds=3):
-    """Best-of-N wall time: the honest floor for a pure-compute kernel."""
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        func(*args)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _bisect_args(device, workload):
-    """Real bisection lanes: goals strictly inside the reachable band."""
-    explorer = DesignSpaceExplorer(device, workload)
-    energy = explorer.dimensioner.solver.energy
-    lo = energy.max_energy_saving(workload.stream_rate_max_bps)
-    hi = energy.max_energy_saving(workload.stream_rate_min_bps)
-    goals = np.linspace(lo + 1e-6, hi - 1e-6, KERNEL_N)
-    return (
-        goals,
-        RATE_MIN,
-        RATE_MAX,
-        float(device.transfer_rate_bps),
-        float(device.read_write_power_w),
-        float(device.standby_power_w),
-        float(device.idle_power_w),
-        float(workload.best_effort_fraction),
-    )
-
-
-def _sawtooth_args():
-    """Sector capacities spanning the fig2a sweep's dynamic range."""
-    caps = np.linspace(10_000, 50_000_000, KERNEL_N).astype(np.int64)
-    return caps, SAWTOOTH_K, SAWTOOTH_C, SAWTOOTH_NUM, SAWTOOTH_DEN
-
-
-def _native_vs_numpy(name, native, numpy_func, native_func, args):
-    """Print the tier comparison and enforce the >=3x acceptance bar."""
-    numpy_s = _best_of(numpy_func, *args)
-    if native is None:
-        print()
-        print(
-            f"{name}: numpy {numpy_s * 1e3:.1f}ms over {KERNEL_N} lanes "
-            f"(native tier unavailable — install repro[native] for the "
-            f"3x assertion)"
-        )
-        return
-    native_s = _best_of(native_func, *args)
-    print()
-    print(
-        f"{name}: numpy {numpy_s * 1e3:.1f}ms, native {native_s * 1e3:.1f}ms "
-        f"over {KERNEL_N} lanes (x{numpy_s / native_s:.1f})"
-    )
-    assert native_s * 3 <= numpy_s, (
-        f"native {name} only x{numpy_s / native_s:.1f} over numpy"
-    )
-
-
-@pytest.mark.benchmark(group="kernels")
-def test_kernel_bisect_native_3x_over_numpy(benchmark, device, workload):
-    """Native lockstep bisection beats the numpy tier >=3x (when built).
-
-    The benchmark row always times the numpy tier — the one every
-    install has — so the artifact stays comparable whether or not the
-    optional native tier is importable.  The 3x native assertion runs
-    only where numba exists (the CI ``kernels-native`` job).
-    """
-    from repro.kernels import numpy_impl
-
-    args = _bisect_args(device, workload)
-    native = _native_impl()
-    if native is not None:
-        # Parity first: the twins must agree before being raced.
-        np.testing.assert_array_max_ulp(
-            numpy_impl.energy_wall_bisect(*args),
-            native.energy_wall_bisect(*args),
-            maxulp=1,
-        )
-    run_once(benchmark, numpy_impl.energy_wall_bisect, *args)
-    _native_vs_numpy(
-        "energy_wall_bisect",
-        native,
-        numpy_impl.energy_wall_bisect,
-        getattr(native, "energy_wall_bisect", None),
-        args,
-    )
-
-
-@pytest.mark.benchmark(group="kernels")
-def test_kernel_sawtooth_native_3x_over_numpy(benchmark):
-    """Native saw-tooth peak search beats the numpy tier >=3x (when built)."""
-    from repro.kernels import numpy_impl
-
-    args = _sawtooth_args()
-    native = _native_impl()
-    if native is not None:
-        np.testing.assert_array_equal(
-            numpy_impl.sawtooth_best_user_bits(*args),
-            native.sawtooth_best_user_bits(*args),
-        )
-    run_once(benchmark, numpy_impl.sawtooth_best_user_bits, *args)
-    _native_vs_numpy(
-        "sawtooth_best_user_bits",
-        native,
-        numpy_impl.sawtooth_best_user_bits,
-        getattr(native, "sawtooth_best_user_bits", None),
-        args,
-    )
-
-
-@pytest.mark.benchmark(group="kernels")
-def test_kernel_codec_roundtrip(benchmark):
-    """Codec pack+unpack round trip: the per-column blob hot path."""
-    from repro.kernels import numpy_impl
-
-    column = np.linspace(-1e9, 1e9, KERNEL_N)
-
-    def roundtrip():
-        blob = numpy_impl.codec_pack(column, "<f8")
-        return numpy_impl.codec_unpack(blob, "<f8", KERNEL_N, 0)
-
-    decoded = run_once(benchmark, roundtrip)
-    assert np.array_equal(decoded, column)
-
-    native = _native_impl()
-    if native is not None:
-        blob = native.codec_pack(column, "<f8")
-        assert blob == numpy_impl.codec_pack(column, "<f8")
-        assert np.array_equal(
-            native.codec_unpack(blob, "<f8", KERNEL_N, 0), column
-        )
-
-
-@pytest.mark.benchmark(group="kernels")
-def test_sawtooth_adaptive_chunk_memory_bounded(benchmark, monkeypatch):
-    """The adaptive-chunk saw-tooth pass keeps peak memory O(chunk).
+@pytest.mark.benchmark(group="batch")
+def test_sawtooth_adaptive_chunk_memory_bounded(benchmark):
+    """The chunked saw-tooth peak search keeps peak memory O(chunk).
 
     Baseline: the candidate-matrix temporaries an unchunked pass would
     materialise (``n x 66`` int64 matrices for candidates, sector
-    sizes, utilisation, and the search scratch).  The chunked kernel
-    must peak below 25% of that estimate at a grid 12x the chunk.
+    sizes, utilisation, and the search scratch).
+    ``SectorLayout.best_user_bits_at_most_batch`` must peak below 25%
+    of that estimate on 200k caps, about 12 of its 15,887-row chunks.
     """
-    from repro.kernels import CHUNK_ROWS_ENV_VAR, batch_chunk_rows
-    from repro.kernels import numpy_impl
-
-    monkeypatch.delenv(CHUNK_ROWS_ENV_VAR, raising=False)
-    caps, k, c, num, den = _sawtooth_args()
-    chunk = batch_chunk_rows(66)
-    n = max(KERNEL_N, chunk * 12)
+    # Table I stripe with sync overhead and the paper's 1/8 ECC: the
+    # fig2a hot path's shape.
+    layout = SectorLayout(1024, 16, FractionalECC(1, 8))
+    n = 200_000
     caps = np.linspace(10_000, 50_000_000, n).astype(np.int64)
     full_estimate = n * 66 * 8 * 4
 
@@ -530,7 +371,7 @@ def test_sawtooth_adaptive_chunk_memory_bounded(benchmark, monkeypatch):
     def traced():
         tracemalloc.start()
         try:
-            out = numpy_impl.sawtooth_best_user_bits(caps, k, c, num, den)
+            out = layout.best_user_bits_at_most_batch(caps)
             peaks["chunked"] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -542,7 +383,7 @@ def test_sawtooth_adaptive_chunk_memory_bounded(benchmark, monkeypatch):
     ratio = peaks["chunked"] / full_estimate
     print()
     print(
-        f"{n} rows (chunk {chunk}): peak {peaks['chunked'] / 1e6:.1f} MB "
+        f"{n} rows: peak {peaks['chunked'] / 1e6:.1f} MB "
         f"vs {full_estimate / 1e6:.1f} MB unchunked estimate ({ratio:.0%})"
     )
     assert ratio < 0.25, (

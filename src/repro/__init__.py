@@ -99,34 +99,6 @@ from . import api
 
 __version__ = "1.8.0"
 
-#: Top-level names that moved behind the :mod:`repro.api` facade.
-#: Importing them from here still works but warns — the facade names
-#: (``repro.api.sweep`` / ``repro.api.sweep_campaign``) are the stable
-#: spellings.
-_DEPRECATED_EXPORTS = {
-    "run_sharded_sweep": ("repro.runner.sharding", "repro.api.sweep"),
-    "sharded_sweep_campaign": (
-        "repro.runner.sharding",
-        "repro.api.sweep_campaign",
-    ),
-}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_EXPORTS:
-        import importlib
-        import warnings
-
-        module_path, replacement = _DEPRECATED_EXPORTS[name]
-        warnings.warn(
-            f"repro.{name} is deprecated; use {replacement} "
-            f"(or import it from {module_path})",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(importlib.import_module(module_path), name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
-
 __all__ = [
     "api",
     "units",
@@ -176,8 +148,6 @@ __all__ = [
     "migrate_store",
     "registry_campaign",
     "run_campaign",
-    "run_sharded_sweep",
-    "sharded_sweep_campaign",
     # errors
     "ReproError",
     "ConfigurationError",

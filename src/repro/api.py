@@ -15,10 +15,10 @@ spellings everywhere they apply:
 The facade is a *compatibility contract*: signatures here only grow,
 never break, while the underlying modules stay free to refactor
 (their richer keyword surfaces remain available for power users).
-Importing the deep paths keeps working; the ad-hoc top-level re-exports
-``repro.run_sharded_sweep`` / ``repro.sharded_sweep_campaign`` are
-deprecated in favour of :func:`sweep` / :func:`sweep_campaign` and now
-warn.
+Importing the deep paths keeps working; sharded sweeps are
+:func:`sweep` / :func:`sweep_campaign` here, or
+``run_sharded_sweep`` / ``sharded_sweep_campaign`` from
+:mod:`repro.runner`.
 
 >>> from repro import api
 >>> result = api.run_experiment("table1")

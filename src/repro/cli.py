@@ -428,31 +428,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="telemetry sidecar written by --telemetry",
     )
 
-    kernels_parser = subparsers.add_parser(
-        "kernels",
-        help="inspect the tiered hot-kernel engine",
-        description=(
-            "The batch engine's innermost loops dispatch through a "
-            "tiered kernel registry (scalar reference / numpy "
-            "vectorised / numba native).  REPRO_KERNELS selects the "
-            "tier; 'auto' probes numba once and falls back to numpy."
-        ),
-    )
-    kernels_sub = kernels_parser.add_subparsers(
-        dest="kernels_command", required=True
-    )
-    kernels_sub.add_parser(
-        "info",
-        help="show the active tier, native availability, and JIT cache",
-        description=(
-            "Report the requested and resolved kernel tiers, whether "
-            "the native (numba) tier is importable (and why not, when "
-            "it is not), the pinned JIT cache directory with a "
-            "file/byte census, and every registered kernel with its "
-            "available tiers."
-        ),
-    )
-
     dim_parser = subparsers.add_parser(
         "dimension", help="answer a §IV.C design question"
     )
@@ -992,33 +967,6 @@ def _command_telemetry(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_kernels(args: argparse.Namespace) -> int:
-    from .kernels import kernel_info
-
-    info = kernel_info()
-    print(f"requested tier : {info['requested_tier']}")
-    print(f"active tier    : {info['active_tier']}")
-    if info["native_available"]:
-        print("native tier    : available")
-    else:
-        print(f"native tier    : unavailable ({info['native_error']})")
-    if info["cache_dir"]:
-        print(
-            f"jit cache      : {info['cache_dir']} "
-            f"({info['cache_files']} files, {info['cache_bytes']} bytes)"
-        )
-    else:
-        print("jit cache      : not pinned (set REPRO_KERNEL_CACHE_DIR)")
-    if info["chunk_rows_override"]:
-        print(f"chunk rows     : {info['chunk_rows_override']} (forced)")
-    else:
-        print("chunk rows     : adaptive")
-    print("kernels        :")
-    for name, tiers in info["kernels"].items():
-        print(f"  {name}: {', '.join(tiers)}")
-    return 0
-
-
 def _command_dimension(args: argparse.Namespace) -> int:
     device = ibm_mems_prototype(
         springs_duty_cycles=args.springs,
@@ -1107,8 +1055,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _command_trace(args)
         if args.command == "telemetry":
             return _command_telemetry(args)
-        if args.command == "kernels":
-            return _command_kernels(args)
         if args.command == "dimension":
             return _command_dimension(args)
         if args.command == "plot":

@@ -12,6 +12,10 @@ evaluates a whole grid in a handful of vectorised passes: the
 closed-form inverses directly, the exact sector-layout inverse as a
 masked walk that steps every target through its own scalar search,
 with the scalar inverse as the fallback past the walk's exact range.
+The Figure 2a saw-tooth peak search and the Figure 3a energy-wall
+bisection are numpy methods on their classes
+(:meth:`~repro.formatting.sector.SectorLayout.best_user_bits_at_most_batch`,
+:meth:`~repro.core.design_space.DesignSpaceExplorer.energy_wall_rate_batch`).
 Scalar and batch paths agree to float rounding (property-tested), and
 infeasible points map to ``inf`` instead of raising — on a grid,
 infeasibility is a result.
@@ -71,14 +75,10 @@ def warm_reference_models() -> None:
 
     The campaign queue installs this as the process-pool initializer so
     every worker pays model construction once, before its first job —
-    shard jobs then start computing immediately.  Kernel warm-up rides
-    along: on the native tier that front-loads JIT compilation too.
+    shard jobs then start computing immediately.
     """
-    from ..kernels import warm_kernels
-
     _reference_stack(True)
     _reference_energy()
-    warm_kernels()
 
 
 def evaluate_rate_grid(

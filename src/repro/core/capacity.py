@@ -129,9 +129,8 @@ class CapacityModel:
         The Figure 2a capacity curve in one pass: for every buffer the
         nearest saw-tooth peak at or below it is located (same candidate
         set as the scalar search) and its Equation (4) utilisation
-        returned.  The peak search dispatches through the
-        ``sawtooth_best_user_bits`` kernel (see :mod:`repro.kernels`),
-        so ``REPRO_KERNELS=native`` accelerates this whole curve.
+        returned by
+        :meth:`~repro.formatting.sector.SectorLayout.best_user_bits_at_most_batch`.
         """
         best = self.layout.best_user_bits_at_most_batch(
             self._buffers_to_user_bits_batch(buffer_bits)

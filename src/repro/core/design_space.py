@@ -22,9 +22,7 @@ import numpy as np
 
 from .. import units
 from ..config import DesignGoal, MEMSDeviceConfig, WorkloadConfig
-from ..kernels import dispatch
 from .dimensioning import BufferDimensioner, BufferRequirement, Constraint
-from .energy import EnergyModel
 
 
 def log_rate_grid(
@@ -309,7 +307,9 @@ class DesignSpaceExplorer:
         lockstep as a single array — log-domain midpoints, a convergence
         mask retiring finished lanes — so a 1k-goal sweep costs a few
         dozen vectorised :meth:`EnergyModel.max_energy_saving_batch`
-        passes instead of ~80k scalar model evaluations.
+        passes instead of ~80k scalar model evaluations.  Every pass
+        asks the explorer's own energy model, so a subclass that
+        overrides the saving formula bisects its own curve.
 
         Per-goal semantics match the scalar method: ``inf`` where the
         goal stays reachable at the top of the swept range, ``rate_min``
@@ -334,45 +334,19 @@ class DesignSpaceExplorer:
         idx = np.flatnonzero(~reachable_everywhere & ~unreachable_at_min)
         if idx.size:
             goals = flat[idx]
-            # The kernel inlines EnergyModel.max_energy_saving_batch as
-            # a closed form of device constants, so it only applies when
-            # the model is exactly that class; subclasses overriding the
-            # saving formula keep the model-evaluating lockstep loop.
-            stock_model = all(
-                getattr(type(energy), method) is getattr(EnergyModel, method)
-                for method in (
-                    "max_energy_saving_batch",
-                    "asymptotic_per_bit_energy_batch",
-                    "always_on_per_bit_energy_batch",
-                )
-            )
-            if stock_model:
-                device = energy.device
-                out[idx] = dispatch(
-                    "energy_wall_bisect",
-                    goals,
-                    float(rate_min),
-                    float(rate_max),
-                    float(device.transfer_rate_bps),
-                    float(device.read_write_power_w),
-                    float(device.standby_power_w),
-                    float(device.idle_power_w),
-                    float(energy.workload.best_effort_fraction),
-                )
-            else:
-                lo = np.full(idx.shape, float(rate_min))
-                hi = np.full(idx.shape, float(rate_max))
-                live = np.ones(idx.shape, dtype=bool)
-                for _ in range(80):
-                    sel = np.flatnonzero(live)
-                    if sel.size == 0:
-                        break
-                    mid = np.sqrt(lo[sel] * hi[sel])
-                    reach = energy.max_energy_saving_batch(mid) > goals[sel]
-                    lo[sel[reach]] = mid[reach]
-                    hi[sel[~reach]] = mid[~reach]
-                    live[sel] = hi[sel] / lo[sel] >= 1.0 + 1e-12
-                out[idx] = np.sqrt(lo * hi)
+            lo = np.full(idx.shape, float(rate_min))
+            hi = np.full(idx.shape, float(rate_max))
+            live = np.ones(idx.shape, dtype=bool)
+            for _ in range(80):
+                sel = np.flatnonzero(live)
+                if sel.size == 0:
+                    break
+                mid = np.sqrt(lo[sel] * hi[sel])
+                reach = energy.max_energy_saving_batch(mid) > goals[sel]
+                lo[sel[reach]] = mid[reach]
+                hi[sel[~reach]] = mid[~reach]
+                live[sel] = hi[sel] / lo[sel] >= 1.0 + 1e-12
+            out[idx] = np.sqrt(lo * hi)
         return out.reshape(targets.shape)
 
     def probes_wall_rate(self, goal: DesignGoal) -> float:

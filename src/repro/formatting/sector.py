@@ -32,8 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError, InfeasibleDesignError
-from ..kernels import batch_chunk_rows, dispatch
 from .ecc import ECCScheme, FractionalECC, NoECC
+
+#: Rows per chunk of the saw-tooth peak search: a 32 MiB budget for the
+#: four live ``(rows x 66)`` int64 temporaries (candidates, sector
+#: sizes, utilisation, search scratch), so peak memory stays O(chunk)
+#: whatever the grid size.
+_SAWTOOTH_CHUNK_ROWS = (32 * 1024 * 1024) // (66 * 8 * 4)
 
 #: Passes of the batch inverse's walk before the lanes still open go to
 #: the scalar inverse.  Ordinary targets settle within a few passes.  The
@@ -127,15 +132,16 @@ class SectorLayout:
         """Vectorised :meth:`ECCScheme.ecc_bits` over an integer array.
 
         Exact integer arithmetic for the built-in schemes (the paper's
-        fractional model and the no-ECC baseline); arbitrary schemes
-        fall back to a per-element loop so the batch path never changes
-        an answer, only its speed.
+        fractional model and the no-ECC baseline); any other scheme,
+        subclasses of the built-in ones included (they may override
+        ``ecc_bits``), falls back to a per-element loop so the batch
+        path never changes an answer, only its speed.
         """
         user_bits = np.asarray(user_bits, dtype=np.int64)
-        if isinstance(self.ecc, FractionalECC):
+        if type(self.ecc) is FractionalECC:
             num, den = self.ecc.numerator, self.ecc.denominator
             return -((-user_bits * num) // den)  # ceil for positive inputs
-        if isinstance(self.ecc, NoECC):
+        if type(self.ecc) is NoECC:
             return np.zeros_like(user_bits)
         flat = np.array(
             [self.ecc.ecc_bits(int(u)) for u in user_bits.ravel()],
@@ -219,50 +225,20 @@ class SectorLayout:
 
         Evaluates the same candidate set as the scalar method — the cap
         itself plus the saw-tooth peaks of the 64 stripe columns below
-        it — for every grid point at once.  The built-in ECC schemes
-        (fractional and none) dispatch to the ``sawtooth_best_user_bits``
-        kernel; arbitrary schemes keep the chunked in-class path, whose
-        chunk size now adapts to the candidate-matrix row width instead
-        of the old fixed 16384 rows.
+        it — for every grid point at once, in chunks of
+        ``_SAWTOOTH_CHUNK_ROWS`` caps.
         """
         caps = np.asarray(max_user_bits, dtype=np.int64)
         flat = caps.ravel()
         if flat.size and int(flat.min()) <= 0:
             raise ConfigurationError("max_user_bits must be > 0")
-        fractional = self._fractional_ecc_terms()
-        if fractional is not None:
-            num, den = fractional
-            out = dispatch(
-                "sawtooth_best_user_bits",
-                flat,
-                self.stripe_width,
-                self.sync_bits_per_subsector,
-                num,
-                den,
-            )
-            return np.asarray(out, dtype=np.int64).reshape(caps.shape)
         out = np.empty(flat.shape, dtype=np.int64)
-        chunk = batch_chunk_rows(row_width=66)
+        chunk = _SAWTOOTH_CHUNK_ROWS
         for start in range(0, flat.size, chunk):
             out[start : start + chunk] = self._best_user_bits_chunk(
                 flat[start : start + chunk]
             )
         return out.reshape(caps.shape)
-
-    def _fractional_ecc_terms(self) -> tuple[int, int] | None:
-        """``(num, den)`` when the ECC scheme is kernel-eligible.
-
-        The saw-tooth kernel models ECC as the exact integer ceiling
-        ``ceil(Su * num / den)``; that covers the paper's fractional
-        scheme and the no-ECC baseline (``0/1``).  Anything else —
-        including subclasses that might override the sizing — returns
-        ``None`` and stays on the in-class batch path.
-        """
-        if type(self.ecc) is FractionalECC:
-            return self.ecc.numerator, self.ecc.denominator
-        if type(self.ecc) is NoECC:
-            return 0, 1
-        return None
 
     def _best_user_bits_chunk(self, caps: np.ndarray) -> np.ndarray:
         """One bounded chunk of :meth:`best_user_bits_at_most_batch`."""
@@ -289,12 +265,13 @@ class SectorLayout:
         """Vectorised :meth:`_max_user_bits_with_payload` (int64 grids).
 
         Exact for the built-in ECC schemes via guess-and-correct masked
-        walks (the guess is off by at most a couple of bits); arbitrary
-        schemes fall back to the scalar search per element.
+        walks (the guess is off by at most a couple of bits); any other
+        scheme, as in :meth:`ecc_bits_batch`, falls back to the scalar
+        search per element.
         """
         payload = np.asarray(payload_capacity, dtype=np.int64)
         flat = payload.ravel()
-        if not isinstance(self.ecc, (FractionalECC, NoECC)):
+        if type(self.ecc) not in (FractionalECC, NoECC):
             out = np.array(
                 [self._max_user_bits_with_payload(int(p)) for p in flat],
                 dtype=np.int64,

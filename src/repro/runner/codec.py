@@ -63,7 +63,6 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..faults import fault_site
-from ..kernels import dispatch
 from ..telemetry import metrics
 
 #: Environment variable naming the default point codec.
@@ -118,30 +117,31 @@ def check_codec(name: str) -> str:
 # -- column packing --------------------------------------------------------
 
 
-def _pack_ndarray(column: np.ndarray) -> tuple[dict[str, Any], bytes] | None:
-    """Pack a typed numpy column without a per-value type scan.
+def _column_bytes(column: Any, dtype: str) -> bytes:
+    """One column as contiguous little-endian ``dtype`` bytes."""
+    return np.ascontiguousarray(column, dtype=dtype).tobytes()
 
-    The dtype decision stays here; the actual byte blit goes through
-    the ``codec_pack`` kernel.
-    """
+
+def _pack_ndarray(column: np.ndarray) -> tuple[dict[str, Any], bytes] | None:
+    """Pack a typed numpy column without a per-value type scan."""
     kind = column.dtype.kind
     if kind == "f":
-        return {"dtype": _DTYPE_F8}, dispatch("codec_pack", column, _DTYPE_F8)
+        return {"dtype": _DTYPE_F8}, _column_bytes(column, _DTYPE_F8)
     if kind in "iu" and column.dtype.itemsize <= 8:
         if kind == "u" and column.dtype.itemsize == 8:
             return None  # uint64 may exceed int64; let the scan decide
-        return {"dtype": _DTYPE_I8}, dispatch("codec_pack", column, _DTYPE_I8)
+        return {"dtype": _DTYPE_I8}, _column_bytes(column, _DTYPE_I8)
     if kind == "b":
         return (
             {"dtype": _DTYPE_U1, "categories": [False, True]},
-            dispatch("codec_pack", column, _DTYPE_U1),
+            _column_bytes(column, _DTYPE_U1),
         )
     if kind == "U":
         categories, codes = np.unique(column, return_inverse=True)
         if categories.size <= 255:
             return (
                 {"dtype": _DTYPE_U1, "categories": categories.tolist()},
-                dispatch("codec_pack", codes, _DTYPE_U1),
+                _column_bytes(codes, _DTYPE_U1),
             )
     return None
 
@@ -163,11 +163,11 @@ def _pack_values(values: Sequence[Any]) -> tuple[dict[str, Any], bytes]:
     else:
         values = list(values)
     if values and all(type(v) is float for v in values):
-        return {"dtype": _DTYPE_F8}, dispatch("codec_pack", values, _DTYPE_F8)
+        return {"dtype": _DTYPE_F8}, _column_bytes(values, _DTYPE_F8)
     if values and all(type(v) is bool for v in values):
         return (
             {"dtype": _DTYPE_U1, "categories": [False, True]},
-            dispatch("codec_pack", values, _DTYPE_U1),
+            _column_bytes(values, _DTYPE_U1),
         )
     if (
         values
@@ -175,14 +175,14 @@ def _pack_values(values: Sequence[Any]) -> tuple[dict[str, Any], bytes]:
         and _I64_MIN <= min(values)
         and max(values) <= _I64_MAX
     ):
-        return {"dtype": _DTYPE_I8}, dispatch("codec_pack", values, _DTYPE_I8)
+        return {"dtype": _DTYPE_I8}, _column_bytes(values, _DTYPE_I8)
     if values and all(type(v) is str for v in values):
         seen: dict[str, int] = {}
         codes = [seen.setdefault(v, len(seen)) for v in values]
         if len(seen) <= 255:
             return (
                 {"dtype": _DTYPE_U1, "categories": list(seen)},
-                dispatch("codec_pack", codes, _DTYPE_U1),
+                _column_bytes(codes, _DTYPE_U1),
             )
     # Inline fallback: store exactly what the JSON-dict path would
     # have stored (json_safe is what the legacy payload went through).
@@ -204,7 +204,7 @@ def _unpack_array(
             "columnar payload blob is truncated "
             f"(need {offset + nbytes} bytes, have {len(blob)})"
         )
-    raw = dispatch("codec_unpack", blob, dtype, count, offset)
+    raw = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
     if dtype == _DTYPE_U1:
         categories = descriptor.get("categories")
         if categories == [False, True]:

@@ -124,61 +124,6 @@ def _fmt_seconds(value: float | None) -> str:
     return f"{value * 1e3:.2f}ms"
 
 
-#: ``kernel.tier`` gauge codes back to tier names (see
-#: :mod:`repro.kernels.registry` — kept in sync by the sink tests).
-_KERNEL_TIER_NAMES = {0: "scalar", 1: "numpy", 2: "native"}
-
-
-def _kernel_rollup(
-    counters: Mapping[str, Any], gauges: Mapping[str, Any]
-) -> list[str]:
-    """The ``kernels:`` section of the summary (empty when unused).
-
-    Folds the ``kernel.<name>.calls`` / ``kernel.<name>.ns`` counter
-    pairs into one per-kernel line, decodes the ``kernel.tier`` gauge,
-    and appends the warm/cache bookkeeping counters.
-    """
-    lines: list[str] = []
-    tier = gauges.get("kernel.tier")
-    if tier is not None:
-        name = _KERNEL_TIER_NAMES.get(int(tier), "?")
-        lines.append(f"  tier: {name}")
-    by_kernel: dict[str, dict[str, float]] = {}
-    extras: dict[str, float] = {}
-    for name in sorted(counters):
-        if not name.startswith("kernel."):
-            continue
-        stem = name[len("kernel."):]
-        bookkeeping = (
-            stem == "warm.calls"
-            or stem.startswith("cache.")
-            or stem.startswith("native.")
-        )
-        if not bookkeeping and (
-            stem.endswith(".calls") or stem.endswith(".ns")
-        ):
-            kernel, _, field = stem.rpartition(".")
-            by_kernel.setdefault(kernel, {})[field] = float(
-                counters[name]
-            )
-        else:
-            extras[stem] = float(counters[name])
-    for kernel in sorted(by_kernel):
-        fields = by_kernel[kernel]
-        calls = int(fields.get("calls", 0))
-        total_s = fields.get("ns", 0.0) / 1e9
-        mean_s = total_s / calls if calls else 0.0
-        lines.append(
-            f"  {kernel}: {calls} x, total {_fmt_seconds(total_s)}, "
-            f"mean {_fmt_seconds(mean_s)}"
-        )
-    for stem in sorted(extras):
-        value = extras[stem]
-        shown = int(value) if value.is_integer() else value
-        lines.append(f"  {stem}: {shown}")
-    return lines
-
-
 def summarize(data: Mapping[str, Any]) -> str:
     """Human-readable per-phase rollup for ``repro telemetry summary``."""
     meta = data.get("meta", {})
@@ -224,33 +169,18 @@ def summarize(data: Mapping[str, Any]) -> str:
             )
 
     counters = snapshot.get("counters", {})
-    gauges = snapshot.get("gauges", {})
-    kernel_lines = _kernel_rollup(counters, gauges)
-    if kernel_lines:
-        lines.append("kernels:")
-        lines.extend(kernel_lines)
-
-    plain_counters = {
-        name: value
-        for name, value in counters.items()
-        if not name.startswith("kernel.")
-    }
-    if plain_counters:
+    if counters:
         lines.append("counters:")
-        for name in sorted(plain_counters):
-            value = plain_counters[name]
+        for name in sorted(counters):
+            value = counters[name]
             shown = int(value) if float(value).is_integer() else value
             lines.append(f"  {name}: {shown}")
 
-    plain_gauges = {
-        name: value
-        for name, value in gauges.items()
-        if not name.startswith("kernel.")
-    }
-    if plain_gauges:
+    gauges = snapshot.get("gauges", {})
+    if gauges:
         lines.append("gauges (max across workers):")
-        for name in sorted(plain_gauges):
-            value = plain_gauges[name]
+        for name in sorted(gauges):
+            value = gauges[name]
             shown = int(value) if float(value).is_integer() else value
             lines.append(f"  {name}: {shown}")
 

@@ -1,4 +1,4 @@
-"""Tests of the stable ``repro.api`` facade and its deprecation shims."""
+"""Tests of the stable ``repro.api`` facade and the shims it replaced."""
 
 from __future__ import annotations
 
@@ -70,18 +70,18 @@ class TestFacadeSurface:
 
 
 class TestDeprecatedExports:
-    def test_old_toplevel_names_warn_but_work(self):
-        from repro.runner import sharding
+    def test_old_toplevel_names_are_gone(self):
+        with pytest.raises(AttributeError, match="run_sharded_sweep"):
+            repro.run_sharded_sweep
+        with pytest.raises(AttributeError, match="sharded_sweep_campaign"):
+            repro.sharded_sweep_campaign
 
-        with pytest.warns(DeprecationWarning, match="repro.api.sweep"):
-            assert repro.run_sharded_sweep is sharding.run_sharded_sweep
-        with pytest.warns(
-            DeprecationWarning, match="repro.api.sweep_campaign"
-        ):
-            assert (
-                repro.sharded_sweep_campaign
-                is sharding.sharded_sweep_campaign
-            )
+    def test_star_import_is_clean_with_warnings_as_errors(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exec("from repro import *", {})
 
     def test_facade_aliases_do_not_warn(self):
         import warnings

@@ -116,30 +116,3 @@ class TestSummarize:
         text = summarize({"meta": {"run_id": "r2"}, "events": [],
                           "spans": [], "metrics": {}})
         assert "no telemetry recorded" in text
-
-    def test_kernel_metrics_get_their_own_section(self):
-        text = summarize({
-            "meta": {"run_id": "r3"},
-            "metrics": {
-                "counters": {
-                    "kernel.energy_wall_bisect.calls": 4.0,
-                    "kernel.energy_wall_bisect.ns": 2.0e9,
-                    "kernel.warm.calls": 2.0,
-                    "kernel.cache.hit": 6.0,
-                    "kernel.cache.miss": 0.0,
-                    "jobs.completed": 5.0,
-                },
-                "gauges": {"kernel.tier": 2.0, "queue.active": 1.0},
-            },
-        })
-        assert "kernels:" in text
-        assert "tier: native" in text
-        assert "energy_wall_bisect: 4 x, total 2.00s, mean 500.00ms" in text
-        assert "warm.calls: 2" in text
-        assert "cache.hit: 6" in text
-        assert "cache.miss: 0" in text
-        # Kernel metrics live in their section, not the generic lists.
-        assert "kernel.energy_wall_bisect.ns" not in text
-        assert "kernel.tier" not in text
-        assert "jobs.completed: 5" in text
-        assert "queue.active: 1" in text

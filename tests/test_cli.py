@@ -282,6 +282,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_kernels_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["kernels", "info"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'kernels'" in capsys.readouterr().err
+
     def test_module_entry_point(self):
         import repro.__main__  # noqa: F401 - import side-effect free
 
@@ -352,31 +358,6 @@ class TestSweepCommand:
             "--store", str(tmp_path / "s.jsonl"),
         ]) == 2
         assert "--min > 0" in capsys.readouterr().err
-
-
-class TestKernelsCli:
-    def test_info_reports_tier_and_registry(self, capsys):
-        assert main(["kernels", "info"]) == 0
-        out = capsys.readouterr().out
-        assert "requested tier" in out
-        assert "active tier" in out
-        assert "native tier" in out
-        assert "energy_wall_bisect" in out
-        assert "sawtooth_best_user_bits" in out
-        assert "codec_pack" in out
-
-    def test_info_respects_forced_tier(self, capsys, monkeypatch):
-        from repro.kernels import KERNELS_ENV_VAR, reset_kernels
-
-        monkeypatch.setenv(KERNELS_ENV_VAR, "scalar")
-        reset_kernels()
-        try:
-            assert main(["kernels", "info"]) == 0
-            out = capsys.readouterr().out
-            assert "active tier    : scalar" in out
-        finally:
-            monkeypatch.delenv(KERNELS_ENV_VAR)
-            reset_kernels()
 
 
 class TestTelemetryCli:

@@ -76,7 +76,7 @@ def test_every_third_party_import_is_declared():
     # in the wrong place and would pass vacuously.
     assert "numpy" in imports
     # Import names equal distribution names for everything used so far
-    # (numpy, numba); a future import whose distribution is named
+    # (numpy); a future import whose distribution is named
     # differently needs a mapping here.
     declared = declared_distributions()
     undeclared = {
