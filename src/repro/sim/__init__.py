@@ -8,16 +8,24 @@ package provides a compatible-in-spirit kernel:
 * :class:`~repro.sim.engine.Environment` — event loop and virtual clock,
 * :class:`~repro.sim.engine.Event` / ``Timeout`` / ``Process`` —
   generator-based processes that ``yield`` events,
-* :class:`~repro.sim.engine.AnyOf` — the condition event the pipeline
-  waits on (a refill timer or a rate change, whichever fires first),
+* :class:`~repro.sim.engine.AnyOf` / ``AllOf`` — condition events,
+* :class:`~repro.sim.resources.Container` — fluid level resource (the
+  streaming buffer),
+* :class:`~repro.sim.resources.Store` — FIFO object store,
 * :class:`~repro.sim.monitor.TimeSeriesMonitor` — piecewise-constant and
   piecewise-linear signal recording with exact time integrals.
-
-The streaming buffer itself is
-:class:`~repro.streaming.buffer.FluidBuffer`, not a simulation resource.
 """
 
-from .engine import AnyOf, Environment, Event, Process, Timeout
+from .engine import (
+    AllOf,
+    AnyOf,
+    Environment,
+    Event,
+    Interrupt,
+    Process,
+    Timeout,
+)
+from .resources import Container, Store
 from .monitor import TimeSeriesMonitor, CounterMonitor
 
 __all__ = [
@@ -25,7 +33,11 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
+    "Interrupt",
     "AnyOf",
+    "AllOf",
+    "Container",
+    "Store",
     "TimeSeriesMonitor",
     "CounterMonitor",
 ]

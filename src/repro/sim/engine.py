@@ -25,6 +25,17 @@ from ..errors import SimulationError
 _PENDING = object()
 
 
+class Interrupt(Exception):
+    """Thrown into a process that another process interrupts.
+
+    The interrupting cause is available as :attr:`cause`.
+    """
+
+    def __init__(self, cause: Any = None):
+        super().__init__(cause)
+        self.cause = cause
+
+
 class Event:
     """A happening that processes can wait for.
 
@@ -136,6 +147,7 @@ class Process(Event):
             )
         super().__init__(env)
         self._generator = generator
+        self._target: Event | None = None
         # Bootstrap: resume the process at the current simulation time.
         init = Event(env)
         init._ok = True
@@ -147,6 +159,24 @@ class Process(Event):
     def is_alive(self) -> bool:
         """True while the generator has not finished."""
         return not self.triggered
+
+    def interrupt(self, cause: Any = None) -> None:
+        """Throw :class:`Interrupt` into the process at the current time."""
+        if not self.is_alive:
+            raise SimulationError("cannot interrupt a finished process")
+        if self._target is not None and self._target.callbacks is not None:
+            try:
+                self._target.callbacks.remove(self._resume)
+            except ValueError:  # pragma: no cover - already detached
+                pass
+            self._target = None
+        wakeup = Event(self.env)
+        wakeup._ok = False
+        wakeup._value = Interrupt(cause)
+        # Interrupts are owned by this process; never escalate them.
+        wakeup.defused = True
+        wakeup.callbacks.append(self._resume)
+        self.env._schedule(wakeup, priority=0)
 
     def _resume(self, event: Event) -> None:
         self.env._active_process = self
@@ -180,15 +210,11 @@ class Process(Event):
             self.env._schedule(relay)
         else:
             next_target.callbacks.append(self._resume)
+        self._target = next_target
 
 
-class AnyOf(Event):
-    """Fires as soon as any constituent event fires.
-
-    Its value maps every constituent that has fired to its value; a
-    failed constituent fails the condition.  No constituents at all
-    fire it at once, with an empty mapping.
-    """
+class _Condition(Event):
+    """Base for AnyOf/AllOf composite events."""
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
@@ -198,30 +224,56 @@ class AnyOf(Event):
                 raise SimulationError(
                     "all events of a condition must share one environment"
                 )
-        if not self._events:
-            self.succeed({})
+        self._unfired = sum(1 for e in self._events if not e.processed)
         for event in self._events:
             if event.processed:
-                self._observe(event)
+                self._observe(event, immediate=True)
             else:
                 event.callbacks.append(self._observe)
+        if not self.triggered:
+            self._check_now()
 
-    def _observe(self, event: Event) -> None:
+    def _observe(self, event: Event, immediate: bool = False) -> None:
         if not event._ok:
             event.defused = True
             if not self.triggered:
                 self.fail(event._value)
-        elif not self.triggered:
-            # Only *processed* events have actually fired: a Timeout is
-            # born triggered (its value is known upfront) but must not
-            # appear in the results until its scheduled moment arrives.
-            self.succeed(
-                {
-                    other: other._value
-                    for other in self._events
-                    if other.processed and other._ok
-                }
-            )
+            return
+        if not immediate:
+            self._unfired -= 1
+        if not self.triggered:
+            self._check_now()
+
+    def _values(self) -> dict[Event, Any]:
+        # Only *processed* events have actually fired: a Timeout is born
+        # triggered (its value is known upfront) but must not appear in a
+        # condition's results until its scheduled moment arrives.
+        return {
+            event: event._value
+            for event in self._events
+            if event.processed and event._ok
+        }
+
+    def _check_now(self) -> None:
+        raise NotImplementedError
+
+
+class AllOf(_Condition):
+    """Fires once every constituent event has fired."""
+
+    def _check_now(self) -> None:
+        if self._unfired == 0:
+            self.succeed(self._values())
+
+
+class AnyOf(_Condition):
+    """Fires as soon as any constituent event fires."""
+
+    def _check_now(self) -> None:
+        if not self._events or self._unfired < len(self._events) or any(
+            e.processed for e in self._events
+        ):
+            self.succeed(self._values())
 
 
 class Environment:
@@ -229,7 +281,7 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        self._queue: list[tuple[float, int, Event]] = []
+        self._queue: list[tuple[float, int, int, Event]] = []
         self._sequence = itertools.count()
         self._active_process: Process | None = None
 
@@ -261,11 +313,18 @@ class Environment:
         """Composite event firing when any constituent fires."""
         return AnyOf(self, events)
 
+    def all_of(self, events: Iterable[Event]) -> AllOf:
+        """Composite event firing when all constituents have fired."""
+        return AllOf(self, events)
+
     # -- scheduling --------------------------------------------------------------
 
-    def _schedule(self, event: Event, delay: float = 0.0) -> None:
+    def _schedule(
+        self, event: Event, delay: float = 0.0, priority: int = 1
+    ) -> None:
         heapq.heappush(
-            self._queue, (self._now + delay, next(self._sequence), event)
+            self._queue,
+            (self._now + delay, priority, next(self._sequence), event),
         )
 
     def peek(self) -> float:
@@ -276,7 +335,7 @@ class Environment:
         """Process exactly one event."""
         if not self._queue:
             raise SimulationError("no scheduled events")
-        time, _, event = heapq.heappop(self._queue)
+        time, _, _, event = heapq.heappop(self._queue)
         if time < self._now:  # pragma: no cover - heap guarantees order
             raise SimulationError("event scheduled in the past")
         self._now = time

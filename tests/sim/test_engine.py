@@ -1,11 +1,16 @@
-"""DES kernel tests: events, timeouts, processes, conditions."""
+"""DES kernel tests: events, timeouts, processes, conditions, interrupts."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import AnyOf, Environment
+from repro.sim.engine import (
+    AllOf,
+    AnyOf,
+    Environment,
+    Interrupt,
+)
 
 
 class TestEventLifecycle:
@@ -206,6 +211,53 @@ class TestProcesses:
         assert not process.is_alive
 
 
+class TestInterrupts:
+    def test_interrupt_wakes_sleeper(self):
+        env = Environment()
+        log = []
+
+        def sleeper():
+            try:
+                yield env.timeout(100.0)
+            except Interrupt as interrupt:
+                log.append((env.now, interrupt.cause))
+
+        def interrupter(target):
+            yield env.timeout(1.0)
+            target.interrupt(cause="wake up")
+
+        target = env.process(sleeper())
+        env.process(interrupter(target))
+        env.run()
+        assert log == [(1.0, "wake up")]
+
+    def test_interrupt_finished_process_raises(self):
+        env = Environment()
+
+        def quick():
+            yield env.timeout(0.5)
+
+        process = env.process(quick())
+        env.run()
+        with pytest.raises(SimulationError):
+            process.interrupt()
+
+    def test_uncaught_interrupt_fails_process(self):
+        env = Environment()
+
+        def sleeper():
+            yield env.timeout(100.0)
+
+        def interrupter(target):
+            yield env.timeout(1.0)
+            target.interrupt()
+
+        target = env.process(sleeper())
+        env.process(interrupter(target))
+        with pytest.raises(Interrupt):
+            env.run()
+
+
 class TestConditions:
     def test_any_of_first_wins(self):
         env = Environment()
@@ -235,14 +287,28 @@ class TestConditions:
 
         assert env.run(until=env.process(proc()))
 
+    def test_all_of_waits_for_every_event(self):
+        env = Environment()
+
+        def proc():
+            a = env.timeout(1.0, value="a")
+            b = env.timeout(3.0, value="b")
+            fired = yield AllOf(env, (a, b))
+            return (env.now, sorted(fired.values()))
+
+        time, values = env.run(until=env.process(proc()))
+        assert time == 3.0
+        assert values == ["a", "b"]
+
     def test_empty_conditions_fire_immediately(self):
         env = Environment()
 
         def proc():
-            fired = yield AnyOf(env, ())
-            return env.now, fired
+            yield AllOf(env, ())
+            yield AnyOf(env, ())
+            return env.now
 
-        assert env.run(until=env.process(proc())) == (0.0, {})
+        assert env.run(until=env.process(proc())) == 0.0
 
     def test_condition_failure_propagates(self):
         env = Environment()
@@ -262,6 +328,7 @@ class TestConditions:
     def test_env_helpers(self):
         env = Environment()
         assert isinstance(env.any_of((env.timeout(1),)), AnyOf)
+        assert isinstance(env.all_of((env.timeout(1),)), AllOf)
 
     def test_cross_environment_rejected(self):
         env_a, env_b = Environment(), Environment()

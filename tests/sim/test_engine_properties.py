@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import AnyOf, Environment
+from repro.sim.engine import AllOf, AnyOf, Environment
 
 delays = st.lists(
     st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
@@ -87,9 +87,16 @@ class TestConservation:
 
     @given(delays)
     @settings(max_examples=40)
-    def test_anyof_fires_at_min(self, delay_list):
+    def test_allof_fires_at_max_anyof_at_min(self, delay_list):
         env = Environment()
         outcome = {}
+
+        def waiter():
+            all_event = AllOf(
+                env, tuple(env.timeout(d) for d in delay_list)
+            )
+            yield all_event
+            outcome["all"] = env.now
 
         def racer():
             any_event = AnyOf(
@@ -98,6 +105,8 @@ class TestConservation:
             yield any_event
             outcome["any"] = env.now
 
+        env.process(waiter())
         env.process(racer())
         env.run()
+        assert outcome["all"] == pytest.approx(max(delay_list))
         assert outcome["any"] == pytest.approx(min(delay_list))
