@@ -35,127 +35,75 @@ scalars are bit-identical to serial execution) and
 repeated campaign then resumes from the store instead of recomputing.
 """
 
-from . import units
-from .config import (
-    DRAMConfig,
-    DesignGoal,
-    MEMSDeviceConfig,
-    MechanicalDeviceConfig,
-    WorkloadConfig,
-    TABLE1_RATE_GRID_BPS,
-    disk_18inch,
-    ibm_mems_prototype,
-    micron_ddr_dram,
-    table1_workload,
-)
-from .core import (
-    BatchRequirement,
-    BufferDimensioner,
-    BufferRequirement,
-    CapacityModel,
-    Constraint,
-    ConstraintOutcome,
-    DesignSpaceExplorer,
-    DesignSpaceResult,
-    DominanceRegion,
-    EnergyModel,
-    InverseSolver,
-    LifetimeModel,
-    ParetoFrontier,
-    ParetoPoint,
-    ProbesModel,
-    RefillCycle,
-    SpringsModel,
-    TradeoffAnalysis,
-    TradeoffPoint,
-    energy_buffer_frontier,
-)
-from .core.tradeoff import compare_energy_goals
-from .errors import (
-    BufferUnderrunError,
-    CampaignError,
-    ConfigurationError,
-    InfeasibleDesignError,
-    ReproError,
-    SimulationError,
-    SolverError,
-    UnitError,
-)
-from .runner import (
-    Campaign,
-    CampaignResult,
-    JobResult,
-    JobSpec,
-    JsonlBackend,
-    ProgressMonitor,
-    ResultCache,
-    ResultStore,
-    SqliteBackend,
-    migrate_store,
-    registry_campaign,
-    run_campaign,
-)
-from . import api
+from __future__ import annotations
+
+from ._lazy import lazy_exports
 
 __version__ = "1.8.0"
 
-__all__ = [
-    "api",
-    "units",
-    # configuration
-    "MechanicalDeviceConfig",
-    "MEMSDeviceConfig",
-    "WorkloadConfig",
-    "DesignGoal",
-    "DRAMConfig",
-    "ibm_mems_prototype",
-    "disk_18inch",
-    "table1_workload",
-    "micron_ddr_dram",
-    "TABLE1_RATE_GRID_BPS",
-    # core models
-    "EnergyModel",
-    "RefillCycle",
-    "CapacityModel",
-    "LifetimeModel",
-    "SpringsModel",
-    "ProbesModel",
-    "InverseSolver",
-    "BatchRequirement",
-    "BufferDimensioner",
-    "BufferRequirement",
-    "Constraint",
-    "ConstraintOutcome",
-    "DesignSpaceExplorer",
-    "DesignSpaceResult",
-    "DominanceRegion",
-    "TradeoffAnalysis",
-    "TradeoffPoint",
-    "compare_energy_goals",
-    "ParetoFrontier",
-    "ParetoPoint",
-    "energy_buffer_frontier",
-    # campaign engine
-    "Campaign",
-    "CampaignResult",
-    "JobSpec",
-    "JobResult",
-    "JsonlBackend",
-    "ProgressMonitor",
-    "ResultCache",
-    "ResultStore",
-    "SqliteBackend",
-    "migrate_store",
-    "registry_campaign",
-    "run_campaign",
-    # errors
-    "ReproError",
-    "ConfigurationError",
-    "UnitError",
-    "InfeasibleDesignError",
-    "SimulationError",
-    "BufferUnderrunError",
-    "CampaignError",
-    "SolverError",
-    "__version__",
-]
+#: Module (relative to this package) -> the public names it defines.
+_EXPORTS: dict[str, tuple[str, ...] | None] = {
+    ".api": None,
+    ".units": None,
+    ".config": (
+        "MechanicalDeviceConfig",
+        "MEMSDeviceConfig",
+        "WorkloadConfig",
+        "DesignGoal",
+        "DRAMConfig",
+        "ibm_mems_prototype",
+        "disk_18inch",
+        "table1_workload",
+        "micron_ddr_dram",
+        "TABLE1_RATE_GRID_BPS",
+    ),
+    ".core": (
+        "EnergyModel",
+        "RefillCycle",
+        "CapacityModel",
+        "LifetimeModel",
+        "SpringsModel",
+        "ProbesModel",
+        "InverseSolver",
+        "BatchRequirement",
+        "BufferDimensioner",
+        "BufferRequirement",
+        "Constraint",
+        "ConstraintOutcome",
+        "DesignSpaceExplorer",
+        "DesignSpaceResult",
+        "DominanceRegion",
+        "TradeoffAnalysis",
+        "TradeoffPoint",
+        "ParetoFrontier",
+        "ParetoPoint",
+        "energy_buffer_frontier",
+    ),
+    ".core.tradeoff": ("compare_energy_goals",),
+    ".runner": (
+        "Campaign",
+        "CampaignResult",
+        "JobSpec",
+        "JobResult",
+        "JsonlBackend",
+        "ProgressMonitor",
+        "ResultCache",
+        "ResultStore",
+        "SqliteBackend",
+        "migrate_store",
+        "registry_campaign",
+        "run_campaign",
+    ),
+    ".errors": (
+        "ReproError",
+        "ConfigurationError",
+        "UnitError",
+        "InfeasibleDesignError",
+        "SimulationError",
+        "BufferUnderrunError",
+        "CampaignError",
+        "SolverError",
+    ),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), _EXPORTS)
+__all__.append("__version__")

@@ -8,22 +8,16 @@
 * :mod:`repro.analysis.sensitivity` — one-at-a-time sensitivity studies.
 """
 
-from .tables import Table, format_table, render_series
-from .sweep import SweepResult, sweep_parameter
-from .validation import ValidationMatrix, validate_operating_points
-from .sensitivity import SensitivityResult, sensitivity_analysis
-from .plots import AsciiChart, plot_design_space
+from __future__ import annotations
 
-__all__ = [
-    "Table",
-    "format_table",
-    "render_series",
-    "SweepResult",
-    "sweep_parameter",
-    "ValidationMatrix",
-    "validate_operating_points",
-    "SensitivityResult",
-    "sensitivity_analysis",
-    "AsciiChart",
-    "plot_design_space",
-]
+from .._lazy import lazy_exports
+
+#: Module (relative to this package) -> the public names it defines.
+_EXPORTS: dict[str, tuple[str, ...] | None] = {
+    ".tables": ("Table", "format_table", "render_series"),
+    ".sweep": ("SweepResult", "sweep_parameter"),
+    ".validation": ("ValidationMatrix", "validate_operating_points"),
+    ".sensitivity": ("SensitivityResult", "sensitivity_analysis"),
+    ".plots": ("AsciiChart", "plot_design_space"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), _EXPORTS)

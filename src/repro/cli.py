@@ -39,18 +39,7 @@ import os
 import sys
 from typing import Sequence
 
-from . import units
-from .config import DesignGoal, ibm_mems_prototype, table1_workload
-from .core.dimensioning import BufferDimensioner
 from .errors import ReproError
-from .experiments import (
-    list_experiments,
-    run_experiment,
-    run_experiments,
-    validate_experiment_ids,
-)
-from .streaming.pipeline import simulate_always_on, simulate_streaming
-from .streaming.stats import compare_with_model
 
 
 def _jobs_default() -> int:
@@ -506,6 +495,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _command_list() -> int:
+    from .experiments import list_experiments
+
     experiments = list_experiments()
     width = max(len(name) for name, _ in experiments)
     for name, description in experiments:
@@ -515,6 +506,8 @@ def _command_list() -> int:
 
 def _expand_experiment_ids(experiment_ids: Sequence[str]) -> list[str]:
     """Expand ``all`` and reject unknown ids before anything runs."""
+    from .experiments import list_experiments, validate_experiment_ids
+
     ids = list(experiment_ids)
     if not ids or ids == ["all"]:
         return [name for name, _ in list_experiments()]
@@ -554,6 +547,7 @@ def _export_capture(capture, trace, sidecar, meta) -> None:
 
 def _command_run(args: argparse.Namespace) -> int:
     from .errors import ConfigurationError
+    from .experiments import run_experiment, run_experiments
 
     jobs = args.jobs
     if jobs < 1:
@@ -968,6 +962,10 @@ def _command_telemetry(args: argparse.Namespace) -> int:
 
 
 def _command_dimension(args: argparse.Namespace) -> int:
+    from . import units
+    from .config import DesignGoal, ibm_mems_prototype, table1_workload
+    from .core.dimensioning import BufferDimensioner
+
     device = ibm_mems_prototype(
         springs_duty_cycles=args.springs,
         probe_write_cycles=args.probe_cycles,
@@ -993,6 +991,7 @@ def _command_dimension(args: argparse.Namespace) -> int:
 
 def _command_plot(args: argparse.Namespace) -> int:
     from .analysis.plots import plot_design_space
+    from .config import DesignGoal, ibm_mems_prototype, table1_workload
     from .core.design_space import DesignSpaceExplorer
 
     device = ibm_mems_prototype(
@@ -1012,6 +1011,11 @@ def _command_plot(args: argparse.Namespace) -> int:
 
 
 def _command_simulate(args: argparse.Namespace) -> int:
+    from . import units
+    from .config import ibm_mems_prototype, table1_workload
+    from .streaming.pipeline import simulate_always_on, simulate_streaming
+    from .streaming.stats import compare_with_model
+
     device = ibm_mems_prototype()
     workload = table1_workload()
     rate = args.rate * 1000.0

@@ -17,49 +17,40 @@ from . import (
     wear_exp,
 )
 from .base import ExperimentResult
+from .catalog import (  # noqa: F401  (re-exported)
+    DESCRIPTIONS,
+    list_experiments,
+    validate_experiment_ids,
+)
+
+#: Experiment id -> runner; the descriptions live in :mod:`.catalog`.
+_RUNNERS: dict[str, Callable[..., ExperimentResult]] = {
+    "table1": table1.run,
+    "breakeven": breakeven.run,
+    "capacity-example": capacity_example.run,
+    "fig2a": fig2.run_fig2a,
+    "fig2b": fig2.run_fig2b,
+    "fig3a": fig3.run_fig3a,
+    "fig3b": fig3.run_fig3b,
+    "fig3c": fig3.run_fig3c,
+    "fig3-c85": fig3.run_fig3_c85,
+    "tradeoff10": tradeoff10.run,
+    "sim-validate": validation_exp.run,
+    "dram-negligible": dram_exp.run,
+    "wear-balance": wear_exp.run,
+}
+
+if _RUNNERS.keys() != DESCRIPTIONS.keys():
+    raise RuntimeError(
+        "experiment catalog and runners disagree on ids: "
+        f"{sorted(DESCRIPTIONS.keys() ^ _RUNNERS.keys())}"
+    )
 
 #: Experiment id -> (runner, one-line description).
 EXPERIMENTS: dict[str, tuple[Callable[..., ExperimentResult], str]] = {
-    "table1": (table1.run, "Table I settings and derived quantities"),
-    "breakeven": (
-        breakeven.run,
-        "§III.A.1 break-even buffers: MEMS vs 1.8-inch disk",
-    ),
-    "capacity-example": (
-        capacity_example.run,
-        "§III.B capacity utilisation example (88%, ~106 of 120 GB)",
-    ),
-    "fig2a": (fig2.run_fig2a, "Figure 2a: energy & capacity vs buffer"),
-    "fig2b": (fig2.run_fig2b, "Figure 2b: lifetime vs buffer"),
-    "fig3a": (fig3.run_fig3a, "Figure 3a: goal (80%, 88%, 7)"),
-    "fig3b": (fig3.run_fig3b, "Figure 3b: goal (70%, 88%, 7)"),
-    "fig3c": (fig3.run_fig3c, "Figure 3c: improved endurance"),
-    "fig3-c85": (fig3.run_fig3_c85, "§IV.C prose variant with C=85%"),
-    "tradeoff10": (
-        tradeoff10.run,
-        "Abstract claim: 10% energy vs 3 orders of magnitude of buffer",
-    ),
-    "sim-validate": (
-        validation_exp.run,
-        "Analytic model vs discrete-event simulation",
-    ),
-    "dram-negligible": (
-        dram_exp.run,
-        "§IV.A DRAM energy share",
-    ),
-    "wear-balance": (
-        wear_exp.run,
-        "§III.C.2 write-balance assumption under skewed workloads",
-    ),
+    experiment_id: (_RUNNERS[experiment_id], description)
+    for experiment_id, description in DESCRIPTIONS.items()
 }
-
-
-def list_experiments() -> list[tuple[str, str]]:
-    """All registered ``(id, description)`` pairs, sorted by id."""
-    return sorted(
-        (name, description)
-        for name, (_, description) in EXPERIMENTS.items()
-    )
 
 
 def get_experiment(experiment_id: str) -> Callable[..., ExperimentResult]:
@@ -77,16 +68,6 @@ def get_experiment(experiment_id: str) -> Callable[..., ExperimentResult]:
 def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
     """Run an experiment by id with optional overrides."""
     return get_experiment(experiment_id)(**kwargs)
-
-
-def validate_experiment_ids(experiment_ids: Sequence[str]) -> None:
-    """Reject unknown ids up front (before any experiment runs)."""
-    unknown = sorted(set(experiment_ids) - set(EXPERIMENTS))
-    if unknown:
-        known = ", ".join(sorted(EXPERIMENTS))
-        raise ConfigurationError(
-            f"unknown experiment(s) {', '.join(unknown)}; known: {known}"
-        )
 
 
 def run_experiments(

@@ -37,121 +37,73 @@ Quickstart::
     print(result.summary())
 """
 
-from .backends import (
-    BACKEND_ENV_VAR,
-    BACKENDS,
-    JsonlBackend,
-    SqliteBackend,
-    StoreBackend,
-)
-from .cache import ResultCache
-from .campaign import (
-    Campaign,
-    CampaignResult,
-    registry_campaign,
-    run_campaign,
-)
-from .events import (
-    EVENT_LOST,
-    EVENT_REQUEUED,
-    EVENT_SCHEMA,
-    TERMINAL_EVENTS,
-    Event,
-    EventBus,
-    event_from_json,
-    event_to_json,
-)
-from .executors import (
-    EXECUTOR_ENV_VAR,
-    EXECUTOR_KINDS,
-    ExecutionBackend,
-    PoolExecutor,
-    SerialExecutor,
-    make_executor,
-)
-from .jobs import (
-    STATUS_CACHED,
-    STATUS_FAILED,
-    STATUS_OK,
-    STATUS_SKIPPED,
-    JobResult,
-    JobSpec,
-    content_key,
-)
-from .codec import (
-    CODEC_COLUMNAR,
-    CODEC_ENV_VAR,
-    CODEC_JSON,
-    STORAGE_FORMAT,
-)
-from .monitor import ProgressMonitor
-from .provenance import config_content_hash, provenance_stamp
-from .queue import JobEvent, parallel_map, run_jobs, topological_order
-from .sharding import (
-    SweepColumns,
-    collect_arrays,
-    collect_points,
-    grid_descriptor,
-    iter_points,
-    lookup_point,
-    run_sharded_sweep,
-    shard_grid,
-    sharded_sweep_campaign,
-)
-from .store import ResultStore, migrate_store
+from __future__ import annotations
 
-__all__ = [
-    "BACKENDS",
-    "BACKEND_ENV_VAR",
-    "CODEC_COLUMNAR",
-    "CODEC_ENV_VAR",
-    "CODEC_JSON",
-    "Campaign",
-    "CampaignResult",
-    "EVENT_LOST",
-    "EVENT_REQUEUED",
-    "EVENT_SCHEMA",
-    "EXECUTOR_ENV_VAR",
-    "EXECUTOR_KINDS",
-    "Event",
-    "EventBus",
-    "ExecutionBackend",
-    "JobEvent",
-    "JobResult",
-    "JobSpec",
-    "JsonlBackend",
-    "PoolExecutor",
-    "ProgressMonitor",
-    "ResultCache",
-    "ResultStore",
-    "STATUS_CACHED",
-    "STATUS_FAILED",
-    "STATUS_OK",
-    "STATUS_SKIPPED",
-    "STORAGE_FORMAT",
-    "SerialExecutor",
-    "SqliteBackend",
-    "StoreBackend",
-    "SweepColumns",
-    "TERMINAL_EVENTS",
-    "collect_arrays",
-    "collect_points",
-    "config_content_hash",
-    "content_key",
-    "event_from_json",
-    "event_to_json",
-    "grid_descriptor",
-    "iter_points",
-    "lookup_point",
-    "make_executor",
-    "migrate_store",
-    "parallel_map",
-    "provenance_stamp",
-    "registry_campaign",
-    "run_campaign",
-    "run_jobs",
-    "run_sharded_sweep",
-    "shard_grid",
-    "sharded_sweep_campaign",
-    "topological_order",
-]
+from .._lazy import lazy_exports
+
+#: Module (relative to this package) -> the public names it defines.
+_EXPORTS: dict[str, tuple[str, ...] | None] = {
+    ".backends": (
+        "BACKENDS",
+        "BACKEND_ENV_VAR",
+        "JsonlBackend",
+        "SqliteBackend",
+        "StoreBackend",
+    ),
+    ".cache": ("ResultCache",),
+    ".campaign": (
+        "Campaign",
+        "CampaignResult",
+        "registry_campaign",
+        "run_campaign",
+    ),
+    ".codec": (
+        "CODEC_COLUMNAR",
+        "CODEC_ENV_VAR",
+        "CODEC_JSON",
+        "STORAGE_FORMAT",
+    ),
+    ".events": (
+        "EVENT_LOST",
+        "EVENT_REQUEUED",
+        "EVENT_SCHEMA",
+        "TERMINAL_EVENTS",
+        "Event",
+        "EventBus",
+        "event_from_json",
+        "event_to_json",
+    ),
+    ".executors": (
+        "EXECUTOR_ENV_VAR",
+        "EXECUTOR_KINDS",
+        "ExecutionBackend",
+        "PoolExecutor",
+        "SerialExecutor",
+        "make_executor",
+    ),
+    ".jobs": (
+        "STATUS_CACHED",
+        "STATUS_FAILED",
+        "STATUS_OK",
+        "STATUS_SKIPPED",
+        "JobResult",
+        "JobSpec",
+        "content_key",
+    ),
+    ".monitor": ("ProgressMonitor",),
+    ".provenance": ("config_content_hash", "provenance_stamp"),
+    ".queue": ("JobEvent", "parallel_map", "run_jobs", "topological_order"),
+    ".sharding": (
+        "SweepColumns",
+        "collect_arrays",
+        "collect_points",
+        "grid_descriptor",
+        "iter_points",
+        "lookup_point",
+        "run_sharded_sweep",
+        "shard_grid",
+        "sharded_sweep_campaign",
+    ),
+    ".store": ("ResultStore", "migrate_store"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), _EXPORTS)

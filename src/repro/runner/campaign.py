@@ -18,7 +18,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
-from ..analysis.tables import Table
 from ..errors import CampaignError, ConfigurationError
 from .cache import ResultCache
 from .jobs import (
@@ -233,6 +232,8 @@ class CampaignResult:
 
     def summary(self) -> str:
         """Aligned per-job summary table plus a totals line."""
+        from ..analysis.tables import Table
+
         rows = []
         for job_id in self.order:
             result = self.results[job_id]

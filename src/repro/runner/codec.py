@@ -57,13 +57,17 @@ from __future__ import annotations
 import base64
 import os
 import time
-from typing import Any, Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from ..errors import ConfigurationError
 from ..faults import fault_site
 from ..telemetry import metrics
+
+# numpy is imported inside the array functions only: both store
+# backends import this module for its bytes helpers, and a fully cached
+# campaign never touches an array.
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Environment variable naming the default point codec.
 CODEC_ENV_VAR = "REPRO_POINT_CODEC"
@@ -119,11 +123,15 @@ def check_codec(name: str) -> str:
 
 def _column_bytes(column: Any, dtype: str) -> bytes:
     """One column as contiguous little-endian ``dtype`` bytes."""
+    import numpy as np
+
     return np.ascontiguousarray(column, dtype=dtype).tobytes()
 
 
 def _pack_ndarray(column: np.ndarray) -> tuple[dict[str, Any], bytes] | None:
     """Pack a typed numpy column without a per-value type scan."""
+    import numpy as np
+
     kind = column.dtype.kind
     if kind == "f":
         return {"dtype": _DTYPE_F8}, _column_bytes(column, _DTYPE_F8)
@@ -155,6 +163,8 @@ def _pack_values(values: Sequence[Any]) -> tuple[dict[str, Any], bytes]:
     Returns ``(descriptor, column_bytes)`` — ``json`` columns carry
     their data inline and contribute no bytes.
     """
+    import numpy as np
+
     if isinstance(values, np.ndarray):
         packed = _pack_ndarray(values)
         if packed is not None:
@@ -195,6 +205,8 @@ def _unpack_array(
     descriptor: Mapping[str, Any], blob: bytes, offset: int, count: int
 ) -> tuple[np.ndarray | list[Any], int]:
     """Decode one column to its natural array; return (column, new offset)."""
+    import numpy as np
+
     dtype = descriptor["dtype"]
     if dtype == _DTYPE_JSON:
         return list(descriptor["data"]), offset
@@ -223,6 +235,8 @@ def _unpack_array(
 
 def _column_to_list(column: np.ndarray | list[Any]) -> list[Any]:
     """A decoded column as exact Python scalars (the JSON-path types)."""
+    import numpy as np
+
     if isinstance(column, np.ndarray):
         return column.tolist()
     return list(column)
@@ -567,6 +581,8 @@ def column_to_array(column: Any) -> np.ndarray | list[Any]:
     payloads so array consumers see one shape regardless of how the
     store was written.
     """
+    import numpy as np
+
     if isinstance(column, np.ndarray):
         return column
     column = list(column)
@@ -590,6 +606,8 @@ def concat_columns(
     segments: Iterable[np.ndarray | list[Any]],
 ) -> np.ndarray | list[Any]:
     """Concatenate decoded column segments, staying array-native."""
+    import numpy as np
+
     parts = list(segments)
     if not parts:
         return []

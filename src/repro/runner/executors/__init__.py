@@ -9,42 +9,30 @@ protocol and :func:`make_executor` for resolution (explicit choice >
 ``REPRO_EXECUTOR`` > jobs count).
 """
 
-from .base import (
-    EXECUTOR_ENV_VAR,
-    EXECUTOR_KINDS,
-    KIND_POOL,
-    KIND_SERIAL,
-    OUTCOME_ERROR,
-    OUTCOME_LOST,
-    OUTCOME_OK,
-    OUTCOME_TIMEOUT,
-    AttemptOutcome,
-    DeadlineExceeded,
-    ExecutionBackend,
-    ExecutorFn,
-    make_executor,
-    resolve_executor_kind,
-    run_one_attempt,
-)
-from .pool import PoolExecutor
-from .serial import SerialExecutor
+from __future__ import annotations
 
-__all__ = [
-    "EXECUTOR_ENV_VAR",
-    "EXECUTOR_KINDS",
-    "KIND_POOL",
-    "KIND_SERIAL",
-    "OUTCOME_ERROR",
-    "OUTCOME_LOST",
-    "OUTCOME_OK",
-    "OUTCOME_TIMEOUT",
-    "AttemptOutcome",
-    "DeadlineExceeded",
-    "ExecutionBackend",
-    "ExecutorFn",
-    "PoolExecutor",
-    "SerialExecutor",
-    "make_executor",
-    "resolve_executor_kind",
-    "run_one_attempt",
-]
+from ..._lazy import lazy_exports
+
+#: Module (relative to this package) -> the public names it defines.
+_EXPORTS: dict[str, tuple[str, ...] | None] = {
+    ".base": (
+        "EXECUTOR_ENV_VAR",
+        "EXECUTOR_KINDS",
+        "KIND_POOL",
+        "KIND_SERIAL",
+        "OUTCOME_ERROR",
+        "OUTCOME_LOST",
+        "OUTCOME_OK",
+        "OUTCOME_TIMEOUT",
+        "AttemptOutcome",
+        "DeadlineExceeded",
+        "ExecutionBackend",
+        "ExecutorFn",
+        "make_executor",
+        "resolve_executor_kind",
+        "run_one_attempt",
+    ),
+    ".pool": ("PoolExecutor",),
+    ".serial": ("SerialExecutor",),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), _EXPORTS)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ...telemetry import metrics
-from ..jobs import JobSpec, execute
+from ..jobs import KIND_EXPERIMENT, JobSpec, execute
 from .base import (
     OUTCOME_ERROR,
     OUTCOME_LOST,
@@ -105,7 +105,16 @@ def warm_worker() -> None:
 
 
 def make_pool(max_workers: int) -> ProcessPoolExecutor:
-    """A process pool whose workers pre-build the reference models."""
+    """A process pool whose workers pre-build the reference models.
+
+    The workers fork at the pool's first submit.  The parent imports the
+    model core before then, so every worker inherits it instead of
+    importing numpy and the models in :func:`warm_worker`.  A command
+    that never builds a pool (a fully cached campaign) never pays for
+    the import.
+    """
+    from ...core import batch  # noqa: F401
+
     return ProcessPoolExecutor(
         max_workers=max_workers, initializer=warm_worker
     )
@@ -170,6 +179,11 @@ class PoolExecutor(ExecutionBackend):
     def submit(
         self, spec: JobSpec, attempt: int, deadline_s: float | None
     ) -> str:
+        if spec.kind == KIND_EXPERIMENT:
+            # Like the model core in make_pool: imported before a pool
+            # forks, the registry is inherited by its workers.  Only
+            # experiment jobs need it; a sweep's shards do not.
+            from ...experiments import registry  # noqa: F401
         self._seq += 1
         ticket = f"p{self._seq}"
         solo = spec.job_id in self._suspects

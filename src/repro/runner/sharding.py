@@ -86,8 +86,29 @@ GRID_KINDS = ("geomspace", "linspace")
 #: SQL rows beyond the one shard payload currently being drained.  The
 #: columnar merge uses the same bound as its block size (points per
 #: block record).  Override per merge with ``flush_chunk=`` or
-#: globally via the ``REPRO_MERGE_FLUSH_CHUNK`` environment variable.
-FLUSH_CHUNK = int(os.environ.get("REPRO_MERGE_FLUSH_CHUNK", "50000"))
+#: globally via :data:`FLUSH_CHUNK_ENV_VAR`.
+FLUSH_CHUNK = 50_000
+#: Environment variable overriding :data:`FLUSH_CHUNK`.
+FLUSH_CHUNK_ENV_VAR = "REPRO_MERGE_FLUSH_CHUNK"
+
+
+def _env_flush_chunk() -> int:
+    """The :data:`FLUSH_CHUNK_ENV_VAR` merge chunk, validated."""
+    raw = os.environ.get(FLUSH_CHUNK_ENV_VAR, "").strip()
+    if not raw:
+        return FLUSH_CHUNK
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ConfigurationError(
+            f"{FLUSH_CHUNK_ENV_VAR} must be a whole number of points, "
+            f"got {raw!r}"
+        ) from None
+    if value < 1:
+        raise ConfigurationError(
+            f"{FLUSH_CHUNK_ENV_VAR} must be >= 1, got {raw!r}"
+        )
+    return value
 
 
 def shard_grid(values: Sequence[Any], shards: int) -> list[list[Any]]:
@@ -607,7 +628,9 @@ def merge_shards(
     records; latest-wins store semantics make that harmless and
     ``compact()`` reclaims them.
     """
-    chunk_size = flush_chunk if flush_chunk is not None else FLUSH_CHUNK
+    chunk_size = (
+        flush_chunk if flush_chunk is not None else _env_flush_chunk()
+    )
     if chunk_size < 1:
         raise ConfigurationError(
             f"flush_chunk must be >= 1, got {chunk_size}"
@@ -719,9 +742,13 @@ def sharded_sweep_campaign(
     ``run_campaign(campaign, store_path=store_path, jobs=N)`` — the
     same store makes the sweep resumable and re-runs cached.
     ``flush_chunk`` bounds the merge job's blocks/batches (default
-    :data:`FLUSH_CHUNK`); like ``codec``, it is left out of job content
-    keys when unset so existing stores keep resolving from cache.
+    :data:`FLUSH_CHUNK`, or :data:`FLUSH_CHUNK_ENV_VAR`, which is
+    validated here so a bad value fails before any shard runs); like
+    ``codec``, it is left out of job content keys when unset so
+    existing stores keep resolving from cache.
     """
+    if flush_chunk is None:
+        _env_flush_chunk()
     common = dict(common or {})
     campaign = Campaign(name)
     shard_ids: list[str] = []

@@ -16,28 +16,22 @@ package provides a compatible-in-spirit kernel:
   piecewise-linear signal recording with exact time integrals.
 """
 
-from .engine import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Interrupt,
-    Process,
-    Timeout,
-)
-from .resources import Container, Store
-from .monitor import TimeSeriesMonitor, CounterMonitor
+from __future__ import annotations
 
-__all__ = [
-    "Environment",
-    "Event",
-    "Timeout",
-    "Process",
-    "Interrupt",
-    "AnyOf",
-    "AllOf",
-    "Container",
-    "Store",
-    "TimeSeriesMonitor",
-    "CounterMonitor",
-]
+from .._lazy import lazy_exports
+
+#: Module (relative to this package) -> the public names it defines.
+_EXPORTS: dict[str, tuple[str, ...] | None] = {
+    ".engine": (
+        "Environment",
+        "Event",
+        "Timeout",
+        "Process",
+        "Interrupt",
+        "AnyOf",
+        "AllOf",
+    ),
+    ".resources": ("Container", "Store"),
+    ".monitor": ("TimeSeriesMonitor", "CounterMonitor"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), _EXPORTS)

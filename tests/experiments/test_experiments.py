@@ -4,14 +4,21 @@ its shape (who wins, where crossovers fall, saturation points)."""
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import ConfigurationError
 from repro.experiments import (
+    EXPERIMENTS,
     get_experiment,
     list_experiments,
     run_experiment,
+    validate_experiment_ids,
 )
 
 
@@ -37,6 +44,33 @@ class TestRegistry:
     def test_unknown_id_rejected(self):
         with pytest.raises(ConfigurationError):
             get_experiment("fig99")
+        with pytest.raises(ConfigurationError, match="fig99"):
+            validate_experiment_ids(["table1", "fig99"])
+
+    def test_catalog_matches_the_registry(self):
+        # list/--help read the catalog without importing an experiment.
+        assert list_experiments() == sorted(
+            (experiment_id, description)
+            for experiment_id, (_, description) in EXPERIMENTS.items()
+        )
+
+    def test_registry_refuses_a_catalog_it_disagrees_with(self):
+        code = (
+            "from repro.experiments import catalog\n"
+            "catalog.DESCRIPTIONS['fig99'] = 'not a runner'\n"
+            "import repro.experiments.registry\n"
+        )
+        source_root = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [source_root, env.get("PYTHONPATH")])
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env,
+        )
+        assert completed.returncode != 0
+        assert "disagree on ids: ['fig99']" in completed.stderr
 
     def test_results_render(self):
         result = run_experiment("table1")

@@ -103,6 +103,26 @@ class TestBoundedChunks:
         with pytest.raises(ConfigurationError):
             merge_shards(flush_chunk=0, **full.specs[-1].params_dict())
 
+    @pytest.mark.parametrize("raw", ["abc", "0", "-5"])
+    def test_bad_flush_chunk_env_fails_when_the_sweep_is_built(
+        self, tmp_path, monkeypatch, raw
+    ):
+        monkeypatch.setenv("REPRO_MERGE_FLUSH_CHUNK", raw)
+        with pytest.raises(
+            ConfigurationError, match="REPRO_MERGE_FLUSH_CHUNK"
+        ):
+            _campaign(tmp_path / "s.sqlite")
+
+    def test_flush_chunk_env_sets_the_merge_block_size(
+        self, tmp_path, monkeypatch
+    ):
+        store_path = tmp_path / "s.sqlite"
+        full = _run_shards_only(store_path)
+        monkeypatch.setenv("REPRO_MERGE_FLUSH_CHUNK", "16")
+        summary = merge_shards(**full.specs[-1].params_dict())
+        assert summary["points"] == len(GRID)
+        assert summary["block_records"] == 3  # 16 + 16 + 8 points
+
     def test_streaming_summary_matches_points(self, tmp_path):
         store_path = tmp_path / "s.sqlite"
         full = _run_shards_only(store_path)

@@ -350,6 +350,22 @@ class TestSweepCommand:
             capsys.readouterr().err
         )
 
+    def test_bad_flush_chunk_env_fails_before_any_shard(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_MERGE_FLUSH_CHUNK", "abc")
+        store = tmp_path / "s.sqlite"
+        assert main([
+            "sweep", self.TARGET,
+            "--parameter", "rate_bps",
+            "--values", "32000,64000",
+            "--store", str(store), "--quiet",
+        ]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: REPRO_MERGE_FLUSH_CHUNK"
+        )
+        assert not store.exists()
+
     def test_log_grid_needs_positive_min(self, capsys, tmp_path):
         assert main([
             "sweep", self.TARGET,
