@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Canned chaos scenarios, as CI runs them.
 
-Three deterministic fault plans against the real pipeline, each
+Two deterministic fault plans against the real pipeline, each
 asserting the system converges (or fails loudly) with no hangs and no
 silent data loss:
 
@@ -13,20 +13,17 @@ silent data loss:
   quarantined by the checksum scan, and ``repro store verify`` must
   flag the damage with exit code 1 while the merged points stay
   bit-exact against an undisturbed baseline.
-* ``ws-drop``     — the campaign server's WebSocket send severed with
-  no close frame; the client must surface it loudly without
-  ``reconnect`` and resume bit-exactly with it.
 
-Artifacts (event sidecars, client transcripts, a fault/metric
-summary) are left in the scratch directory given as ``argv[1]``
-(default ``chaos-smoke/``) for CI to upload.
+Artifacts (the stores and a fault/metric summary) are left in the
+scratch directory given as ``argv[1]`` (default ``chaos-smoke/``) for
+CI to upload.
 
 Usage::
 
     PYTHONPATH=src python scripts/chaos_smoke.py [scratch-dir] [scenario]
 
-``scenario`` filters to one of ``worker-crash``, ``torn-write``,
-``ws-drop`` (default: all three).
+``scenario`` filters to ``worker-crash`` or ``torn-write`` (default:
+both).
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ import os
 import sys
 import time
 
-SCENARIOS = ("worker-crash", "torn-write", "ws-drop")
+SCENARIOS = ("worker-crash", "torn-write")
 
 GRID = [float(v) for v in range(200)]
 
@@ -141,65 +138,6 @@ def torn_write(scratch: str) -> dict[str, object]:
     }
 
 
-def ws_drop(scratch: str) -> dict[str, object]:
-    """A severed WS send is loud alone, seamless with reconnect."""
-    from repro.faults import activate, reset
-    from repro.service import CampaignServer, ServiceClient
-    from repro.service.client import ServiceError
-
-    target = _workers_target()
-    store_path = os.path.join(scratch, "ws-store.jsonl")
-    spec = {
-        "kind": "sweep", "name": "wsdrop", "target": target,
-        "parameter": "values", "values": GRID, "shards": 4,
-    }
-    with CampaignServer(store_path) as server:
-        client = ServiceClient(server.url, timeout=15.0)
-        run_id = client.submit(spec)
-        deadline = time.monotonic() + 60.0
-        while client.status(run_id)["state"] not in (
-            "done", "failed", "cancelled"
-        ):
-            assert time.monotonic() < deadline, "run never finished"
-            time.sleep(0.1)
-        assert client.status(run_id)["state"] == "done"
-        baseline = list(client.watch_lines(run_id))
-
-        # Without reconnect: the drop must be loud, never a silent
-        # truncation of the stream.
-        activate({"rules": [
-            {"site": "service.ws.send", "action": "drop", "nth": 3},
-        ]})
-        try:
-            try:
-                list(client.watch_lines(run_id))
-            except ServiceError as error:
-                assert error.status == 502, error
-            else:
-                raise AssertionError("dropped stream ended silently")
-        finally:
-            reset()
-
-        # With reconnect: two injected drops, one bit-exact stream.
-        activate({"rules": [
-            {"site": "service.ws.send", "action": "drop",
-             "nth": 4, "times": 2},
-        ]})
-        try:
-            resumed = list(
-                client.watch_lines(
-                    run_id, reconnect=5, reconnect_delay_s=0.1
-                )
-            )
-        finally:
-            reset()
-        assert resumed == baseline, "reconnect stream drifted"
-        transcript = os.path.join(scratch, "ws-transcript.jsonl")
-        with open(transcript, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(resumed) + "\n")
-    return {"events": len(baseline), "run_id": run_id}
-
-
 def main() -> int:
     scratch = os.path.abspath(
         sys.argv[1] if len(sys.argv) > 1 else "chaos-smoke"
@@ -222,7 +160,6 @@ def main() -> int:
     runners = {
         "worker-crash": worker_crash,
         "torn-write": torn_write,
-        "ws-drop": ws_drop,
     }
     summary: dict[str, object] = {}
     for name in wanted:

@@ -15,6 +15,9 @@ spellings everywhere they apply:
 The facade is a *compatibility contract*: signatures here only grow,
 never break, while the underlying modules stay free to refactor
 (their richer keyword surfaces remain available for power users).
+The one break so far: ``serve``, ``submit``, ``status``, ``cancel``
+and ``watch`` were removed with the campaign service they talked to.
+
 Importing the deep paths keeps working; sharded sweeps are
 :func:`sweep` / :func:`sweep_campaign` here, or
 ``run_sharded_sweep`` / ``sharded_sweep_campaign`` from
@@ -24,16 +27,13 @@ Importing the deep paths keeps working; sharded sweeps are
 >>> result = api.run_experiment("table1")
 >>> outcome = api.sweep("demo", "pkg.mod:fn", "x", [1.0, 2.0],
 ...                     store="results.jsonl", jobs=4)
->>> run_id = api.submit(spec, url="http://127.0.0.1:8321")
->>> for event in api.watch(run_id, url="http://127.0.0.1:8321"):
-...     print(event.kind, event.job_id)
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from .runner.campaign import (
     Campaign,
@@ -41,7 +41,6 @@ from .runner.campaign import (
     registry_campaign,
     run_campaign as _run_campaign,
 )
-from .runner.events import Event
 from .runner.monitor import ProgressMonitor
 from .runner.sharding import (
     SweepColumns,
@@ -59,19 +58,14 @@ __all__ = [
     "ProgressMonitor",
     "ResultStore",
     "SweepColumns",
-    "cancel",
     "collect_arrays",
     "collect_points",
     "open_store",
     "registry_campaign",
     "run_campaign",
     "run_experiment",
-    "serve",
-    "status",
-    "submit",
     "sweep",
     "sweep_campaign",
-    "watch",
 ]
 
 #: The stable alias of the sweep-campaign builder.
@@ -124,7 +118,7 @@ def run_campaign(
     keys (``cache_preload="specs"``, the default), however much else
     the store holds.  Extra keyword arguments pass straight through to
     :func:`repro.runner.campaign.run_campaign` (``monitor=``,
-    ``strict=``, ``cache_preload=``, ``bus=``, ``cancel=``, ...).
+    ``strict=``, ``cache_preload=``, ``faults=``, ...).
     """
     with _telemetry_override(telemetry):
         return _run_campaign(
@@ -169,74 +163,3 @@ def sweep(
             **kwargs,
         )
 
-
-# -- campaign service ------------------------------------------------------
-
-
-def serve(
-    store: str | os.PathLike[str],
-    *,
-    backend: str | None = None,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    jobs: int = 1,
-    **kwargs: Any,
-) -> Any:
-    """Start a campaign service bound to a store; returns the server.
-
-    The returned :class:`~repro.service.server.CampaignServer` is
-    already listening (``server.url``); it is also a context manager —
-    ``with api.serve("results.jsonl") as server: ...`` stops it on
-    exit.
-    """
-    from .service import CampaignServer
-
-    return CampaignServer(
-        os.fspath(store),
-        host=host,
-        port=port,
-        store_backend=backend,
-        jobs=jobs,
-        **kwargs,
-    ).start()
-
-
-def _client(url: str) -> Any:
-    from .service import ServiceClient
-
-    return ServiceClient(url)
-
-
-def submit(spec: Mapping[str, Any], *, url: str) -> str:
-    """Submit a campaign/sweep spec to a running service; run id back."""
-    return _client(url).submit(dict(spec))
-
-
-def status(run_id: str, *, url: str) -> dict[str, Any]:
-    """One run's status document from a running service."""
-    return _client(url).status(run_id)
-
-
-def cancel(run_id: str, *, url: str) -> dict[str, Any]:
-    """Cooperatively cancel a run on a running service."""
-    return _client(url).cancel(run_id)
-
-
-def watch(
-    run_id: str,
-    *,
-    url: str,
-    after_seq: int = 0,
-    on_event: Callable[[Event], None] | None = None,
-) -> Iterator[Event]:
-    """Stream a run's events (replay + live) from a running service.
-
-    Yields each :class:`~repro.runner.events.Event`; ``on_event`` (a
-    :class:`~repro.runner.monitor.ProgressMonitor`, say) additionally
-    receives every event as it arrives, which is how the CLI's
-    ``--watch`` drives the same TUI as local runs.
-    """
-    for event in _client(url).watch(run_id, after_seq):
-        if on_event is not None:
-            on_event(event)
-        yield event

@@ -13,12 +13,6 @@ Subcommands
   --points 1000000 --shards 16 --jobs 4 --store sweep.sqlite`` — run
   one importable batch target over a grid as a sharded, resumable,
   memory-bounded campaign,
-* ``repro serve --store results.jsonl --port 8321`` — run the
-  long-lived campaign service: submit specs over HTTP, stream live
-  runs over WebSocket, page merged sweep points, cancel with DELETE,
-* ``repro campaign --watch http://host:8321`` — submit the same batch
-  to a running service instead and stream its progress into the local
-  TUI (``--run ID`` attaches to an existing run),
 * ``repro store info|compact|migrate`` — inspect, compact (latest
   record per key), or convert a result store between the JSONL and
   SQLite backends (``info --timings`` adds backend call latencies),
@@ -53,38 +47,32 @@ def _jobs_default() -> int:
 def _add_run_options(
     parser: argparse.ArgumentParser,
     *,
-    jobs: bool = True,
     store: bool = False,
     store_required: bool = False,
     codec: bool = False,
-    telemetry: bool = True,
-    trace_help: str | None = None,
 ) -> None:
     """The one shared option group every run-shaped command uses.
 
     All commands spell these flags identically, and each has an
-    environment fallback so services and CI set them once:
+    environment fallback so scripts and CI set them once:
     ``--jobs``/``$REPRO_JOBS``, ``--store``/``$REPRO_STORE``,
     ``--store-backend``/``$REPRO_STORE_BACKEND``,
     ``--codec``/``$REPRO_POINT_CODEC``, ``--trace``/``$REPRO_TRACE``,
     ``--telemetry``/``$REPRO_TELEMETRY``.
     """
-    if jobs:
-        parser.add_argument(
-            "--jobs", type=int, default=_jobs_default(), metavar="N",
-            help=(
-                "worker processes (default: $REPRO_JOBS, else 1 = serial)"
-            ),
-        )
-        parser.add_argument(
-            "--executor", choices=("serial", "pool"),
-            default=os.environ.get("REPRO_EXECUTOR") or None,
-            help=(
-                "execution backend: 'serial' runs in-process, 'pool' "
-                "fans out over a process pool "
-                "(default: $REPRO_EXECUTOR, else serial/pool by --jobs)"
-            ),
-        )
+    parser.add_argument(
+        "--jobs", type=int, default=_jobs_default(), metavar="N",
+        help="worker processes (default: $REPRO_JOBS, else 1 = serial)",
+    )
+    parser.add_argument(
+        "--executor", choices=("serial", "pool"),
+        default=os.environ.get("REPRO_EXECUTOR") or None,
+        help=(
+            "execution backend: 'serial' runs in-process, 'pool' "
+            "fans out over a process pool "
+            "(default: $REPRO_EXECUTOR, else serial/pool by --jobs)"
+        ),
+    )
     if store:
         env_store = os.environ.get("REPRO_STORE") or None
         parser.add_argument(
@@ -112,22 +100,21 @@ def _add_run_options(
                 "(default: $REPRO_POINT_CODEC, then columnar)"
             ),
         )
-    if telemetry:
-        parser.add_argument(
-            "--trace", metavar="FILE", default=None,
-            help=trace_help or (
-                "write a Chrome trace-event file for this run "
-                "(default: $REPRO_TRACE)"
-            ),
-        )
-        parser.add_argument(
-            "--telemetry", metavar="FILE", default=None,
-            dest="telemetry_file",
-            help=(
-                "write a JSONL telemetry sidecar for this run "
-                "(default: $REPRO_TELEMETRY when it names a path)"
-            ),
-        )
+    parser.add_argument(
+        "--trace", metavar="FILE", default=None,
+        help=(
+            "write a Chrome trace-event file for this run "
+            "(default: $REPRO_TRACE)"
+        ),
+    )
+    parser.add_argument(
+        "--telemetry", metavar="FILE", default=None,
+        dest="telemetry_file",
+        help=(
+            "write a JSONL telemetry sidecar for this run "
+            "(default: $REPRO_TELEMETRY when it names a path)"
+        ),
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -173,20 +160,6 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign_parser.add_argument(
         "--quiet", action="store_true",
         help="suppress per-job progress lines",
-    )
-    campaign_parser.add_argument(
-        "--watch", metavar="URL", default=None,
-        help=(
-            "submit to a running campaign service at URL and stream "
-            "its live progress instead of executing locally"
-        ),
-    )
-    campaign_parser.add_argument(
-        "--run", metavar="RUN_ID", default=None, dest="watch_run",
-        help=(
-            "with --watch: attach to an existing service run instead "
-            "of submitting a new one"
-        ),
     )
 
     sweep_parser = subparsers.add_parser(
@@ -243,46 +216,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--quiet", action="store_true",
         help="suppress per-job progress lines",
-    )
-
-    serve_parser = subparsers.add_parser(
-        "serve",
-        help="run the long-lived campaign service (HTTP + WebSocket)",
-        description=(
-            "Serve campaigns over HTTP: POST specs to /campaigns, "
-            "watch live runs over WebSocket at /campaigns/{id}/events, "
-            "page merged sweep points, and cancel with DELETE.  The "
-            "store is the source of truth — restarting the server "
-            "re-lists every finished run."
-        ),
-    )
-    serve_parser.add_argument(
-        "--host", default="127.0.0.1", metavar="ADDR",
-        help="listen address (default 127.0.0.1)",
-    )
-    serve_parser.add_argument(
-        "--port", type=int, default=8321, metavar="PORT",
-        help="listen port; 0 binds an ephemeral one (default 8321)",
-    )
-    _add_run_options(
-        serve_parser,
-        store=True,
-        store_required=True,
-        telemetry=False,
-    )
-    serve_parser.add_argument(
-        "--runs-dir", metavar="DIR", default=None,
-        help=(
-            "directory of per-run event sidecars "
-            "(default: <store> + '.events')"
-        ),
-    )
-    serve_parser.add_argument(
-        "--trace", metavar="DIR", default=None, dest="trace_dir",
-        help=(
-            "export a Chrome trace per finished run into DIR "
-            "(default: $REPRO_TRACE_DIR)"
-        ),
     )
 
     store_parser = subparsers.add_parser(
@@ -588,59 +521,9 @@ def _command_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_campaign_watch(args: argparse.Namespace) -> int:
-    """Submit to (or attach to) a campaign service and stream its TUI.
-
-    The remote run feeds the same :class:`ProgressMonitor` a local
-    ``repro campaign`` uses — the service's events subclass
-    ``JobEvent``, so the TUI cannot tell the difference.
-    """
-    from . import api
-    from .runner import ProgressMonitor
-
-    url = args.watch
-    if args.watch_run is not None:
-        run_id = args.watch_run
-        print(f"attaching to run {run_id} at {url}")
-    else:
-        ids = _expand_experiment_ids(args.experiments)
-        spec = {
-            "kind": "campaign",
-            "name": "cli-campaign",
-            "jobs": args.jobs,
-            "specs": [
-                {
-                    "kind": "experiment",
-                    "experiment_id": experiment_id,
-                    "retries": args.retries,
-                }
-                for experiment_id in ids
-            ],
-        }
-        if args.executor is not None:
-            spec["executor"] = args.executor
-        run_id = api.submit(spec, url=url)
-        print(f"submitted run {run_id} to {url}")
-    monitor = None if args.quiet else ProgressMonitor(stream=sys.stdout)
-    for _ in api.watch(run_id, url=url, on_event=monitor):
-        pass
-    status = api.status(run_id, url=url)
-    state = status.get("state", "?")
-    print(f"run {run_id}: {state}")
-    if status.get("error"):
-        print(f"  {status['error']}")
-    return 0 if state == "done" else 1
-
-
 def _command_campaign(args: argparse.Namespace) -> int:
     from .runner import ProgressMonitor, registry_campaign, run_campaign
 
-    if args.watch is not None:
-        return _command_campaign_watch(args)
-    if args.watch_run is not None:
-        from .errors import ConfigurationError
-
-        raise ConfigurationError("--run needs --watch URL")
     ids = _expand_experiment_ids(args.experiments)
     campaign = registry_campaign(ids, retries=args.retries)
     monitor = (
@@ -768,30 +651,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
             },
         )
     return 0 if result.ok else 1
-
-
-def _command_serve(args: argparse.Namespace) -> int:
-    from .service import CampaignServer, serve_forever
-
-    trace_dir = args.trace_dir or os.environ.get("REPRO_TRACE_DIR") or None
-    server = CampaignServer(
-        args.store,
-        host=args.host,
-        port=args.port,
-        store_backend=args.store_backend,
-        jobs=args.jobs,
-        executor=args.executor,
-        runs_dir=args.runs_dir,
-        trace_dir=trace_dir,
-    ).start()
-    print(f"repro service listening on {server.url}")
-    print(f"  store     : {args.store}")
-    print(f"  runs dir  : {server.runs_dir}")
-    if trace_dir:
-        print(f"  trace dir : {trace_dir}")
-    sys.stdout.flush()
-    serve_forever(server)
-    return 0
 
 
 def _command_store(args: argparse.Namespace) -> int:
@@ -1051,8 +910,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _command_campaign(args)
         if args.command == "sweep":
             return _command_sweep(args)
-        if args.command == "serve":
-            return _command_serve(args)
         if args.command == "store":
             return _command_store(args)
         if args.command == "trace":

@@ -3,9 +3,9 @@
 This package is the pipeline's fault model: a declarative
 :class:`FaultPlan` (site pattern × trigger × action) armed per
 process, probed by ``fault_site()`` calls threaded through the
-scheduler, the store backends, the codec, the merge writer, and the
-service's WebSocket sends.  See :mod:`.plan` for the plan format and
-:mod:`.runtime` for activation semantics.
+scheduler, the store backends, the codec and the merge writer.  See
+:mod:`.plan` for the plan format and :mod:`.runtime` for activation
+semantics.
 
 Instrumented sites (globs in rules match against these names):
 
@@ -20,8 +20,6 @@ Site                Where it probes (job-id context in parens)
 ``store.get``       backend point lookup (content key)
 ``codec.unpack``    columnar block decode
 ``merge.flush``     sweep-merge flush of one block/chunk
-``service.ws.send``  one WebSocket frame write, ``drop`` capable
-                    (run id)
 ==================  ====================================================
 
 The ``queue.attempt`` context carries the attempt number because
@@ -47,7 +45,6 @@ or externally, with zero code changes::
 
 from .plan import (
     ACTION_CRASH,
-    ACTION_DROP,
     ACTION_HANG,
     ACTION_RAISE,
     ACTION_TORN_WRITE,
@@ -72,7 +69,6 @@ from .runtime import (
 
 __all__ = [
     "ACTION_CRASH",
-    "ACTION_DROP",
     "ACTION_HANG",
     "ACTION_RAISE",
     "ACTION_TORN_WRITE",

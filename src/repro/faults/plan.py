@@ -13,7 +13,6 @@ Action         Effect at the site
 ``crash``      ``os._exit(86)`` — kill the worker process hard
 ``hang``       sleep ``seconds`` (default 30) before continuing
 ``torn_write``  truncate the write by ``bytes`` (site-interpreted)
-``drop``       sever the connection (site-interpreted, WS sends)
 =============  ==========================================================
 
 Everything is deterministic and seedable: ``nth`` counts matching
@@ -45,10 +44,7 @@ ACTION_RAISE = "raise"
 ACTION_CRASH = "crash"
 ACTION_HANG = "hang"
 ACTION_TORN_WRITE = "torn_write"
-ACTION_DROP = "drop"
-KNOWN_ACTIONS = (
-    ACTION_RAISE, ACTION_CRASH, ACTION_HANG, ACTION_TORN_WRITE, ACTION_DROP
-)
+KNOWN_ACTIONS = (ACTION_RAISE, ACTION_CRASH, ACTION_HANG, ACTION_TORN_WRITE)
 
 #: Default sleep of a ``hang`` action — long enough to trip any sane
 #: deadline, short enough that an undeadlined test suite still ends.
@@ -67,8 +63,7 @@ class FaultRule:
     site:
         ``fnmatch`` glob matched against the instrumented site name
         (``queue.attempt``, ``store.append``, ``store.iter``,
-        ``store.get``, ``codec.unpack``, ``merge.flush``,
-        ``service.ws.send``).
+        ``store.get``, ``codec.unpack``, ``merge.flush``).
     action:
         One of :data:`KNOWN_ACTIONS`.
     job_id:

@@ -8,10 +8,9 @@ With no plan active this is two module-global reads and a ``None``
 test — no allocation, no matching, no telemetry — which is what keeps
 the disabled overhead unmeasurable.  With a plan active the call finds
 the first armed rule matching ``(site, job_id)`` and applies it:
-``raise``/``crash``/``hang`` execute right here; ``torn_write`` and
-``drop`` return the :class:`FiredFault` for the site to interpret
-(sites that cannot tear a write or drop a connection simply ignore
-the return value).
+``raise``/``crash``/``hang`` execute right here; ``torn_write``
+returns the :class:`FiredFault` for the site to interpret (sites that
+cannot tear a write simply ignore the return value).
 
 Activation is process-global:
 
@@ -60,8 +59,8 @@ class FiredFault:
     """What :func:`fault_site` returns when a rule fired.
 
     ``raise``/``crash``/``hang`` never return (or return after their
-    sleep); only ``torn_write`` and ``drop`` actions reach the caller,
-    carrying the parameters the site needs to apply them.
+    sleep); only ``torn_write`` actions reach the caller, carrying the
+    parameters the site needs to apply them.
     """
 
     action: str
@@ -160,7 +159,7 @@ def fault_site(
 
     Returns ``None`` in the (overwhelmingly common) no-fault case and
     for actions executed in place; returns a :class:`FiredFault` for
-    ``torn_write``/``drop`` actions the site must interpret itself.
+    ``torn_write`` actions the site must interpret itself.
     """
     active = _active
     if active is None:

@@ -119,14 +119,17 @@ class StoreBackend(Protocol):
         ...
 
     def iter_latest_by_key(
-        self, status: str | None = "ok"
+        self,
+        status: str | None = "ok",
+        keys: Iterable[str] | None = None,
     ) -> Iterator[dict[str, Any]]:
         """Stream the latest record per key without materialising them.
 
         Same winners as :meth:`latest_by_key`, yielded in the append
         order of the winning records; peak memory stays O(keys) of
         bookkeeping (JSONL: byte offsets) or O(1) (SQLite: an index
-        walk), never the decoded record set.
+        walk), never the decoded record set.  ``keys`` restricts the
+        winners to those content keys.
         """
         ...
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from ...errors import ConfigurationError
 from ...faults import ACTION_TORN_WRITE, InjectedFault, fault_site
@@ -268,29 +268,44 @@ class SqliteBackend:
         return self._decode(row) if row is not None else None
 
     def iter_latest_by_key(
-        self, status: str | None = "ok"
+        self,
+        status: str | None = "ok",
+        keys: Iterable[str] | None = None,
     ) -> Iterator[dict[str, Any]]:
         """Stream the latest record per key from a dedicated cursor.
 
         The winners come straight off the ``(key, id)`` index in append
         order; nothing is materialised beyond SQLite's own cursor
         window, so million-record histories stream in O(1) memory.
+        ``keys`` restricts the winners to those content keys, each
+        answered by one index lookup; the winners still come back in
+        append order.  Either way a corrupt winner is skipped.
         """
         fault_site("store.iter")
-        if status is None:
-            cursor = self._connect().execute(
+        conn = self._connect()
+        params: tuple[str, ...] = () if status is None else (status,)
+        cursor: Iterable[tuple[Any, ...]]
+        if keys is None:
+            where = "" if status is None else " WHERE status = ?"
+            cursor = conn.execute(
                 "SELECT record, blob, crc FROM records WHERE id IN"
-                " (SELECT MAX(id) FROM records GROUP BY key)"
-                " ORDER BY id"
+                f" (SELECT MAX(id) FROM records{where} GROUP BY key)"
+                " ORDER BY id",
+                params,
             )
         else:
-            cursor = self._connect().execute(
-                "SELECT record, blob, crc FROM records WHERE id IN"
-                " (SELECT MAX(id) FROM records WHERE status = ?"
-                "  GROUP BY key)"
-                " ORDER BY id",
-                (status,),
-            )
+            where = "" if status is None else " AND status = ?"
+            winners = []
+            for key in set(keys):
+                row = conn.execute(
+                    "SELECT id, record, blob, crc FROM records"
+                    f" WHERE key = ?{where} ORDER BY id DESC LIMIT 1",
+                    (key, *params),
+                ).fetchone()
+                if row is not None:
+                    winners.append(row)
+            winners.sort(key=lambda row: row[0])
+            cursor = (row[1:] for row in winners)
         for row in cursor:
             record = self._decode(row)
             if record is not None:

@@ -132,10 +132,6 @@ class ResultCache:
         """
         if self._store is None or not wanted:
             return
-        if self._store.backend_name == "sqlite":
-            for key in wanted:
-                self._admit(key, self._store.get(key))
-            return
         for record in self._store.iter_latest_by_key(keys=wanted):
             self._admit(record["key"], record)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from ..errors import CampaignError, ConfigurationError
 from .cache import ResultCache
@@ -30,7 +30,6 @@ from .jobs import (
     JobResult,
     JobSpec,
 )
-from .events import EventBus
 from .monitor import ProgressMonitor
 from .queue import Observer, run_jobs
 from .store import ResultStore
@@ -287,8 +286,6 @@ def run_campaign(
     monitor: ProgressMonitor | None = None,
     strict: bool = False,
     run_id: str = "",
-    bus: EventBus | None = None,
-    cancel: Callable[[], bool] | None = None,
     backoff_seed: int | None = None,
     faults: Any = None,
     executor: Any = None,
@@ -323,17 +320,10 @@ def run_campaign(
     strict:
         Raise :class:`~repro.errors.CampaignError` on any failure
         instead of returning a result with ``ok == False``.
-    run_id / bus:
+    run_id:
         Event-stream identity, forwarded to
-        :func:`~repro.runner.queue.run_jobs` — ``run_id`` stamps every
-        published :class:`~repro.runner.events.Event`; an explicit
-        ``bus`` shares one stamped stream across runs.
-    cancel:
-        Cooperative cancellation probe polled by the scheduler (pass a
-        ``threading.Event``'s ``is_set``); once it fires, every job not
-        yet started resolves as skipped with error ``"cancelled"``.
-        This is the hook the campaign service's ``DELETE`` endpoint
-        pulls.
+        :func:`~repro.runner.queue.run_jobs`: it stamps every published
+        :class:`~repro.runner.events.Event`.
     backoff_seed:
         Seed for retry-backoff jitter, forwarded to
         :func:`~repro.runner.queue.run_jobs` (``None`` = entropy).
@@ -388,8 +378,6 @@ def run_campaign(
             observers=all_observers,
             executor=executor,
             run_id=run_id,
-            bus=bus,
-            cancel=cancel,
             backoff_seed=backoff_seed,
             faults=faults,
         )

@@ -1,10 +1,8 @@
 """Typed, versioned event protocol for the campaign pipeline.
 
-This is the protocol the ROADMAP names as the refactor target: one
-stream of structured events that the queue emits and any number of
-subscribers — progress monitor, telemetry capture, a future
-HTTP/WebSocket service — consume, instead of each layer growing its
-own ad-hoc callback shape.
+One stream of structured events that the queue emits and any number
+of subscribers — the progress monitor, the telemetry capture — consume,
+instead of each layer growing its own ad-hoc callback shape.
 
 Two dataclasses:
 
@@ -158,7 +156,7 @@ def event_from_json(line: str) -> Event:
     return Event(**known)
 
 
-#: Anything that consumes events — monitors, captures, future services.
+#: Anything that consumes events — monitors and telemetry captures.
 Subscriber = Callable[[JobEvent], None]
 
 

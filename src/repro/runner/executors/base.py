@@ -1,4 +1,4 @@
-"""The execution-backend protocol: submit / poll / collect / cancel.
+"""The execution-backend protocol: submit / poll / collect / shutdown.
 
 The scheduler (:func:`repro.runner.queue.run_jobs`) owns *policy* —
 dependency order, retry budgets, backoff windows, caching, events —
@@ -112,15 +112,6 @@ class ExecutionBackend(ABC):
     @abstractmethod
     def collect(self, ticket: str) -> AttemptOutcome:
         """The outcome of one ready ticket (consumes it)."""
-
-    @abstractmethod
-    def cancel(self, ticket: str) -> bool:
-        """Try to abort one in-flight attempt.
-
-        True means the attempt is gone and will never produce an
-        outcome; False means it cannot be interrupted (process-pool
-        workers) and will complete normally.
-        """
 
     @abstractmethod
     def shutdown(self) -> None:

@@ -437,18 +437,7 @@ class PoolExecutor(ExecutionBackend):
                 self._main = None
             abandon_pool(pool)
 
-    # -- cancellation & teardown -------------------------------------------
-
-    def cancel(self, ticket: str) -> bool:
-        entry = self._tickets.get(ticket)
-        if entry is None:
-            return False  # outcome already exists; collect it instead
-        if entry.future.cancel():
-            self._tickets.pop(ticket)
-            if entry.solo:
-                entry.pool.shutdown(wait=False, cancel_futures=True)
-            return True
-        return False  # executing in a worker; it will finish normally
+    # -- teardown ----------------------------------------------------------
 
     def shutdown(self) -> None:
         leftovers = {

@@ -120,10 +120,5 @@ class SerialExecutor(ExecutionBackend):
     def collect(self, ticket: str) -> AttemptOutcome:
         return self._ready.pop(ticket)
 
-    def cancel(self, ticket: str) -> bool:
-        # The attempt already ran inside submit(); its outcome exists
-        # and must be collected, so cancellation can never win.
-        return False
-
     def shutdown(self) -> None:
         self._ready.clear()

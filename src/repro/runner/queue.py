@@ -6,10 +6,9 @@ up to each spec's budget, consulting an optional content-addressed
 cache, and emitting :class:`JobEvent` notifications to observers.
 
 The scheduler owns *policy* — topological order, retry budgets,
-full-jitter backoff, deadlines, caching, cancellation, events — and
-delegates *mechanism* to an
-:class:`~repro.runner.executors.ExecutionBackend`
-(``submit / poll / collect / cancel / shutdown``):
+full-jitter backoff, deadlines, caching, events — and delegates
+*mechanism* to an :class:`~repro.runner.executors.ExecutionBackend`
+(``submit / poll / collect / shutdown``):
 
 * ``serial`` — in this process, one attempt at a time (default for
   ``jobs=1``; no pickling, easiest to debug),
@@ -123,12 +122,6 @@ __all__ = [
 
 Observer = Callable[["JobEvent"], None]
 Executor = Callable[[JobSpec], Any]
-#: Cooperative cancellation probe: return True to stop scheduling.
-#: A ``threading.Event``'s bound ``is_set`` method fits directly.
-CancelCheck = Callable[[], bool]
-
-#: Error text stamped on jobs skipped by a cancellation request.
-CANCELLED_ERROR = "cancelled"
 
 #: Environment variable supplying a default per-attempt deadline for
 #: specs that set none (``JobSpec.deadline_s`` wins when present).
@@ -136,10 +129,6 @@ DEADLINE_ENV_VAR = "REPRO_JOB_DEADLINE_S"
 
 #: Ceiling on any single jittered backoff delay, seconds.
 BACKOFF_CAP_S = 30.0
-
-#: How often the scheduler re-checks the cancellation probe while
-#: attempts are in flight, seconds.
-CANCEL_POLL_S = 0.25
 
 #: Backward-compatible alias; the class now lives with the backends.
 _DeadlineExceeded = DeadlineExceeded
@@ -234,8 +223,6 @@ class _Run:
         cache: ResultCache | None,
         observers: Sequence[Observer],
         run_id: str = "",
-        bus: EventBus | None = None,
-        cancel: CancelCheck | None = None,
         backoff_seed: int | None = None,
     ):
         self.order = topological_order(specs)
@@ -252,8 +239,7 @@ class _Run:
             for dep in spec.after:
                 self.dependents[dep].append(spec.job_id)
         self.cache = cache
-        self.cancel = cancel
-        self.bus = bus if bus is not None else EventBus(run_id=run_id)
+        self.bus = EventBus(run_id=run_id)
         for observer in observers:
             self.bus.subscribe(observer)
         self.results: dict[str, JobResult] = {}
@@ -339,21 +325,6 @@ class _Run:
         )
         return error_text
 
-    def cancelled(self) -> bool:
-        """Whether the cancellation probe (if any) has fired."""
-        return self.cancel is not None and bool(self.cancel())
-
-    def skip_cancelled(self, spec: JobSpec) -> None:
-        """Resolve one not-yet-started spec as skipped by cancellation."""
-        self.resolve(
-            JobResult(
-                job_id=spec.job_id,
-                key=spec.key,
-                status=STATUS_SKIPPED,
-                error=CANCELLED_ERROR,
-            )
-        )
-
     def deps_resolved(self, spec: JobSpec) -> bool:
         return all(dep in self.results for dep in spec.after)
 
@@ -408,8 +379,6 @@ def run_jobs(
     observers: Sequence[Observer] = (),
     executor: Executor | str | ExecutionBackend | None = execute,
     run_id: str = "",
-    bus: EventBus | None = None,
-    cancel: CancelCheck | None = None,
     backoff_seed: int | None = None,
     faults: FaultPlan | str | Mapping[str, Any] | None = None,
 ) -> dict[str, JobResult]:
@@ -442,20 +411,7 @@ def run_jobs(
           backend).  The run owns the instance and shuts it down on
           exit.
     run_id:
-        Identifier stamped into every published event (ignored when an
-        explicit ``bus`` is given).
-    bus:
-        An existing :class:`~repro.runner.events.EventBus` to publish
-        on — lets a caller share one stamped stream (and its sequence
-        numbers) across several ``run_jobs`` invocations.
-    cancel:
-        Cooperative cancellation probe, polled between scheduling
-        decisions (pass a ``threading.Event``'s ``is_set``).  Once it
-        returns True no further job starts: every not-yet-started spec
-        resolves as skipped with error ``"cancelled"`` (emitting its
-        terminal event).  In-flight attempts are asked to abort; one
-        the backend can still drop resolves as skipped, one already
-        executing finishes and keeps its result.
+        Identifier stamped into every published event.
     backoff_seed:
         Seed for the run's retry-backoff jitter.  ``None`` (default)
         draws from entropy; a fixed seed makes the whole retry
@@ -493,8 +449,8 @@ def run_jobs(
         faults_active()
     with active_faults(coerce_plan(faults)):
         run = _Run(
-            spec_list, cache, observers, run_id=run_id, bus=bus,
-            cancel=cancel, backoff_seed=backoff_seed,
+            spec_list, cache, observers, run_id=run_id,
+            backoff_seed=backoff_seed,
         )
         if not run.order:
             return {}
@@ -570,9 +526,6 @@ def _execute_with_retries(
 
 def _run_serial(run: _Run, backend: SerialExecutor) -> None:
     for spec in run.order:
-        if run.cancelled():
-            run.skip_cancelled(spec)
-            continue
         failed = run.failed_dep(spec)
         if failed is not None:
             run.skip(spec, failed)
@@ -744,22 +697,9 @@ def _run_dispatch(run: _Run, backend: ExecutionBackend) -> None:
     order_index = {spec.job_id: i for i, spec in enumerate(run.order)}
     try:
         while pending or tickets:
-            if run.cancelled():
-                for spec in pending:
-                    if spec.job_id not in run.results:
-                        run.skip_cancelled(spec)
-                pending = []
-                for tid in list(tickets):
-                    if backend.cancel(tid):
-                        spec = tickets.pop(tid)
-                        if spec.job_id not in run.results:
-                            run.skip_cancelled(spec)
-                if not tickets:
-                    return
-            else:
-                _submit_ready(
-                    run, backend, pending, tickets, attempts, not_before
-                )
+            _submit_ready(
+                run, backend, pending, tickets, attempts, not_before
+            )
             if not tickets:
                 if not pending:
                     return
@@ -778,19 +718,12 @@ def _run_dispatch(run: _Run, backend: ExecutionBackend) -> None:
                 if pause > 0:
                     time.sleep(pause)
                 continue
-            timeout: float | None = None
-            if run.cancel is not None:
-                timeout = CANCEL_POLL_S
             waits = [
                 not_before[spec.job_id] - time.monotonic()
                 for spec in pending
                 if spec.job_id in not_before
             ]
-            if waits:
-                window = max(0.0, min(waits))
-                timeout = window if timeout is None else min(
-                    timeout, window
-                )
+            timeout = max(0.0, min(waits)) if waits else None
             for tid in backend.poll(timeout):
                 spec = tickets.pop(tid)
                 _dispatch_outcome(

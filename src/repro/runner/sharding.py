@@ -827,8 +827,6 @@ def run_sharded_sweep(
     strict: bool = True,
     observers: Sequence[Any] = (),
     run_id: str = "",
-    bus: Any = None,
-    cancel: Any = None,
     executor: Any = None,
 ):
     """Build and execute a sharded sweep; return its ``CampaignResult``.
@@ -868,8 +866,6 @@ def run_sharded_sweep(
         monitor=monitor,
         strict=strict,
         run_id=run_id,
-        bus=bus,
-        cancel=cancel,
         executor=executor,
     )
 

@@ -31,7 +31,7 @@ from typing import Any, Iterable, Iterator, Mapping
 
 from ..errors import ConfigurationError
 from ..telemetry import metrics, span
-from .backends import JsonlBackend, StoreBackend, make_backend
+from .backends import StoreBackend, make_backend
 from .provenance import stamp_record
 
 
@@ -177,16 +177,14 @@ class ResultStore:
         Same winners as :meth:`latest_by_key`, in the winning records'
         append order; peak memory is bounded by per-key bookkeeping
         (JSONL byte offsets / a SQLite index walk), not by history size.
-        ``keys`` (JSONL stores only) restricts the winners to those
-        content keys; on SQLite, :meth:`get` answers each key from its
-        index instead.
+        ``keys`` restricts the winners to those content keys: JSONL
+        skips every other line before verifying it, and SQLite answers
+        each key from its ``(key, id)`` index.
         """
-        if keys is None:
-            source = self._backend.iter_latest_by_key(status)
-        else:
-            assert isinstance(self._backend, JsonlBackend)
-            source = self._backend.iter_latest_by_key(status, keys=keys)
-        return self._instrumented_iter(source, "iter_latest")
+        return self._instrumented_iter(
+            self._backend.iter_latest_by_key(status, keys=keys),
+            "iter_latest",
+        )
 
     def get(self, key: str) -> dict[str, Any] | None:
         """Latest ``ok`` record for one content key (``None`` if absent)."""

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.faults import (
-    ACTION_DROP,
+    ACTION_HANG,
     ACTION_RAISE,
     ACTION_TORN_WRITE,
     FaultPlan,
@@ -27,6 +27,14 @@ class TestFaultRuleValidation:
     def test_unknown_action_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown fault action"):
             FaultRule(site="store.append", action="explode")
+
+    def test_drop_action_is_gone(self):
+        # ``drop`` severed a campaign-service WebSocket; with the service
+        # gone no site can interpret it, so a plan naming it fails loudly.
+        with pytest.raises(ConfigurationError, match="unknown fault action"):
+            FaultPlan.from_json(
+                {"rules": [{"site": "store.append", "action": "drop"}]}
+            )
 
     def test_nth_must_be_positive(self):
         with pytest.raises(ConfigurationError, match="nth"):
@@ -108,9 +116,9 @@ class TestPlanSerialisation:
 
     def test_bare_rule_list_accepted(self):
         plan = FaultPlan.from_json(
-            [{"site": "s", "action": ACTION_DROP}]
+            [{"site": "s", "action": ACTION_HANG}]
         )
-        assert plan.rules[0].action == ACTION_DROP
+        assert plan.rules[0].action == ACTION_HANG
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown fault rule"):
@@ -155,9 +163,9 @@ class TestCoercePlan:
         assert plan is not None and len(plan.rules) == 1
 
     def test_inline_json_text(self):
-        plan = coerce_plan('{"rules": [{"site": "s", "action": "drop"}]}')
+        plan = coerce_plan('{"rules": [{"site": "s", "action": "hang"}]}')
         assert plan is not None
-        assert plan.rules[0].action == ACTION_DROP
+        assert plan.rules[0].action == ACTION_HANG
 
     def test_path(self, tmp_path):
         path = tmp_path / "p.json"

@@ -23,6 +23,7 @@ from repro.faults import (
     faults_active,
     reset,
 )
+from repro.faults.plan import DEFAULT_TORN_BYTES
 
 RAISE_ON_APPEND = {
     "rules": [{"site": "store.append", "action": "raise"}]
@@ -138,11 +139,14 @@ class TestActions:
         assert fault_site("s") is None
         assert time.monotonic() - start >= 0.05
 
-    def test_drop_returned_to_site(self):
-        activate({"rules": [{"site": "ws", "action": "drop"}]})
-        fired = fault_site("ws")
+    def test_torn_write_returned_to_site(self):
+        activate(
+            {"rules": [{"site": "store.append", "action": "torn_write"}]}
+        )
+        fired = fault_site("store.append")
         assert isinstance(fired, FiredFault)
-        assert fired.action == "drop"
+        assert fired.action == "torn_write"
+        assert fired.torn_bytes == DEFAULT_TORN_BYTES
 
     def test_crash_exits_with_the_distinctive_code(self):
         code = (

@@ -37,14 +37,14 @@ class TestFacadeSurface:
             "sweep",
             "sweep_campaign",
             "open_store",
-            "serve",
-            "submit",
-            "status",
-            "cancel",
-            "watch",
         ):
             assert name in api.__all__
             assert callable(getattr(api, name))
+
+    def test_service_verbs_are_gone(self):
+        for name in ("serve", "submit", "status", "cancel", "watch"):
+            assert name not in api.__all__
+            assert not hasattr(api, name)
 
     def test_coherent_keywords_across_verbs(self):
         # The facade contract: the same spellings everywhere they apply.
@@ -52,7 +52,6 @@ class TestFacadeSurface:
             api.run_campaign: {"store", "backend", "jobs", "telemetry"},
             api.sweep: {"store", "backend", "jobs", "telemetry", "shards"},
             api.open_store: {"backend"},
-            api.serve: {"backend", "host", "port", "jobs"},
         }
         for verb, keywords in expectations.items():
             parameters = inspect.signature(verb).parameters
@@ -62,11 +61,6 @@ class TestFacadeSurface:
                     parameters[keyword].kind
                     is inspect.Parameter.KEYWORD_ONLY
                 ), (verb.__name__, keyword)
-
-    def test_service_verbs_take_url_keyword_only(self):
-        for verb in (api.submit, api.status, api.cancel, api.watch):
-            parameter = inspect.signature(verb).parameters["url"]
-            assert parameter.kind is inspect.Parameter.KEYWORD_ONLY
 
 
 class TestDeprecatedExports:
@@ -151,30 +145,3 @@ class TestLocalVerbs:
         result = api.run_experiment("table1")
         assert result.experiment_id == "table1"
 
-
-class TestServiceVerbs:
-    def test_submit_watch_status_cancel_round_trip(self, tmp_path):
-        store = str(tmp_path / "served.jsonl")
-        with api.serve(store) as server:
-            run_id = api.submit(
-                {
-                    "kind": "sweep",
-                    "name": "api-sweep",
-                    "target": "runner_workers:array_curve",
-                    "parameter": "values",
-                    "values": [1.0, 2.0, 3.0],
-                    "shards": 1,
-                },
-                url=server.url,
-            )
-            observed = []
-            events = list(
-                api.watch(run_id, url=server.url, on_event=observed.append)
-            )
-            assert events  # the stream closed after a full replay
-            assert observed == events
-            assert all(event.run_id == run_id for event in events)
-            status = api.status(run_id, url=server.url)
-            assert status["state"] == "done"
-            # cancel of a finished run reports its terminal state
-            assert api.cancel(run_id, url=server.url)["state"] == "done"

@@ -125,6 +125,15 @@ class TestRunCampaign:
                 registry_campaign(["table1"]), store_backend="sqlite"
             )
 
+    def test_cancel_and_bus_keywords_are_gone(self):
+        # Cooperative cancellation and a caller-supplied event bus served
+        # only the removed campaign service; passing either is an error,
+        # not a silently ignored keyword.
+        with pytest.raises(TypeError, match="cancel"):
+            run_campaign(registry_campaign(["table1"]), cancel=lambda: False)
+        with pytest.raises(TypeError, match="bus"):
+            run_campaign(registry_campaign(["table1"]), bus=None)
+
     def test_sqlite_store_rerun_matches_jsonl(self, tmp_path):
         outcomes = {}
         for backend in ("jsonl", "sqlite"):

@@ -278,7 +278,42 @@ class TestIterLatestByKey:
             handle.seek(offsets[0])
             assert json.loads(handle.readline())["value"] == 19
 
-    @given(
+    @staticmethod
+    def _key_filter_restricts_winners(factory, history, keys, status, torn):
+        """Filtered winners are the unfiltered ones restricted to keys.
+
+        ``torn`` damages the store the way each backend meets damage: a
+        torn trailing JSONL line, or a SQLite winner whose checksum no
+        longer matches its text.
+        """
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "r")
+            backend = factory(path)
+            try:
+                backend.append_many(
+                    [
+                        {"key": key, "status": outcome, "value": index}
+                        for index, (key, outcome) in enumerate(history)
+                    ]
+                )
+                if torn and factory is JsonlBackend:
+                    with open(path, "a", encoding="utf-8") as handle:
+                        handle.write('{"key": "a", "status": "ok", "val')
+                elif torn:
+                    with backend._connect() as conn:
+                        conn.execute(
+                            "UPDATE records SET record = record || ' '"
+                            " WHERE id = (SELECT MAX(id) FROM records)"
+                        )
+                everything = list(backend.iter_latest_by_key(status))
+                filtered = list(
+                    backend.iter_latest_by_key(status, keys=keys)
+                )
+            finally:
+                backend.close()
+        assert filtered == [r for r in everything if r["key"] in keys]
+
+    _histories = dict(
         history=st.lists(
             st.tuples(
                 st.sampled_from("abcde"), st.sampled_from(["ok", "failed"])
@@ -289,26 +324,47 @@ class TestIterLatestByKey:
         status=st.sampled_from(["ok", None, "failed"]),
         torn=st.booleans(),
     )
+
+    @given(**_histories)
     @settings(max_examples=60, deadline=None)
     def test_jsonl_key_filter_restricts_winners(
         self, history, keys, status, torn
     ):
-        """Filtered winners are the unfiltered ones restricted to keys."""
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "r.jsonl")
-            backend = JsonlBackend(path)
-            backend.append_many(
-                [
-                    {"key": key, "status": outcome, "value": index}
-                    for index, (key, outcome) in enumerate(history)
-                ]
-            )
-            if torn:
-                with open(path, "a", encoding="utf-8") as handle:
-                    handle.write('{"key": "a", "status": "ok", "val')
-            everything = list(backend.iter_latest_by_key(status))
-            filtered = list(backend.iter_latest_by_key(status, keys=keys))
-        assert filtered == [r for r in everything if r["key"] in keys]
+        self._key_filter_restricts_winners(
+            JsonlBackend, history, keys, status, torn
+        )
+
+    @given(**_histories)
+    @settings(max_examples=60, deadline=None)
+    def test_sqlite_key_filter_restricts_winners(
+        self, history, keys, status, torn
+    ):
+        self._key_filter_restricts_winners(
+            SqliteBackend, history, keys, status, torn
+        )
+
+    def test_store_key_filter_on_sqlite(self, tmp_path):
+        """The store-level key filter answers on SQLite, winners in
+        append order, with a corrupt winner skipped."""
+        store = ResultStore(tmp_path / "r.sqlite", backend="sqlite")
+        try:
+            self._fill(store)
+            store.append({"key": "d", "status": "ok", "value": 6})
+            with store.backend._connect() as conn:
+                conn.execute(
+                    "UPDATE records SET record = record || ' '"
+                    " WHERE id = (SELECT MAX(id) FROM records)"
+                )
+            winners = list(store.iter_latest_by_key(keys={"b", "a", "d"}))
+            assert [(r["key"], r["value"]) for r in winners] == [
+                ("a", 3), ("b", 4)
+            ]
+            assert [
+                r["value"]
+                for r in store.iter_latest_by_key(None, keys=["c", "zz"])
+            ] == [5]
+        finally:
+            store.close()
 
     def test_jsonl_offsets_only_for_wanted_keys(self, tmp_path):
         path = tmp_path / "r.jsonl"

@@ -174,6 +174,41 @@ class TestStore:
         ) == 0
         assert "2 cached" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name", ["results.jsonl", "results.sqlite"])
+    def test_store_with_service_run_records_still_serves(
+        self, capsys, tmp_path, name
+    ):
+        # The removed campaign service wrote one ``service.run/<id>``
+        # record per run beside its jobs' results.  Such a store stays
+        # an ordinary store: it verifies and serves a cached campaign.
+        from repro.runner import ResultStore
+
+        store = self.populate(tmp_path, name)
+        handle = ResultStore(store)
+        handle.append(
+            {
+                "key": "service.run/20261017T193748-7062e1da",
+                "job_id": "service/20261017T193748-7062e1da",
+                "status": "ok",
+                "value": {
+                    "schema": "repro.campaign-run/1",
+                    "run_id": "20261017T193748-7062e1da",
+                    "state": "done",
+                    "counts": {"ok": 2},
+                },
+            }
+        )
+        handle.close()
+        capsys.readouterr()
+        assert main(["store", "verify", store]) == 0
+        assert main(["store", "info", store]) == 0
+        assert "payload other: 1 records" in capsys.readouterr().out
+        assert main(
+            ["campaign", "table1", "breakeven", "--store", store,
+             "--quiet"]
+        ) == 0
+        assert "2 cached" in capsys.readouterr().out
+
     def test_migrate_missing_source_fails_cleanly(self, capsys, tmp_path):
         code = main(
             ["store", "migrate", str(tmp_path / "absent.jsonl"),
@@ -287,6 +322,18 @@ class TestParser:
             main(["kernels", "info"])
         assert exit_info.value.code == 2
         assert "invalid choice: 'kernels'" in capsys.readouterr().err
+
+    def test_serve_subcommand_is_gone(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--store", str(tmp_path / "s.jsonl")])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'serve'" in capsys.readouterr().err
+
+    def test_campaign_watch_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["campaign", "table1", "--watch", "http://127.0.0.1:8321"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --watch" in capsys.readouterr().err
 
     def test_module_entry_point(self):
         import repro.__main__  # noqa: F401 - import side-effect free

@@ -31,7 +31,6 @@ NOT_AT_START = (
     "repro.core",
     "repro.experiments.registry",
     "repro.runner",
-    "repro.service",
     "repro.telemetry",
     "sqlite3",
 )
