@@ -174,7 +174,8 @@ def test_sharded_sweep_streams_and_resumes(benchmark, tmp_path):
 
     The first run completes only half the shards ("the interrupt");
     the timed resume must resolve those from cache, compute the rest,
-    and stream one record per grid point into the store.
+    and merge without writing: the shard payloads are the one stored
+    copy of the points.
     """
     store_path = str(tmp_path / "sweep.sqlite")
     full = _sweep_campaign(store_path)
@@ -193,16 +194,13 @@ def test_sharded_sweep_streams_and_resumes(benchmark, tmp_path):
     assert counts == {"cached": half, "ok": SHARDS - half + 1}, counts
     summary = resumed.results["dspace/merge"].value
     assert summary["points"] == SWEEP_N
-    # The columnar merge files compact block records, not one JSON
-    # record per point.
     assert summary["point_records"] == 0
-    assert summary["block_records"] >= 1
 
     store = ResultStore(store_path)
     stored = len(store)
     store.close()
-    # shard payloads + block records (+ job records)
-    assert stored >= SHARDS + summary["block_records"]
+    # One record per shard payload, plus the merge job's summary.
+    assert stored == SHARDS + 1
 
     print()
     print(
@@ -233,9 +231,9 @@ def test_columnar_pipeline_5x_faster_4x_smaller(benchmark, tmp_path):
     Same grid, same shards, both codecs: sweep -> merge -> collect.
     The columnar path must finish the whole pipeline at least 5x
     faster and leave the store at least 4x smaller on disk (shard
-    payloads as binary column blobs, merged output as block records
-    instead of one JSON record per point).  Observed at 50k points:
-    ~30x wall time, ~13x disk.
+    payloads as binary column blobs and no merged copy, against one
+    JSON record per point).  Observed at 50k points: ~30x wall time,
+    ~13x disk.
     """
 
     def pipeline(codec, store_path):
@@ -293,9 +291,9 @@ def test_streaming_merge_memory_bounded(benchmark, tmp_path):
 
     Baseline: decoding the full per-point list (what the pre-streaming
     merge materialised).  The merge itself must peak below 25% of that
-    — it only ever holds one shard payload plus one bounded
-    ``append_many`` chunk — and a subsequent campaign run still
-    resolves every shard from cache (the merge never poisons resume).
+    — it only ever holds one decoded shard payload — and a subsequent
+    campaign run still resolves every shard from cache (the merge never
+    poisons resume).
     """
     store_path = str(tmp_path / "memory.sqlite")
     mem_shards = max(SHARDS, 16)
@@ -304,7 +302,6 @@ def test_streaming_merge_memory_bounded(benchmark, tmp_path):
     assert run_campaign(shards_only, store_path=store_path).ok
 
     merge = full.specs[-1]
-    flush_chunk = max(500, MEM_N // 64)
 
     tracemalloc.start()
     values, points = collect_points(store_path, full)
@@ -318,9 +315,7 @@ def test_streaming_merge_memory_bounded(benchmark, tmp_path):
     def traced_merge():
         tracemalloc.start()
         try:
-            summary = merge_shards(
-                flush_chunk=flush_chunk, **merge.params_dict()
-            )
+            summary = merge_shards(**merge.params_dict())
             peaks["merge"] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -329,7 +324,6 @@ def test_streaming_merge_memory_bounded(benchmark, tmp_path):
     summary = run_once_slow(benchmark, traced_merge)
     assert summary["points"] == MEM_N
     assert summary["point_records"] == 0
-    assert summary["block_records"] >= MEM_N // flush_chunk
 
     ratio = peaks["merge"] / full_peak
     print()

@@ -17,7 +17,7 @@ Claims under timing:
   same records, decoder-compatible either way,
 * leaving telemetry on costs a serial sharded sweep less than 5% of
   wall-clock versus ``REPRO_TELEMETRY=off`` — and the per-phase
-  timings it collects (codec pack, merge flush, store append) are
+  timings it collects (codec pack, store append) are
   exported via ``extra_info`` so ``scripts/check_bench.py`` gates
   phase-level regressions, not just end-to-end medians,
 * per-job dispatch overhead of the process pool (one future
@@ -193,9 +193,8 @@ def test_telemetry_overhead_and_phase_timings(
     merges, and appends (no cache hits).  Off/on runs are paired per
     round and the claim is tested on the median per-round ratio, so
     machine drift and one-off fsync spikes cancel out.  The per-phase
-    totals of the telemetry-on runs — codec pack, merge flush, store
-    append — ship in ``extra_info["phases"]`` for
-    ``scripts/check_bench.py``.
+    totals of the telemetry-on runs — codec pack and store append —
+    ship in ``extra_info["phases"]`` for ``scripts/check_bench.py``.
     """
     store_ids = itertools.count()
 
@@ -249,7 +248,6 @@ def test_telemetry_overhead_and_phase_timings(
     registry = metrics()
     phases = {
         "codec_pack_s": registry.counter_value("codec.pack.ns") / 1e9,
-        "merge_flush_s": registry.histogram("merge.flush_s").total,
         "store_append_s": registry.histogram(
             "store.sqlite.append_s"
         ).total,

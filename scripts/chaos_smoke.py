@@ -8,11 +8,11 @@ silent data loss:
 * ``worker-crash`` — a pool worker killed hard (``os._exit``) on a
   job's first attempt; the retry must converge on the replacement
   worker, with the sibling job unharmed.
-* ``torn-write``  — a merge block append truncated mid-record
-  (power-loss model); the retry must re-append, the tear must be
-  quarantined by the checksum scan, and ``repro store verify`` must
-  flag the damage with exit code 1 while the merged points stay
-  bit-exact against an undisturbed baseline.
+* ``torn-write``  — a shard record's cache put truncated mid-record
+  (power-loss model); the run must fail loudly, a re-run against the
+  same store must recompute the torn shard and converge bit-exact
+  against an undisturbed baseline, and ``repro store verify`` must
+  flag the quarantined tear with exit code 1.
 
 Artifacts (the stores and a fault/metric summary) are left in the
 scratch directory given as ``argv[1]`` (default ``chaos-smoke/``) for
@@ -84,8 +84,9 @@ def worker_crash(scratch: str) -> dict[str, object]:
 
 
 def torn_write(scratch: str) -> dict[str, object]:
-    """A torn merge append is retried, quarantined, and flagged."""
+    """A torn cache put fails the run; the re-run converges; verify flags it."""
     from repro.cli import main as repro_main
+    from repro.faults import InjectedFault
     from repro.runner import (
         ResultStore,
         collect_points,
@@ -110,18 +111,29 @@ def torn_write(scratch: str) -> dict[str, object]:
     baseline = collect_points(baseline_store, baseline_campaign)
 
     store_path = os.path.join(scratch, "torn.jsonl")
+    if os.path.exists(store_path):
+        os.remove(store_path)
     campaign = sweep(store_path)
     plan = {
         "rules": [
             {"site": "store.append", "action": "torn_write",
-             "bytes": 500, "job_id": "chaos/block*"},
+             "bytes": 500, "job_id": "chaos/shard0001"},
         ]
     }
-    result = run_campaign(campaign, store_path=store_path, faults=plan)
-    assert result.ok, f"retry did not converge: {result.failures}"
-    assert result.results["chaos/merge"].attempts == 2
+    try:
+        run_campaign(campaign, store_path=store_path, faults=plan)
+    except InjectedFault:
+        pass
+    else:
+        raise AssertionError("a torn cache put must fail the run loudly")
+    result = run_campaign(campaign, store_path=store_path)
+    assert result.ok, f"re-run did not converge: {result.failures}"
+    counts = result.status_counts()
+    # shard0000 was stored before the tear; shard0001 recomputes, and
+    # the shards the failed run never reached run now.
+    assert counts == {"cached": 1, "ok": 4}, counts
     assert collect_points(store_path, campaign) == baseline, (
-        "merged points drifted from the undisturbed baseline"
+        "swept points drifted from the undisturbed baseline"
     )
 
     store = ResultStore(store_path)
@@ -133,7 +145,7 @@ def torn_write(scratch: str) -> dict[str, object]:
     # The operator surface agrees: verify exits 1 on a damaged store.
     assert repro_main(["store", "verify", store_path]) == 1
     return {
-        "merge_attempts": result.results["chaos/merge"].attempts,
+        "rerun": counts,
         "quarantined": damage_total(stats),
     }
 

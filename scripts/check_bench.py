@@ -9,8 +9,8 @@ For every benchmark present in both files, the fresh median must stay
 within ``tolerance`` times the baseline median (default 20x — CI
 runners and developer laptops differ wildly, so only order-of-magnitude
 regressions should fail the build).  Benchmarks that export per-phase
-timings via ``extra_info["phases"]`` (codec pack, merge flush, store
-append) are gated phase by phase under ``name[phase]`` entries with the
+timings via ``extra_info["phases"]`` (codec pack, store append, pool
+dispatch) are gated phase by phase under ``name[phase]`` entries with the
 same tolerance.  Benchmarks that exist only on one side are reported
 but never fail the run: new benchmarks appear before their baseline is
 refreshed, and retired ones linger in old baselines.

@@ -620,14 +620,14 @@ def _command_sweep(args: argparse.Namespace) -> int:
     if result.ok and merge is not None and isinstance(merge.value, dict):
         summary = merge.value
         stored = (
-            f"{summary.get('block_records', 0)} columnar blocks"
-            if summary.get("block_records")
-            else f"{summary.get('point_records', 0)} point records"
+            f" ({summary['point_records']} point records)"
+            if summary.get("point_records")
+            else ""
         )
         print()
         print(
             f"{summary['points']} points over {summary['shards']} shards "
-            f"-> {args.store} ({stored})"
+            f"-> {args.store}{stored}"
         )
         for name in sorted(summary.get("metrics", {})):
             stats = summary["metrics"][name]

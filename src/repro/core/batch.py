@@ -22,9 +22,10 @@ infeasibility is a result.
 
 This module adds the grid-level entry points the campaign runner's
 sweep sharding (:mod:`repro.runner.sharding`) imports by dotted path:
-one call evaluates one contiguous shard of a rate grid and returns
-plain per-point metrics, so a sharded million-point scan streams
-through the result store shard by shard.
+one call evaluates one contiguous shard of a rate grid and returns one
+numpy column per metric, which the sweep codec packs as it is, so a
+sharded million-point scan streams through the result store shard by
+shard without a per-point Python object.
 """
 
 from __future__ import annotations
@@ -89,19 +90,21 @@ def evaluate_rate_grid(
     device: MEMSDeviceConfig | None = None,
     workload: WorkloadConfig | None = None,
     include_latency_floor: bool = True,
-) -> dict[str, list]:
+) -> dict[str, np.ndarray]:
     """Design-space metrics for a goal over a grid of streaming rates.
 
     The canonical shard target for
     :func:`~repro.runner.sharding.sharded_sweep_campaign`: importable by
-    dotted path, JSON-safe output, one vectorised pass regardless of
-    grid size.  Defaults reproduce the Figure 3a panel on the Table I
-    device and workload.
+    dotted path, one vectorised pass regardless of grid size.  Defaults
+    reproduce the Figure 3a panel on the Table I device and workload.
 
-    Returns per-metric lists aligned with ``rate_bps``:
-    ``required_buffer_bits`` / ``energy_buffer_bits`` (``inf`` where
-    infeasible), ``feasible`` (bools), and ``dominant`` (Figure 3
-    labels, ``"X"`` where infeasible).
+    Returns one numpy column per metric, aligned with ``rate_bps``:
+    ``required_buffer_bits`` / ``energy_buffer_bits`` (float64, ``inf``
+    where infeasible), ``feasible`` (bool), and ``dominant`` (str,
+    Figure 3 labels, ``"X"`` where infeasible).  The sweep codec packs
+    these columns directly; a plain campaign job stores them as lists
+    (:func:`~repro.runner.jobs.json_safe`), and ``.tolist()`` gives the
+    same lists here.
     """
     if device is None and workload is None:
         device, workload, dimensioner = _reference_stack(
@@ -122,10 +125,12 @@ def evaluate_rate_grid(
     requirement = dimensioner.require_batch(goal, grid)
     # The energy-only curve is the requirement's energy constraint row.
     energy_buffers = requirement.buffer_for(Constraint.ENERGY)
+    # The requirement caches its derived arrays read-only; copies keep
+    # every returned column writable, like the energy row.
     return {
-        "required_buffer_bits": requirement.required_buffer_bits.tolist(),
-        "energy_buffer_bits": energy_buffers.tolist(),
-        "feasible": requirement.feasible.tolist(),
+        "required_buffer_bits": requirement.required_buffer_bits.copy(),
+        "energy_buffer_bits": energy_buffers,
+        "feasible": requirement.feasible.copy(),
         "dominant": requirement.labels(),
     }
 
@@ -134,8 +139,13 @@ def break_even_curve(
     rate_bps,
     device: MEMSDeviceConfig | None = None,
     workload: WorkloadConfig | None = None,
-) -> dict[str, list]:
-    """Break-even buffer (bits) over a rate grid; shard-target friendly."""
+) -> dict[str, np.ndarray]:
+    """Break-even buffer (bits) over a rate grid; shard-target friendly.
+
+    Returns ``{"break_even_bits": <float64 array aligned with
+    rate_bps>}``, the same column contract as
+    :func:`evaluate_rate_grid`.
+    """
     grid = np.atleast_1d(np.asarray(rate_bps, dtype=float))
     if device is None and workload is None:
         model = _reference_energy()
@@ -145,4 +155,4 @@ def break_even_curve(
         device = device if device is not None else ibm_mems_prototype()
         workload = workload if workload is not None else table1_workload()
         model = EnergyModel(device, workload)
-    return {"break_even_bits": model.break_even_buffer_batch(grid).tolist()}
+    return {"break_even_bits": model.break_even_buffer_batch(grid)}

@@ -195,13 +195,17 @@ class BatchRequirement:
         """One constraint's minimal-buffer curve over the grid (bits)."""
         return self.constraint_buffers[self.constraints.index(constraint)]
 
-    def labels(self) -> list[str]:
-        """Per-rate dominance label (``"X"`` where infeasible)."""
+    def labels(self) -> np.ndarray:
+        """Per-rate dominance label as a str array (``"X"`` where infeasible).
+
+        One index into the array of constraint names; ``.tolist()``
+        gives plain Python strings.
+        """
         names = np.array([c.value for c in self.constraints] + ["X"])
         index = np.where(
             self.feasible, self.dominant_index, len(self.constraints)
         )
-        return names[index].tolist()
+        return names[index]
 
     def requirement_at(self, index: int) -> BufferRequirement:
         """Rebuild the scalar :class:`BufferRequirement` for one column."""

@@ -18,8 +18,8 @@ Site                Where it probes (job-id context in parens)
                     (first record's job id)
 ``store.iter``      backend scan open (iter / latest-by-key)
 ``store.get``       backend point lookup (content key)
-``codec.unpack``    columnar block decode
-``merge.flush``     sweep-merge flush of one block/chunk
+``codec.unpack``    columnar payload decode
+``merge.flush``     ``codec="json"`` merge flush of one point-record chunk
 ==================  ====================================================
 
 The ``queue.attempt`` context carries the attempt number because

@@ -24,10 +24,12 @@ backend's torn-trailing-line tolerance in spirit.
 Integrity: each row carries a ``crc`` CRC-32 over its JSON text
 chained with its native blob (:mod:`repro.runner.integrity`).  Every
 decode verifies it and quarantines mismatches — the row is skipped
-and counted (``store.sqlite.corrupt``), a corrupt ``get`` winner
-reads as missing — so bit rot inside a blob degrades to a cache miss,
-never to silently wrong column data.  Rows from databases created
-before the column existed have ``crc`` NULL and pass unchecked.
+and counted (``store.sqlite.corrupt``), and a key whose newest record
+is damaged is served its newest intact one, as in the JSONL log (or
+reads as missing when it has none) — so bit rot inside a blob degrades
+to an older result or a cache miss, never to silently wrong column
+data.  Rows from databases created before the column existed have
+``crc`` NULL and pass unchecked.
 """
 
 from __future__ import annotations
@@ -62,6 +64,10 @@ CREATE INDEX IF NOT EXISTS idx_records_stored_at ON records (stored_at);
 
 #: Compact JSON encoding shared with the JSONL backend.
 _SEPARATORS = (",", ":")
+
+
+def _row_id(hit: tuple[int, dict[str, Any]]) -> int:
+    return hit[0]
 
 
 class SqliteBackend:
@@ -195,22 +201,24 @@ class SqliteBackend:
     ) -> dict[str, Any] | None:
         """Decode one verified row; ``None`` quarantines a corrupt one."""
         if not self._row_ok(row):
-            metrics().count("store.sqlite.corrupt")
-            metrics().count("store.sqlite.quarantined")
+            self._quarantine()
             return None
         try:
             record = inject_blob(json.loads(row[0]), row[1])
         except (ValueError, ConfigurationError):
             # Unparseable despite a passing (NULL) checksum: damaged
             # legacy row — quarantine rather than crash the scan.
-            metrics().count("store.sqlite.corrupt")
-            metrics().count("store.sqlite.quarantined")
+            self._quarantine()
             return None
         if not isinstance(record, dict):  # pragma: no cover - defensive
-            metrics().count("store.sqlite.corrupt")
-            metrics().count("store.sqlite.quarantined")
+            self._quarantine()
             return None
         return record
+
+    @staticmethod
+    def _quarantine() -> None:
+        metrics().count("store.sqlite.corrupt")
+        metrics().count("store.sqlite.quarantined")
 
     def load(self) -> list[dict[str, Any]]:
         return list(self.iter_records())
@@ -258,58 +266,84 @@ class SqliteBackend:
 
     def get(self, key: str) -> dict[str, Any] | None:
         fault_site("store.get", key)
-        row = self._connect().execute(
-            "SELECT record, blob, crc FROM records WHERE key = ?"
-            " AND status = 'ok' ORDER BY id DESC LIMIT 1",
-            (key,),
-        ).fetchone()
-        # A corrupt winner decodes to None — a cache miss, so the
-        # campaign layer recomputes instead of consuming damage.
-        return self._decode(row) if row is not None else None
+        found = self._newest_intact(key, "ok")
+        return found[1] if found is not None else None
+
+    def _newest_intact(
+        self, key: str, status: str | None, below: int | None = None
+    ) -> tuple[int, dict[str, Any]] | None:
+        """``(id, record)`` of ``key``'s newest intact row, or ``None``.
+
+        Rows are tried newest first (matching ``status`` when given,
+        older than id ``below`` when given); a damaged row is
+        quarantined and the next older one tried — as in the JSONL
+        log, where a record failing its checksum never wins.
+        """
+        sql = "SELECT id, record, blob, crc FROM records WHERE key = ?"
+        params: list[Any] = [key]
+        if status is not None:
+            sql += " AND status = ?"
+            params.append(status)
+        if below is not None:
+            sql += " AND id < ?"
+            params.append(below)
+        for row_id, *row in self._connect().execute(
+            sql + " ORDER BY id DESC", params
+        ):
+            record = self._decode(tuple(row))
+            if record is not None:
+                return row_id, record
+        return None
 
     def iter_latest_by_key(
         self,
         status: str | None = "ok",
         keys: Iterable[str] | None = None,
     ) -> Iterator[dict[str, Any]]:
-        """Stream the latest record per key from a dedicated cursor.
+        """Stream the newest intact record per key, in append order.
 
-        The winners come straight off the ``(key, id)`` index in append
-        order; nothing is materialised beyond SQLite's own cursor
-        window, so million-record histories stream in O(1) memory.
         ``keys`` restricts the winners to those content keys, each
-        answered by one index lookup; the winners still come back in
-        append order.  Either way a corrupt winner is skipped.
+        answered by an index walk from the key's newest row.  Without
+        ``keys`` the winners stream off the ``(key, id)`` index from a
+        dedicated cursor, so million-record histories stream in O(1)
+        memory; a first pass over that index's winners finds the rare
+        damaged one, whose key falls back to its newest intact row, and
+        merges that row into its place in append order.
         """
         fault_site("store.iter")
+        if keys is not None:
+            hits = (self._newest_intact(key, status) for key in set(keys))
+            for _, record in sorted(filter(None, hits), key=_row_id):
+                yield record
+            return
         conn = self._connect()
         params: tuple[str, ...] = () if status is None else (status,)
-        cursor: Iterable[tuple[Any, ...]]
-        if keys is None:
-            where = "" if status is None else " WHERE status = ?"
-            cursor = conn.execute(
-                "SELECT record, blob, crc FROM records WHERE id IN"
-                f" (SELECT MAX(id) FROM records{where} GROUP BY key)"
-                " ORDER BY id",
-                params,
-            )
-        else:
-            where = "" if status is None else " AND status = ?"
-            winners = []
-            for key in set(keys):
-                row = conn.execute(
-                    "SELECT id, record, blob, crc FROM records"
-                    f" WHERE key = ?{where} ORDER BY id DESC LIMIT 1",
-                    (key, *params),
-                ).fetchone()
-                if row is not None:
-                    winners.append(row)
-            winners.sort(key=lambda row: row[0])
-            cursor = (row[1:] for row in winners)
-        for row in cursor:
-            record = self._decode(row)
+        where = "" if status is None else " WHERE status = ?"
+        winners = (
+            "SELECT id, key, record, blob, crc FROM records WHERE id IN"
+            f" (SELECT MAX(id) FROM records{where} GROUP BY key)"
+        )
+        damaged: set[int] = set()
+        fallbacks: list[tuple[int, dict[str, Any]]] = []
+        for row_id, key, *row in conn.execute(winners, params):
+            if not self._row_ok(tuple(row)):
+                self._quarantine()
+                damaged.add(row_id)
+                hit = self._newest_intact(key, status, below=row_id)
+                if hit is not None:
+                    fallbacks.append(hit)
+        # Sorted newest first, so pop() hands back the oldest first.
+        fallbacks.sort(key=_row_id, reverse=True)
+        for row_id, _, *row in conn.execute(winners + " ORDER BY id", params):
+            while fallbacks and fallbacks[-1][0] < row_id:
+                yield fallbacks.pop()[1]
+            if row_id in damaged:
+                continue
+            record = self._decode(tuple(row))
             if record is not None:
                 yield record
+        while fallbacks:
+            yield fallbacks.pop()[1]
 
     def latest_by_key(
         self, status: str | None = "ok"

@@ -57,7 +57,8 @@ from __future__ import annotations
 import base64
 import os
 import time
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from ..errors import ConfigurationError
 from ..faults import fault_site
@@ -406,60 +407,90 @@ def unpack_points(
 # -- bytes across the persistence boundary ---------------------------------
 
 
+def _walk(obj: Any, swap: Callable[[Any], Any]) -> Any:
+    """Rebuild ``obj`` with ``swap`` applied to each of its nodes.
+
+    ``swap`` sees each node first; where it hands the node back
+    unchanged, the walk descends into dicts and lists.  Containers are
+    copied only along a changed path, so a record with nothing to swap
+    comes back as itself.  The walkers are module-level functions on
+    purpose: a nested walker that calls itself is a function-cell
+    reference cycle, which keeps each record's blob alive until the
+    cyclic garbage collector runs.
+    """
+    swapped = swap(obj)
+    if swapped is not obj:
+        return swapped
+    if isinstance(obj, dict):
+        out = None
+        for key, value in obj.items():
+            walked = _walk(value, swap)
+            if walked is not value:
+                if out is None:
+                    out = dict(obj)
+                out[key] = walked
+        return out if out is not None else obj
+    if isinstance(obj, list):
+        out_list = None
+        for index, value in enumerate(obj):
+            walked = _walk(value, swap)
+            if walked is not value:
+                if out_list is None:
+                    out_list = list(obj)
+                out_list[index] = walked
+        return out_list if out_list is not None else obj
+    return obj
+
+
+def _wrap_bytes(node: Any) -> Any:
+    if isinstance(node, (bytes, bytearray)):
+        return {BYTES_KEY: base64.b64encode(bytes(node)).decode("ascii")}
+    return node
+
+
+def _unwrap_bytes(node: Any) -> Any:
+    if (
+        isinstance(node, dict)
+        and len(node) == 1
+        and isinstance(node.get(BYTES_KEY), str)
+    ):
+        return base64.b64decode(node[BYTES_KEY].encode("ascii"))
+    return node
+
+
+def _lift_bytes(parts: list[bytes], node: Any) -> Any:
+    if not isinstance(node, (bytes, bytearray)):
+        return node
+    offset = sum(len(part) for part in parts)
+    parts.append(bytes(node))
+    return {BLOB_KEY: [offset, len(node)]}
+
+
+def _slice_blob(blob: bytes, node: Any) -> Any:
+    if isinstance(node, dict) and len(node) == 1 and BLOB_KEY in node:
+        reference = node[BLOB_KEY]
+        if (
+            isinstance(reference, list)
+            and len(reference) == 2
+            and all(isinstance(v, int) for v in reference)
+        ):
+            start, length = reference
+            return blob[start : start + length]
+    return node
+
+
 def jsonable_bytes(obj: Any) -> Any:
     """Copy ``obj`` with every ``bytes`` value base64-wrapped for JSON.
 
     Returns ``obj`` itself (no copy) when nothing needed encoding, so
     the common no-bytes record costs a traversal and nothing else.
     """
-    if isinstance(obj, (bytes, bytearray)):
-        return {BYTES_KEY: base64.b64encode(bytes(obj)).decode("ascii")}
-    if isinstance(obj, dict):
-        out = None
-        for key, value in obj.items():
-            encoded = jsonable_bytes(value)
-            if encoded is not value:
-                if out is None:
-                    out = dict(obj)
-                out[key] = encoded
-        return out if out is not None else obj
-    if isinstance(obj, list):
-        out_list = None
-        for index, value in enumerate(obj):
-            encoded = jsonable_bytes(value)
-            if encoded is not value:
-                if out_list is None:
-                    out_list = list(obj)
-                out_list[index] = encoded
-        return out_list if out_list is not None else obj
-    return obj
+    return _walk(obj, _wrap_bytes)
 
 
 def restore_bytes(obj: Any) -> Any:
     """Invert :func:`jsonable_bytes` after a JSON load."""
-    if isinstance(obj, dict):
-        if len(obj) == 1 and BYTES_KEY in obj:
-            encoded = obj[BYTES_KEY]
-            if isinstance(encoded, str):
-                return base64.b64decode(encoded.encode("ascii"))
-        out = None
-        for key, value in obj.items():
-            decoded = restore_bytes(value)
-            if decoded is not value:
-                if out is None:
-                    out = dict(obj)
-                out[key] = decoded
-        return out if out is not None else obj
-    if isinstance(obj, list):
-        out_list = None
-        for index, value in enumerate(obj):
-            decoded = restore_bytes(value)
-            if decoded is not value:
-                if out_list is None:
-                    out_list = list(obj)
-                out_list[index] = decoded
-        return out_list if out_list is not None else obj
-    return obj
+    return _walk(obj, _unwrap_bytes)
 
 
 def extract_blob(record: Mapping[str, Any]) -> tuple[Any, bytes | None]:
@@ -472,37 +503,7 @@ def extract_blob(record: Mapping[str, Any]) -> tuple[Any, bytes | None]:
     payloads never pay a base64 tax.
     """
     parts: list[bytes] = []
-    offset = 0
-
-    def walk(obj: Any) -> Any:
-        nonlocal offset
-        if isinstance(obj, (bytes, bytearray)):
-            data = bytes(obj)
-            reference = {BLOB_KEY: [offset, len(data)]}
-            parts.append(data)
-            offset += len(data)
-            return reference
-        if isinstance(obj, dict):
-            out = None
-            for key, value in obj.items():
-                walked = walk(value)
-                if walked is not value:
-                    if out is None:
-                        out = dict(obj)
-                    out[key] = walked
-            return out if out is not None else obj
-        if isinstance(obj, list):
-            out_list = None
-            for index, value in enumerate(obj):
-                walked = walk(value)
-                if walked is not value:
-                    if out_list is None:
-                        out_list = list(obj)
-                    out_list[index] = walked
-            return out_list if out_list is not None else obj
-        return obj
-
-    jsonable = walk(dict(record))
+    jsonable = _walk(dict(record), partial(_lift_bytes, parts))
     return jsonable, b"".join(parts) if parts else None
 
 
@@ -510,38 +511,7 @@ def inject_blob(record: Any, blob: bytes | None) -> Any:
     """Invert :func:`extract_blob` when decoding a SQLite row."""
     if blob is None:
         return record
-
-    def walk(obj: Any) -> Any:
-        if isinstance(obj, dict):
-            if len(obj) == 1 and BLOB_KEY in obj:
-                reference = obj[BLOB_KEY]
-                if (
-                    isinstance(reference, list)
-                    and len(reference) == 2
-                    and all(isinstance(v, int) for v in reference)
-                ):
-                    start, length = reference
-                    return blob[start : start + length]
-            out = None
-            for key, value in obj.items():
-                walked = walk(value)
-                if walked is not value:
-                    if out is None:
-                        out = dict(obj)
-                    out[key] = walked
-            return out if out is not None else obj
-        if isinstance(obj, list):
-            out_list = None
-            for index, value in enumerate(obj):
-                walked = walk(value)
-                if walked is not value:
-                    if out_list is None:
-                        out_list = list(obj)
-                    out_list[index] = walked
-            return out_list if out_list is not None else obj
-        return obj
-
-    return walk(record)
+    return _walk(record, partial(_slice_blob, blob))
 
 
 # -- store introspection ---------------------------------------------------
@@ -550,10 +520,11 @@ def inject_blob(record: Any, blob: bytes | None) -> Any:
 def payload_kind(record: Mapping[str, Any]) -> str:
     """Classify one store record for ``repro store info`` breakdowns.
 
-    Kinds: ``columnar-block`` (merged point blocks), ``columnar-shard``
-    (shard payloads in the binary codec), ``shard-json`` (legacy shard
-    payloads), ``point`` (legacy per-point records), ``job`` (campaign
-    job results), ``other``.
+    Kinds: ``columnar-shard`` (shard payloads in the binary codec),
+    ``columnar-block`` (merged point blocks, which older builds wrote
+    beside the shard payloads), ``shard-json`` (legacy shard payloads),
+    ``point`` (per-point records of the ``codec="json"`` merge), ``job``
+    (campaign job results), ``other``.
     """
     value = record.get("value")
     if isinstance(value, Mapping):

@@ -282,7 +282,8 @@ def json_safe(value: Any) -> Any:
 
     Experiment results keep their id, title, headline scalars, notes,
     and rendered text; other dataclasses store their fields; tuples
-    become lists; anything else degrades to its ``repr``.  Lossy by
+    and numpy arrays become lists and numpy scalars Python scalars;
+    anything else degrades to its ``repr``.  Lossy by
     design — the store holds the *findings* (headline scalars), not
     live model objects, and must never fail to persist a result that
     already succeeded.
@@ -308,6 +309,12 @@ def json_safe(value: Any) -> Any:
         return [json_safe(v) for v in value]
     if isinstance(value, set):
         return sorted(json_safe(v) for v in value)
+    if type(value).__module__ == "numpy" and hasattr(value, "tolist"):
+        # Arrays become lists and scalars Python scalars, e.g. the
+        # columns of repro.core.batch targets.  Recognised by module so
+        # that a cached campaign, which never holds one, never imports
+        # numpy.
+        return json_safe(value.tolist())
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, (bytes, bytearray)):

@@ -21,19 +21,21 @@ Grids travel two ways.  An explicit value list is chunked as before —
 each shard job carries (and hashes) its own values.  A *grid
 descriptor* (``{"kind": "geomspace", "start": ..., "stop": ...,
 "num": ...}``) ships only ``(descriptor, shard index, shard count)``
-per job: workers materialise their own contiguous slice, so scheduling
-a million-point sweep pickles a few dozen bytes per job instead of
-125k floats, and content keys hash O(1) descriptors instead of O(n)
-value lists.
+per job: each worker builds the grid once (:func:`materialise_grid`)
+and slices out its shards, so scheduling a million-point sweep pickles
+a few dozen bytes per job instead of 125k floats, and content keys
+hash O(1) descriptors instead of O(n) value lists.
 
 Shard results move through the store in the **columnar binary codec**
-(:mod:`repro.runner.codec`) by default: a shard's metrics are packed
-as named float64/int64 column arrays in one blob, the merge job
-re-chunks them into *block records* of ``flush_chunk`` points each —
-one compact record per block instead of one JSON record per point —
-and :func:`collect_arrays` decodes blocks straight to numpy with no
-per-point Python-object hop.  ``codec="json"`` (or
-``REPRO_POINT_CODEC=json``) keeps the legacy per-point record path,
+(:mod:`repro.runner.codec`) by default: a batch target hands back one
+numpy column per metric, :func:`evaluate_shard` packs those columns as
+they are into one blob, and that shard record is the sweep's one
+stored copy of its points.  The merge job only folds the metric
+summary from the shard payloads; :func:`collect_arrays` decodes them
+straight to numpy, :func:`collect_points` / :func:`iter_points` to
+exact Python values, and :func:`lookup_point` answers one grid point.
+``codec="json"`` (or ``REPRO_POINT_CODEC=json``) keeps the legacy
+per-point path, whose merge also files one JSON record per point,
 and every reader transparently accepts payloads in either format, so
 stores written before the codec existed keep working.
 """
@@ -43,6 +45,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -74,18 +77,13 @@ MERGE_TARGET = "repro.runner.sharding:merge_shards"
 #: records must never be served as cache hits for real jobs.
 POINT_KIND = "point"
 
-#: Pseudo-kind hashed into columnar block record keys.  Like
-#: :data:`POINT_KIND`, a query surface — never a job cache entry.
-BLOCK_KIND = "point-block"
-
 #: Grid-descriptor kinds workers know how to materialise.
 GRID_KINDS = ("geomspace", "linspace")
 
-#: Point records are flushed to the store in batches of this many, so a
-#: million-point merge never holds more than one batch of JSON lines /
-#: SQL rows beyond the one shard payload currently being drained.  The
-#: columnar merge uses the same bound as its block size (points per
-#: block record).  Override per merge with ``flush_chunk=`` or
+#: The ``codec="json"`` merge flushes its point records to the store in
+#: batches of this many, so a million-point merge never holds more than
+#: one batch of JSON lines / SQL rows beyond the one shard payload
+#: currently being drained.  Override per merge with ``flush_chunk=`` or
 #: globally via :data:`FLUSH_CHUNK_ENV_VAR`.
 FLUSH_CHUNK = 50_000
 #: Environment variable overriding :data:`FLUSH_CHUNK`.
@@ -169,20 +167,35 @@ def _coerce_grid(mapping: Mapping[str, Any]) -> dict[str, Any]:
 
 
 def materialise_grid(grid: Mapping[str, Any]) -> np.ndarray:
-    """The full value array of a grid descriptor."""
+    """The full value array of a grid descriptor (read-only, memoised).
+
+    Every shard job of a descriptor sweep slices the same grid, so a
+    process builds it once and keeps the last descriptor's array.
+    """
     grid = _coerce_grid(grid)
-    space = np.geomspace if grid["kind"] == "geomspace" else np.linspace
-    return space(grid["start"], grid["stop"], grid["num"])
+    return _grid_values(
+        grid["kind"], grid["start"].hex(), grid["stop"].hex(), grid["num"]
+    )
+
+
+@lru_cache(maxsize=1)
+def _grid_values(kind: str, start: str, stop: str, num: int) -> np.ndarray:
+    # Keyed by the ends' bit patterns (float.hex), so -0.0 and 0.0
+    # stay two grids.
+    space = np.geomspace if kind == "geomspace" else np.linspace
+    values = space(float.fromhex(start), float.fromhex(stop), num)
+    values.setflags(write=False)
+    return values
 
 
 def shard_values(
     grid: Mapping[str, Any], shard_index: int, shard_count: int
-) -> list[float]:
+) -> np.ndarray:
     """One shard's contiguous slice of a grid descriptor's values.
 
-    Slices the fully materialised grid with the same arithmetic as
-    :func:`shard_grid`, so descriptor sweeps are value-for-value
-    identical to explicit-list sweeps of the same grid.
+    A read-only view of :func:`materialise_grid`, sliced with the same
+    arithmetic as :func:`shard_grid`, so descriptor sweeps are
+    value-for-value identical to explicit-list sweeps of the same grid.
     """
     if shard_count < 1:
         raise ConfigurationError(
@@ -196,16 +209,15 @@ def shard_values(
     count = len(full)
     lo = shard_index * count // shard_count
     hi = (shard_index + 1) * count // shard_count
-    return full[lo:hi].tolist()
+    return full[lo:hi]
 
 
 def _check_series(result: Mapping[str, Any], count: int) -> dict[str, Any]:
     """Validate a batch target's per-metric series lengths.
 
-    Numpy columns pass through as arrays — listifying them would turn
-    their elements into numpy scalars, which the codec's exact-type
-    checks (and the legacy JSON path) cannot represent; kept as arrays
-    they take the binary fast path directly.
+    Numpy columns (what :mod:`repro.core.batch` targets return) pass
+    through as one-dimensional arrays, so the codec packs them by dtype
+    with no per-value type scan; any other series becomes a list.
     """
     series: dict[str, Any] = {}
     for name, column in result.items():
@@ -241,29 +253,35 @@ def evaluate_shard(
 
     Exactly one of ``values`` (an explicit list) and ``grid`` (a
     descriptor, with ``shard_index``/``shard_count``) names the shard's
-    points.  Returns the shard payload the merge job later reassembles
-    in shard order: with the columnar codec (the default), a batch
-    target's per-metric series are packed straight into binary column
-    arrays — no per-point dicts are ever built; with ``codec="json"``
-    (or for results the binary dtypes cannot represent exactly) the
-    payload is the legacy ``{"values": [...], "points": [...]}`` form.
+    points.  A batch target gets them in one call: the list, or for a
+    descriptor the read-only float64 slice of :func:`shard_values`; a
+    scalar target (``batch=False``) gets one Python value per call.
+    Returns the shard payload: with the columnar codec (the default), a
+    batch target's per-metric series are packed straight into binary
+    columns (numpy columns by dtype, with no per-value type scan) and
+    no per-point dict is ever built; with ``codec="json"`` (or for
+    results the binary dtypes cannot represent exactly) the payload is
+    the legacy ``{"values": [...], "points": [...]}`` form.
     """
     if (values is None) == (grid is None):
         raise ConfigurationError(
             "pass exactly one of values= or grid= to evaluate_shard"
         )
+    shard: Any
     if grid is not None:
         if shard_index is None or shard_count is None:
             raise ConfigurationError(
                 "grid descriptors need shard_index and shard_count"
             )
-        values = shard_values(grid, shard_index, shard_count)
+        shard = shard_values(grid, shard_index, shard_count)
+        if not batch:
+            shard = shard.tolist()
     else:
-        values = list(values)  # type: ignore[arg-type]
+        shard = list(values)  # type: ignore[arg-type]
     chosen = check_codec(codec) if codec is not None else default_codec()
     func = resolve_callable(sweep_target)
     kwargs = dict(common or {})
-    count = len(values)
+    count = len(shard)
     with span(
         "shard.evaluate",
         cat="sweep",
@@ -272,7 +290,7 @@ def evaluate_shard(
         shard=shard_index,
     ):
         return _evaluate_shard_points(
-            func, parameter, values, kwargs, batch, chosen, count
+            func, parameter, shard, kwargs, batch, chosen, count
         )
 
 
@@ -467,139 +485,6 @@ def point_key(
     )
 
 
-def block_key(
-    sweep_target: str,
-    parameter: str,
-    shard_keys: Sequence[str],
-    index: int,
-    common: Mapping[str, Any] | None = None,
-) -> str:
-    """Deterministic content key of one columnar block of one sweep.
-
-    Hashes the sweep's shard keys (which themselves hash the grid
-    content), so a grid edit retires the old blocks' keys wholesale —
-    a stale block can never shadow a re-merged sweep.
-    """
-    return content_key(
-        BLOCK_KIND,
-        sweep_target,
-        {
-            "parameter": parameter,
-            "common": dict(common or {}),
-            "shards": list(shard_keys),
-            "block": int(index),
-        },
-    )
-
-
-class _BlockWriter:
-    """Re-chunk decoded shard columns into columnar block records.
-
-    Buffers one concatenated segment per column and emits a block
-    record every ``chunk_size`` points — peak state is O(shard +
-    chunk), matching the per-point merge's bound.  A schema change
-    between shards (different column names) flushes the partial block
-    first, so every block stays self-describing.
-    """
-
-    def __init__(
-        self,
-        store: ResultStore,
-        chunk_size: int,
-        sweep_target: str,
-        parameter: str,
-        shard_keys: Sequence[str],
-        prefix: str,
-        common: Mapping[str, Any] | None,
-    ) -> None:
-        self._store = store
-        self._chunk = chunk_size
-        self._target = sweep_target
-        self._parameter = parameter
-        self._shard_keys = list(shard_keys)
-        self._prefix = prefix
-        self._common = common
-        self._values: Any = None
-        self._columns: dict[str, Any] = {}
-        self._kind = KIND_MAPPING
-        self.blocks = 0
-
-    def _pending(self) -> int:
-        return 0 if self._values is None else len(self._values)
-
-    def add(
-        self, values: Any, columns: Mapping[str, Any], points_kind: str
-    ) -> None:
-        if self._values is not None and (
-            set(columns) != set(self._columns)
-            or points_kind != self._kind
-        ):
-            self.flush()
-        if self._values is None:
-            self._values = values
-            self._columns = dict(columns)
-            self._kind = points_kind
-        else:
-            self._values = _codec.concat_columns([self._values, values])
-            self._columns = {
-                name: _codec.concat_columns(
-                    [self._columns[name], columns[name]]
-                )
-                for name in self._columns
-            }
-        start = 0
-        while self._pending() - start >= self._chunk:
-            self._emit(start, start + self._chunk)
-            start += self._chunk
-        if start:
-            self._values = self._values[start:]
-            self._columns = {
-                name: column[start:]
-                for name, column in self._columns.items()
-            }
-
-    def _emit(self, lo: int, hi: int) -> None:
-        fault_site("merge.flush")
-        with metrics().timer("merge.flush_s"):
-            payload = _codec.pack_series(
-                self._values[lo:hi],
-                {
-                    name: column[lo:hi]
-                    for name, column in self._columns.items()
-                },
-                self._kind,
-            )
-            payload["block"] = self.blocks
-            metrics().gauge_max(
-                "merge.peak_chunk_bytes", len(payload["blob"])
-            )
-            self._store.append_many(
-                [
-                    {
-                        "key": block_key(
-                            self._target,
-                            self._parameter,
-                            self._shard_keys,
-                            self.blocks,
-                            self._common,
-                        ),
-                        "job_id": f"{self._prefix}/block{self.blocks:05d}",
-                        "status": "ok",
-                        "value": payload,
-                    }
-                ]
-            )
-        metrics().count("merge.blocks")
-        self.blocks += 1
-
-    def flush(self) -> None:
-        """Emit whatever is buffered as one final (short) block."""
-        if self._pending():
-            self._emit(0, self._pending())
-        self._values = None
-        self._columns = {}
-
-
 def merge_shards(
     store_path: str,
     shard_keys: Sequence[str],
@@ -611,21 +496,21 @@ def merge_shards(
     flush_chunk: int | None = None,
     codec: str | None = None,
 ) -> dict[str, Any]:
-    """Merge shard records from the store into block records + summary.
+    """Fold a finished sweep's shard payloads into its summary.
 
     Streams shard payloads one at a time (every shard record is in the
     store by the time this job is scheduled — the scheduler cache-puts
-    results before releasing dependents).  With the columnar codec (the
-    default) each payload decodes straight to column arrays, is folded
-    into the metric summary in one vectorised pass, and is re-chunked
-    into **block records** of ``flush_chunk`` points each — one compact
-    binary record per block, keyed by :func:`block_key`.  With
-    ``codec="json"``, or for shard payloads whose points will not
-    columnise, the merge files one JSON record per point under
-    :func:`point_key` exactly as before.  Either way the full point
-    list is never materialised: peak merge memory is O(shard + chunk),
-    not O(points).  Re-merging after an interrupt may append duplicate
-    records; latest-wins store semantics make that harmless and
+    results before releasing dependents) and folds the finite count,
+    minimum and maximum of each numeric metric.  The shard records are
+    the sweep's one stored copy of its points, so with the columnar
+    codec (the default) the merge writes nothing: each payload decodes
+    straight to column arrays and folds in one vectorised pass per
+    metric.  With ``codec="json"`` the merge also files one JSON record
+    per point under :func:`point_key`, flushed in ``append_many``
+    batches of ``flush_chunk`` points.  Either way the full point list
+    is never materialised: peak merge memory is O(shard + chunk), not
+    O(points).  Re-merging after an interrupt may append duplicate
+    point records; latest-wins store semantics make that harmless and
     ``compact()`` reclaims them.
     """
     chunk_size = (
@@ -641,15 +526,6 @@ def merge_shards(
     merged = 0
     point_records = 0
     try:
-        writer = _BlockWriter(
-            store,
-            chunk_size,
-            sweep_target,
-            parameter,
-            shard_keys,
-            prefix,
-            common,
-        )
         chunk: list[dict[str, Any]] = []
 
         def flush_points() -> None:
@@ -677,17 +553,18 @@ def merge_shards(
                     else None
                 )
                 if columns is not None:
-                    values, series, points_kind = columns
+                    values, series, _ = columns
                     summary.add_columns(series)
                     merged += len(values)
-                    writer.add(values, series, points_kind)
                     continue
-                # Per-point path: requested via codec="json", or a
-                # payload whose points will not columnise.
+                # Per-point path: codec="json", which also files the
+                # point records, or a payload that will not columnise.
                 values, points = _payload_points(payload)
                 for value, point in zip(values, points):
                     summary.add(point)
                     merged += 1
+                    if chosen == CODEC_COLUMNAR:
+                        continue
                     chunk.append(
                         {
                             "key": point_key(
@@ -700,7 +577,6 @@ def merge_shards(
                     )
                     if len(chunk) >= chunk_size:
                         flush_points()
-            writer.flush()
             flush_points()
     finally:
         store.close()
@@ -709,7 +585,6 @@ def merge_shards(
         "points": merged,
         "shards": len(shard_keys),
         "point_records": point_records,
-        "block_records": writer.blocks,
         "metrics": summary.as_dict(),
     }
 
@@ -733,17 +608,18 @@ def sharded_sweep_campaign(
 
     Jobs ``{name}/shard0000 ... {name}/shardNNNN`` each evaluate one
     contiguous chunk of ``values`` via :func:`evaluate_shard`;
-    ``{name}/merge`` runs ``after`` all of them and streams block (or
-    per-point) records into the store at ``store_path``.  ``values``
+    ``{name}/merge`` runs ``after`` all of them and folds their payloads
+    from the store at ``store_path`` into the sweep's summary.  ``values``
     is either an explicit sequence — chunked into the job parameters —
     or a grid descriptor mapping (:func:`grid_descriptor`), in which
     case each shard job ships only ``(descriptor, shard index, shard
     count)`` and materialises its own slice.  Run it with
     ``run_campaign(campaign, store_path=store_path, jobs=N)`` — the
     same store makes the sweep resumable and re-runs cached.
-    ``flush_chunk`` bounds the merge job's blocks/batches (default
-    :data:`FLUSH_CHUNK`, or :data:`FLUSH_CHUNK_ENV_VAR`, which is
-    validated here so a bad value fails before any shard runs); like
+    ``flush_chunk`` bounds the ``codec="json"`` merge's point-record
+    batches (default :data:`FLUSH_CHUNK`, or :data:`FLUSH_CHUNK_ENV_VAR`,
+    which is validated here so a bad value fails before any shard
+    runs); like
     ``codec``, it is left out of job content keys when unset so
     existing stores keep resolving from cache.
     """
@@ -1020,65 +896,54 @@ def lookup_point(
     value: Any,
     store_backend: str | None = None,
 ) -> Any:
-    """One grid point's metrics from an already-merged sweep store.
+    """One grid point's metrics from a finished sweep's store.
 
-    Walks the sweep's columnar block records (a handful of indexed
-    ``get`` calls — block keys derive from the campaign's shard keys),
-    decodes only the block holding ``value``, and falls back to the
-    legacy per-point record under :func:`point_key` for stores merged
-    with ``codec="json"``.  Returns the point's metrics (a mapping or
-    scalar, matching the sweep target's shape) or ``None`` when the
-    value is not a merged grid point.
+    Searches the campaign's shard payloads in shard order, one indexed
+    ``get`` each, and decodes the first holding ``value``; a shard
+    without a stored record is passed over.  Shard payloads are in
+    every sweep store, whatever codec or build wrote it.  Returns the
+    point's metrics as exact Python values (a mapping or scalar,
+    matching the sweep target's shape) or ``None`` when the value is
+    not a stored grid point.
     """
-    shard_specs = [
-        spec for spec in campaign.specs if spec.target == SHARD_TARGET
-    ]
-    merge_specs = [
-        spec for spec in campaign.specs if spec.target == MERGE_TARGET
-    ]
-    if not shard_specs or not merge_specs:
+    shard_keys = _campaign_shard_keys(campaign)
+    if not shard_keys:
         raise ConfigurationError(
-            "campaign holds no sharded sweep (no shard/merge jobs)"
+            "campaign holds no sharded sweep (no shard jobs)"
         )
-    merge_params = merge_specs[0].params_dict()
-    sweep_target = merge_params["sweep_target"]
-    parameter = merge_params["parameter"]
-    common = merge_params.get("common") or {}
-    shard_keys = [spec.key for spec in shard_specs]
     store = ResultStore(store_path, backend=store_backend)
     try:
-        index = 0
-        while True:
-            record = store.get(
-                block_key(sweep_target, parameter, shard_keys, index, common)
-            )
+        for key in shard_keys:
+            record = store.get(key)
             if record is None:
-                break
-            values, columns, points_kind = _codec.unpack_columns(
-                record["value"]
-            )
+                continue
+            payload = record["value"]
+            if not _codec.is_columnar(payload):
+                try:
+                    position = payload["values"].index(value)
+                except ValueError:
+                    continue
+                return payload["points"][position]
+            values, columns, points_kind = _codec.unpack_columns(payload)
             if isinstance(values, np.ndarray):
                 hits = np.flatnonzero(values == value)
-                position = int(hits[0]) if hits.size else None
+                if not hits.size:
+                    continue
+                position = int(hits[0])
             else:
                 try:
                     position = values.index(value)
                 except ValueError:
-                    position = None
-            if position is not None:
-                def scalar(column: Any) -> Any:
-                    entry = column[position]
-                    return entry.item() if isinstance(
-                        entry, np.generic
-                    ) else entry
-                if points_kind == KIND_SCALAR:
-                    return scalar(columns[SCALAR_COLUMN])
-                return {
-                    name: scalar(column)
-                    for name, column in columns.items()
-                }
-            index += 1
-        legacy = store.get(point_key(sweep_target, parameter, value, common))
-        return legacy["value"] if legacy is not None else None
+                    continue
+            point: dict[str, Any] = {}
+            for name, column in columns.items():
+                entry = column[position]
+                point[name] = (
+                    entry.item() if isinstance(entry, np.generic) else entry
+                )
+            if points_kind == KIND_SCALAR:
+                return point[SCALAR_COLUMN]
+            return point
+        return None
     finally:
         store.close()

@@ -145,7 +145,8 @@ class TestShardedSweep:
         # Same numbers as the direct batch evaluation.
         from repro.core.batch import break_even_curve
 
-        assert list(series) == break_even_curve(self.GRID)["break_even_bits"]
+        expected = break_even_curve(self.GRID)["break_even_bits"]
+        assert list(series) == expected.tolist()
 
     def test_store_alone_implies_default_shards(self, tmp_path):
         result = sweep_parameter(

@@ -172,23 +172,26 @@ class TestPoolChaosProperty:
 
 
 class TestCannedScenarios:
-    def test_torn_write_quarantined_then_retried(self, tmp_path):
+    def test_torn_write_quarantined_then_retried(self, tmp_path, baseline):
         store_path = str(tmp_path / "s.jsonl")
         campaign = _sweep(store_path)
-        # Aimed at the merge's block-record append (job-id context):
-        # that write happens inside the merge attempt, so the retry
-        # loop absorbs the injected power loss and re-appends it.
+        # Aimed at a shard record's cache put (job-id context): that
+        # write happens in the scheduler after the attempt succeeded,
+        # so the injected power loss fails the run loudly.
         plan = {
             "rules": [
                 {"site": "store.append", "action": "torn_write",
-                 "bytes": 400, "job_id": "chaos/block*"},
+                 "bytes": 400, "job_id": "chaos/shard0001"},
             ]
         }
-        result = run_campaign(
-            campaign, store_path=store_path, faults=plan
-        )
-        assert result.ok  # the retry re-appended past the torn record
-        assert result.results["chaos/merge"].attempts == 2
+        with pytest.raises(InjectedFault):
+            run_campaign(campaign, store_path=store_path, faults=plan)
+        # A re-run against the same store recomputes the torn shard
+        # (its record is quarantined), reuses the intact one, and
+        # converges bit-exact.
+        result = run_campaign(campaign, store_path=store_path)
+        assert result.status_counts() == {"cached": 1, "ok": 2}
+        assert collect_points(store_path, campaign) == baseline
         store = ResultStore(store_path)
         try:
             stats = store.verify()

@@ -1,7 +1,7 @@
 """Columnar codec tests: round-trip parity, backends, migration, resume.
 
 The codec's contract is *bit-exact equivalence* with the JSON-dict
-path: whatever a sweep stores through binary column blocks must decode
+path: whatever a sweep stores through binary columns must decode
 back to the same Python values — same types, same mapping key order,
 NaN/inf included — that the legacy per-point pipeline would have
 produced.  These tests drive that contract property-based (hypothesis
@@ -12,6 +12,7 @@ columnar merge.
 
 from __future__ import annotations
 
+import gc
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from repro.runner import (
     lookup_point,
     migrate_store,
     run_campaign,
+    run_sharded_sweep,
     sharded_sweep_campaign,
 )
 from repro.runner.codec import (
@@ -37,11 +39,13 @@ from repro.runner.codec import (
     is_columnar,
     jsonable_bytes,
     pack_points,
+    pack_series,
     payload_kind,
     restore_bytes,
     unpack_columns,
     unpack_points,
 )
+from repro.runner.jobs import content_key
 from repro.runner.sharding import merge_shards
 
 GRID = [float(v) for v in range(32_000, 32_000 + 40)]
@@ -260,7 +264,7 @@ class TestMigration:
         return campaign
 
     def test_migrate_across_payload_kinds_both_directions(self, tmp_path):
-        """Columnar blocks survive JSONL -> SQLite -> JSONL verbatim."""
+        """Columnar payloads survive JSONL -> SQLite -> JSONL verbatim."""
         jsonl_path = tmp_path / "a.jsonl"
         campaign = self._sweep_store(jsonl_path, backend="jsonl")
         sqlite_path = tmp_path / "b.sqlite"
@@ -281,7 +285,7 @@ class TestMigration:
         assert point == points[3]
 
     def test_mixed_payload_kind_store_migrates(self, tmp_path):
-        """json-codec point records and columnar blocks coexist."""
+        """json-codec point records and columnar payloads coexist."""
         path = tmp_path / "mixed.sqlite"
         self._sweep_store(path, codec="json")
         self._sweep_store(path, codec=None)  # columnar on top
@@ -349,13 +353,19 @@ class TestColumnarParity:
         assert run_campaign(shards_only, store_path=path).ok
         monkeypatch.delenv("REPRO_POINT_CODEC")
 
-        # A current build merges those legacy payloads into columnar
-        # blocks, and every reader still answers identically.
+        # A current build folds those legacy payloads into its summary
+        # without writing a record, and every reader still answers
+        # identically.
         merge = campaign.specs[-1]
+        store = ResultStore(path)
+        stored = len(store)
+        store.close()
         summary = merge_shards(**merge.params_dict())
         assert summary["points"] == len(GRID)
-        assert summary["block_records"] >= 1
         assert summary["point_records"] == 0
+        store = ResultStore(path)
+        assert len(store) == stored
+        store.close()
         values, points = collect_points(path, campaign)
         assert values == GRID
         columns = collect_arrays(path, campaign)
@@ -367,7 +377,7 @@ class TestColumnarParity:
 
 class TestColumnarCrashResume:
     def test_crashed_columnar_merge_resumes(self, tmp_path, monkeypatch):
-        """A merge killed mid-block re-runs without recomputing shards."""
+        """A merge killed mid-way re-runs without recomputing shards."""
         path = tmp_path / "crash.sqlite"
         full = sharded_sweep_campaign(
             "sweep",
@@ -381,33 +391,32 @@ class TestColumnarCrashResume:
         assert run_campaign(shards_only, store_path=str(path)).ok
         merge = full.specs[-1]
 
-        flushes = {"count": 0}
-        original = ResultStore.append_many
-
-        def dying(self, records):
-            if flushes["count"] >= 1:
-                raise OSError("simulated crash mid-merge")
-            flushes["count"] += 1
-            return original(self, records)
-
-        monkeypatch.setattr(ResultStore, "append_many", dying)
-        with pytest.raises(OSError):
-            merge_shards(flush_chunk=10, **merge.params_dict())
-        monkeypatch.setattr(ResultStore, "append_many", original)
-
-        # The store holds a partial block prefix...
         store = ResultStore(str(path))
-        partial = sum(
-            1
-            for record in store.iter_records()
-            if payload_kind(record) == "columnar-block"
-        )
+        stored = len(store)
         store.close()
-        assert partial >= 1
+
+        # Simulated crash: the store dies on the second shard read.
+        reads = {"count": 0}
+        original = ResultStore.get
+
+        def dying(self, key):
+            if reads["count"] >= 1:
+                raise OSError("simulated crash mid-merge")
+            reads["count"] += 1
+            return original(self, key)
+
+        monkeypatch.setattr(ResultStore, "get", dying)
+        with pytest.raises(OSError):
+            merge_shards(**merge.params_dict())
+        monkeypatch.setattr(ResultStore, "get", original)
+
+        # The merge left nothing behind...
+        store = ResultStore(str(path))
+        assert len(store) == stored
+        store.close()
 
         # ...and the campaign re-run resolves every shard from cache,
-        # re-running only the merge; duplicate blocks are harmless
-        # under latest-wins semantics.
+        # re-running only the merge.
         resumed = run_campaign(full, store_path=str(path))
         assert resumed.status_counts() == {"cached": 4, "ok": 1}
         summary = resumed.results["sweep/merge"].value
@@ -415,6 +424,90 @@ class TestColumnarCrashResume:
         values, points = collect_points(str(path), full)
         assert values == GRID
         assert lookup_point(str(path), full, GRID[0]) == points[0]
+
+
+class TestLegacyBlockRecords:
+    def test_lookup_answers_from_shard_payloads_beside_old_blocks(
+        self, tmp_path
+    ):
+        """Stores merged by older builds also hold columnar block records.
+
+        Those merges re-packed every point into ``point-block`` records
+        beside the shard payloads.  ``lookup_point`` now reads the shard
+        payloads, which every sweep store holds, so its answers on such
+        a store are the shards' points; the blocks still classify.
+        """
+        path = str(tmp_path / "old.sqlite")
+        campaign = sharded_sweep_campaign(
+            "sweep", TARGET_DSPACE, "rate_bps", GRID,
+            store_path=path, shards=4,
+        )
+        assert run_campaign(campaign, store_path=path).ok
+        columns = collect_arrays(path, campaign)
+        block = pack_series(columns.values, columns.columns)
+        block["block"] = 0
+        shard_keys = [spec.key for spec in campaign.specs[:-1]]
+        store = ResultStore(path)
+        try:
+            store.append({
+                "key": content_key("point-block", TARGET_DSPACE, {
+                    "parameter": "rate_bps", "common": {},
+                    "shards": shard_keys, "block": 0,
+                }),
+                "job_id": "sweep/block00000",
+                "status": "ok",
+                "value": block,
+            })
+            kinds = [payload_kind(r) for r in store.iter_records()]
+        finally:
+            store.close()
+        assert kinds.count("columnar-block") == 1
+        _, points = collect_points(path, campaign)
+        for index in (0, 17, len(GRID) - 1):
+            assert lookup_point(path, campaign, GRID[index]) == points[index]
+        assert lookup_point(path, campaign, -1.0) is None
+
+
+class TestNoReferenceCycles:
+    def test_walkers_and_a_serial_sweep_leave_no_cyclic_garbage(
+        self, tmp_path
+    ):
+        """Everything the sweep path allocates is freed by refcount.
+
+        A reference cycle that holds a record's blob lives until the
+        cyclic collector runs; with the collector off, one serial sweep
+        and its read-back must leave it nothing to find.
+        """
+        record = {
+            "key": "k",
+            "status": "ok",
+            "value": {"blob": b"\x00" * 64, "more": [b"ab", {"x": b"cd"}]},
+        }
+        grid = {"kind": "geomspace", "start": 32e3, "stop": 4096e3,
+                "num": 400}
+
+        def sweep(path):
+            run_sharded_sweep(
+                "sweep", TARGET_DSPACE, "rate_bps", grid,
+                store_path=path, shards=4,
+            )
+            campaign = sharded_sweep_campaign(
+                "sweep", TARGET_DSPACE, "rate_bps", grid,
+                store_path=path, shards=4,
+            )
+            return collect_arrays(path, campaign)
+
+        sweep(str(tmp_path / "warm.sqlite"))  # imports and lazy caches
+        gc.collect()
+        gc.disable()
+        try:
+            jsonable, blob = extract_blob(record)
+            assert inject_blob(jsonable, blob) == record
+            columns = sweep(str(tmp_path / "s.sqlite"))
+            assert len(columns.values) == 400
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestPayloadKinds:
@@ -439,8 +532,7 @@ class TestPayloadKinds:
             total_bytes += nbytes
         store.close()
         # Shard job records carry columnar payloads, so they classify
-        # by payload; only the merge job's summary stays plain "job".
-        assert kinds["columnar-shard"] == 2
-        assert kinds["columnar-block"] >= 1
-        assert kinds["job"] == 1
+        # by payload; only the merge job's summary stays plain "job",
+        # and the merge writes no block records.
+        assert kinds == {"columnar-shard": 2, "job": 1}
         assert total_bytes > 0

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import pathlib
 import sqlite3
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.runner.integrity import (
     CHECK_FIELD,
@@ -97,6 +101,25 @@ def _corrupt_one(store, key):
             assert cursor.rowcount >= 1
 
 
+def _damage_row(store, index, old, new):
+    """Rewrite ``old`` to ``new`` in the value of the ``index``-th record."""
+    path = store.backend.path
+    store.close()
+    if store.backend_name == "jsonl":
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+        lines[index] = lines[index].replace(f'"value":{old}', f'"value":{new}')
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(lines)
+    else:
+        with sqlite3.connect(path) as conn:
+            conn.execute(
+                "UPDATE records SET record = replace(record, ?, ?)"
+                " WHERE id = ?",
+                (f'"value":{old}', f'"value":{new}', index + 1),
+            )
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestBackendIntegrity:
     def test_clean_store_verifies(self, tmp_path, backend):
@@ -129,6 +152,30 @@ class TestBackendIntegrity:
         assert damage_total(stats) == 1
         assert sum(stats["corrupt"].values()) == 1
 
+    def test_damaged_newest_ok_serves_the_previous_one(
+        self, tmp_path, backend
+    ):
+        store = _store(tmp_path, backend)
+        store.append_many([record("k"), record("other", value=3.5)])
+        store.append(record("k", value=2.5))
+        _damage_row(store, 2, "2.5", "7.5")
+
+        store = _store(tmp_path, backend)
+        try:
+            assert store.get("k")["value"] == 1.5
+            keyed = list(store.iter_latest_by_key(keys={"k"}))
+            every = list(store.iter_latest_by_key())
+            stats = store.verify()
+        finally:
+            store.close()
+        assert [(r["key"], r["value"]) for r in keyed] == [("k", 1.5)]
+        # Winners stay in append order: k's intact record came first.
+        assert [(r["key"], r["value"]) for r in every] == [
+            ("k", 1.5),
+            ("other", 3.5),
+        ]
+        assert damage_total(stats) == 1
+
     def test_checksums_never_leak_to_readers(self, tmp_path, backend):
         store = _store(tmp_path, backend)
         try:
@@ -150,6 +197,51 @@ class TestBackendIntegrity:
         finally:
             store.close()
         assert refreshed is not None and refreshed["value"] == 1.5
+
+
+_history = st.lists(
+    st.tuples(st.integers(0, 4), st.sampled_from(["ok", "ok", "failed"])),
+    min_size=1,
+    max_size=20,
+)
+
+
+class TestDamagedHistoriesAgree:
+    """Both backends pick the same winners around damaged records."""
+
+    @given(history=_history, data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_backends_agree_on_damaged_histories(self, history, data):
+        damaged = data.draw(
+            st.sets(st.integers(0, len(history) - 1)), label="damaged"
+        )
+        keys = data.draw(st.sets(st.integers(0, 4)), label="keys")
+        answers = {}
+        with tempfile.TemporaryDirectory() as scratch:
+            for backend in BACKENDS:
+                store = _store(pathlib.Path(scratch), backend)
+                for index, (key, status) in enumerate(history):
+                    store.append({
+                        "key": f"k{key}", "job_id": f"j{index}",
+                        "status": status, "value": 1000 + index,
+                    })
+                for index in damaged:
+                    _damage_row(store, index, f"{1000 + index}", "9")
+                store = _store(pathlib.Path(scratch), backend)
+                try:
+                    answers[backend] = [
+                        [
+                            (r["key"], r["value"])
+                            for r in store.iter_latest_by_key(
+                                status, keys=wanted
+                            )
+                        ]
+                        for status in ("ok", None)
+                        for wanted in (None, [f"k{k}" for k in keys])
+                    ] + [store.get(f"k{key}") for key in range(5)]
+                finally:
+                    store.close()
+        assert answers["jsonl"] == answers["sqlite"]
 
 
 def _quarantined():

@@ -165,6 +165,28 @@ class TestJsonSafe:
         assert value["data"] == b"\x00\x01"
         assert value["ba"] == b"\x02"
 
+    def test_numpy_columns_store_as_the_lists_they_replaced(self):
+        # Batch targets return numpy columns; a plain campaign job of
+        # one stores exactly what its old list return stored.
+        import json
+
+        import numpy as np
+
+        from repro.core.batch import evaluate_rate_grid
+
+        arrays = evaluate_rate_grid([32e3, 1e6, 3.5e6, 4.2e6, 5e6])
+        lists = {name: column.tolist() for name, column in arrays.items()}
+        assert len(set(lists["dominant"])) > 1
+        safe = json_safe(arrays)
+        assert safe == json_safe(lists)
+        assert json.dumps(safe) == json.dumps(json_safe(lists))
+        for name, column in safe.items():
+            assert [type(v) for v in column] == [type(v) for v in lists[name]]
+        scalars = json_safe(
+            [np.float64(1.5), np.int64(3), np.bool_(True), np.str_("E")]
+        )
+        assert [type(v) for v in scalars] == [float, int, bool, str]
+
 
 class TestJobResult:
     def test_record_roundtrip(self):

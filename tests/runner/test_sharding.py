@@ -133,6 +133,38 @@ class TestEvaluateShard:
         ]
         assert all(type(p["index"]) is int for p in legacy["points"])
 
+    def test_array_target_packs_like_its_old_lists(self):
+        """Packing the model's columns gives the bytes its lists gave.
+
+        evaluate_rate_grid used to return lists, which the codec
+        scanned back into columns.  On a rising multi-label grid every
+        shard's blob and column descriptors are what those lists packed
+        to: str columns keep their sorted categories, and rising rates
+        meet the Figure 3 labels in sorted order.
+        """
+        from repro.core.batch import evaluate_rate_grid
+        from repro.runner.codec import pack_series
+        from repro.runner.sharding import shard_values
+
+        grid = {"kind": "geomspace", "start": 32e3, "stop": 4096e3,
+                "num": 4000}
+        labels = set()
+        for index in range(8):
+            payload = evaluate_shard(
+                TARGET_DSPACE, "rate_bps", grid=grid,
+                shard_index=index, shard_count=8,
+            )
+            values = shard_values(grid, index, 8).tolist()
+            lists = {
+                name: column.tolist()
+                for name, column in evaluate_rate_grid(values).items()
+            }
+            assert payload == {
+                "parameter": "rate_bps", **pack_series(values, lists)
+            }
+            labels.update(lists["dominant"])
+        assert labels == {"C", "E", "X"}
+
     def test_per_point_infeasibility_is_inf(self):
         result = evaluate_shard(
             "runner_workers:infeasible_above_two", "x", [1, 2, 3], batch=False
@@ -188,10 +220,10 @@ class TestShardedSweepCampaign:
         summary = result.results["sweep/merge"].value
         assert summary["points"] == len(GRID)
         assert summary["shards"] == 4
-        # The columnar merge files compact block records, not one JSON
-        # record per point.
+        # The columnar merge writes nothing: the shard payloads are the
+        # one stored copy of the points.
         assert summary["point_records"] == 0
-        assert summary["block_records"] >= 1
+        assert "block_records" not in summary
         assert summary["metrics"]["required_buffer_bits"]["finite"] > 0
 
         campaign = self._campaign(store_path)
@@ -203,8 +235,8 @@ class TestShardedSweepCampaign:
         whole = evaluate_rate_grid(GRID)
         assert [p["required_buffer_bits"] for p in points] == whole[
             "required_buffer_bits"
-        ]
-        assert [p["dominant"] for p in points] == whole["dominant"]
+        ].tolist()
+        assert [p["dominant"] for p in points] == whole["dominant"].tolist()
 
     def test_interrupted_sweep_resumes_from_cache(self, tmp_path):
         store_path = str(tmp_path / "s.sqlite")
@@ -240,7 +272,7 @@ class TestShardedSweepCampaign:
         assert counts["cached"] == 3  # untouched shards
         assert counts["ok"] == 2  # edited shard + merge
 
-    def test_points_queryable_from_columnar_blocks(self, tmp_path):
+    def test_points_queryable_from_shard_payloads(self, tmp_path):
         store_path = str(tmp_path / "s.sqlite")
         run_sharded_sweep(
             "sweep",
@@ -251,13 +283,15 @@ class TestShardedSweepCampaign:
             shards=4,
         )
         campaign = self._campaign(store_path)
-        # Any grid point decodes from its block in a handful of
-        # indexed lookups; unmerged values return None.
+        # Any grid point decodes from its shard's payload in a handful
+        # of indexed lookups; values off the grid return None.
         point = lookup_point(store_path, campaign, GRID[7])
         assert point is not None
         assert point["dominant"] in ("E", "C", "Lsp", "Lpb", "lat")
+        _, points = collect_points(store_path, campaign)
+        assert point == points[7]
         assert lookup_point(store_path, campaign, -1.0) is None
-        # Block records never masquerade as cache entries for a real
+        # Shard records never masquerade as cache entries for a real
         # single-point job: that job sees a scalar argument and shapes
         # its output as length-1 series, so it must execute fresh.
         single = Campaign("one-point").call(
@@ -266,8 +300,8 @@ class TestShardedSweepCampaign:
         result = run_campaign(single, store_path=store_path)
         assert result.status_counts() == {"ok": 1}
         fresh = result.results["pt"].value
-        assert fresh["dominant"] == [point["dominant"]]
-        assert fresh["required_buffer_bits"] == [
+        assert fresh["dominant"].tolist() == [point["dominant"]]
+        assert fresh["required_buffer_bits"].tolist() == [
             point["required_buffer_bits"]
         ]
 
@@ -288,9 +322,34 @@ class TestShardedSweepCampaign:
         store.close()
         assert record is not None
         assert record["value"]["dominant"] in ("E", "C", "Lsp", "Lpb", "lat")
-        # lookup_point falls back to per-point records transparently.
+        # lookup_point reads the json-codec shard payloads alike.
         campaign = self._campaign(store_path, codec="json")
         assert lookup_point(store_path, campaign, GRID[7]) == record["value"]
+
+    def test_grid_materialised_once_per_process(self):
+        """Shards slice one read-only grid array, as shard_grid would."""
+        import numpy as np
+
+        from repro.runner.sharding import materialise_grid, shard_values
+
+        grid = {"kind": "geomspace", "start": 32e3, "stop": 4096e3,
+                "num": 1001}
+        full = materialise_grid(grid)
+        assert materialise_grid(dict(grid)) is full
+        assert not full.flags.writeable
+        explicit = np.geomspace(32e3, 4096e3, 1001).tolist()
+        for index, chunk in enumerate(shard_grid(explicit, 7)):
+            part = shard_values(grid, index, 7)
+            assert not part.flags.writeable
+            assert part.tobytes() == np.asarray(chunk).tobytes()
+        # The memo keys on the ends' bits: -0.0 and 0.0 are two grids.
+        signs = [
+            math.copysign(1.0, materialise_grid(
+                {"kind": "linspace", "start": -1.0, "stop": stop, "num": 3}
+            )[-1])
+            for stop in (-0.0, 0.0)
+        ]
+        assert signs == [-1.0, 1.0]
 
     def test_grid_descriptor_matches_explicit_values(self, tmp_path):
         """Descriptor sweeps ship O(1) job params, same values exactly."""

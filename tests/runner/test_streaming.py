@@ -72,31 +72,33 @@ class TestBoundedChunks:
         summary = merge_shards(flush_chunk=7, **merge.params_dict())
         assert summary["points"] == len(GRID)
         assert summary["point_records"] == len(GRID)
-        assert summary["block_records"] == 0
         assert sum(batch_sizes) == len(GRID)
         assert max(batch_sizes) <= 7
 
-    def test_flush_chunk_bounds_columnar_blocks(self, tmp_path, monkeypatch):
-        """Columnar merges emit one block record per flush_chunk points."""
+    def test_columnar_merge_writes_nothing(self, tmp_path, monkeypatch):
+        """The shard payloads are the one stored copy of the points."""
         store_path = tmp_path / "s.sqlite"
         full = _run_shards_only(store_path)
         merge = full.specs[-1]
+        store = ResultStore(str(store_path))
+        before = len(store)
+        store.close()
 
-        block_points = []
+        appended = []
         original = ResultStore.append_many
 
         def recording(self, records):
-            for record in records:
-                block_points.append(record["value"]["count"])
+            appended.extend(records)
             return original(self, records)
 
         monkeypatch.setattr(ResultStore, "append_many", recording)
         summary = merge_shards(flush_chunk=7, **merge.params_dict())
         assert summary["points"] == len(GRID)
         assert summary["point_records"] == 0
-        assert summary["block_records"] == len(block_points)
-        assert sum(block_points) == len(GRID)
-        assert max(block_points) <= 7
+        assert appended == []
+        store = ResultStore(str(store_path))
+        assert len(store) == before
+        store.close()
 
     def test_flush_chunk_rejects_nonpositive(self, tmp_path):
         full = _run_shards_only(tmp_path / "s.sqlite")
@@ -116,12 +118,21 @@ class TestBoundedChunks:
     def test_flush_chunk_env_sets_the_merge_block_size(
         self, tmp_path, monkeypatch
     ):
+        """The variable sizes the json merge's point-record batches."""
         store_path = tmp_path / "s.sqlite"
-        full = _run_shards_only(store_path)
+        full = _run_shards_only(store_path, codec="json")
+        batch_sizes = []
+        original = ResultStore.append_many
+
+        def recording(self, records):
+            batch_sizes.append(len(records))
+            return original(self, records)
+
+        monkeypatch.setattr(ResultStore, "append_many", recording)
         monkeypatch.setenv("REPRO_MERGE_FLUSH_CHUNK", "16")
         summary = merge_shards(**full.specs[-1].params_dict())
         assert summary["points"] == len(GRID)
-        assert summary["block_records"] == 3  # 16 + 16 + 8 points
+        assert batch_sizes == [16, 16, 8]
 
     def test_streaming_summary_matches_points(self, tmp_path):
         store_path = tmp_path / "s.sqlite"

@@ -354,6 +354,22 @@ class TestSweepCommand:
         assert "25 points over 4 shards" in out
         assert "break_even_bits" in out
 
+    def test_sweep_store_holds_shard_payloads_only(self, capsys, tmp_path):
+        store = str(tmp_path / "sweep.sqlite")
+        assert main([
+            "sweep", self.TARGET,
+            "--parameter", "rate_bps",
+            "--min", "32000", "--max", "4096000", "--points", "25",
+            "--shards", "4", "--store", store, "--quiet",
+        ]) == 0
+        assert "columnar blocks" not in capsys.readouterr().out
+        assert main(["store", "verify", store]) == 0
+        capsys.readouterr()
+        assert main(["store", "info", store]) == 0
+        info = capsys.readouterr().out
+        assert "payload columnar-shard: 4 records" in info
+        assert "columnar-block" not in info
+
     def test_rerun_resolves_from_cache(self, capsys, tmp_path):
         store = str(tmp_path / "sweep.jsonl")
         argv = [
