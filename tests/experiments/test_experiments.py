@@ -3,6 +3,8 @@ its shape (who wins, where crossovers fall, saturation points)."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import os
 import subprocess
@@ -20,6 +22,17 @@ from repro.experiments import (
     run_experiment,
     validate_experiment_ids,
 )
+
+#: The headline digests perfbench checks every ``registry`` op against.
+REFERENCE_DIGESTS = (
+    Path(__file__).resolve().parents[2] / "perfbench" / "registry_reference.json"
+)
+
+
+def headline_digest(headline) -> str:
+    """SHA-256 of a headline, as ``perfbench/workloads.py`` takes it."""
+    text = json.dumps(headline, sort_keys=True, default=repr)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class TestRegistry:
@@ -283,6 +296,15 @@ class TestSimValidate:
         result = run_experiment("sim-validate", cycles_per_point=60)
         assert result.headline["all_agree"]
         assert result.headline["worst_energy_error"] < 0.01
+
+    def test_default_headline_matches_reference_digest(self):
+        # Pure IEEE float arithmetic: the same bits on every Python.
+        headline = run_experiment("sim-validate").headline
+        assert headline["all_agree"]
+        assert headline["worst_energy_error"] < 0.01
+        assert headline["worst_cycle_error"] < 0.01
+        digests = json.loads(REFERENCE_DIGESTS.read_text())["digests"]
+        assert headline_digest(headline) == digests["sim-validate"]
 
 
 class TestDRAMNegligible:
