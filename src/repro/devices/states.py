@@ -51,6 +51,15 @@ LEGAL_TRANSITIONS: dict[PowerState, frozenset[PowerState]] = {
     PowerState.SHUTDOWN: frozenset({PowerState.STANDBY}),
 }
 
+#: Each state's slot in a machine's tallies: advancing the clock indexes
+#: lists rather than hashing an enum member.
+_STATES = tuple(PowerState)
+_SLOT = {state: slot for slot, state in enumerate(_STATES)}
+_LEGAL_SLOTS = tuple(
+    tuple(target in LEGAL_TRANSITIONS[state] for target in _STATES)
+    for state in _STATES
+)
+
 
 @dataclass(frozen=True)
 class StateVisit:
@@ -89,31 +98,29 @@ class PowerStateMachine:
         record_visits: bool = False,
     ):
         self.device = device
-        self._power: dict[PowerState, float] = {
+        power_w = {
             PowerState.STANDBY: device.standby_power_w,
             PowerState.SEEK: device.seek_power_w,
             PowerState.READ_WRITE: device.read_write_power_w,
             PowerState.IDLE: device.idle_power_w,
             PowerState.SHUTDOWN: device.shutdown_power_w,
         }
+        self._power_w = tuple(power_w[state] for state in _STATES)
         self._state = initial_state
+        self._slot = _SLOT[initial_state]
         self._state_entry_time = 0.0
         self._now = 0.0
         self._energy_j = 0.0
-        self._time_in_state: dict[PowerState, float] = {
-            state: 0.0 for state in PowerState
-        }
-        self._energy_in_state: dict[PowerState, float] = {
-            state: 0.0 for state in PowerState
-        }
-        self._transition_counts: dict[tuple[PowerState, PowerState], int] = {}
+        self._time_in_slot = [0.0] * len(_STATES)
+        self._energy_in_slot = [0.0] * len(_STATES)
+        self._entries = [0] * len(_STATES)
         self._visits: list[StateVisit] | None = [] if record_visits else None
 
     # -- static power table ---------------------------------------------------
 
     def power_of(self, state: PowerState) -> float:
         """Electrical power (watts) drawn in ``state``."""
-        return self._power[state]
+        return self._power_w[_SLOT[state]]
 
     # -- clock ------------------------------------------------------------------
 
@@ -133,16 +140,18 @@ class PowerStateMachine:
             raise SimulationError(
                 f"cannot advance time by a negative duration ({duration_s!r})"
             )
-        energy = self.power_of(self._state) * duration_s
+        slot = self._slot
+        energy = self._power_w[slot] * duration_s
         self._now += duration_s
         self._energy_j += energy
-        self._time_in_state[self._state] += duration_s
-        self._energy_in_state[self._state] += energy
+        self._time_in_slot[slot] += duration_s
+        self._energy_in_slot[slot] += energy
         return energy
 
     def transition(self, new_state: PowerState) -> None:
         """Move to ``new_state`` (legality-checked, instantaneous)."""
-        if new_state not in LEGAL_TRANSITIONS[self._state]:
+        slot = _SLOT[new_state]
+        if not _LEGAL_SLOTS[self._slot][slot]:
             raise SimulationError(
                 f"illegal power-state transition {self._state} -> {new_state}"
             )
@@ -156,9 +165,9 @@ class PowerStateMachine:
                     * (self._now - self._state_entry_time),
                 )
             )
-        key = (self._state, new_state)
-        self._transition_counts[key] = self._transition_counts.get(key, 0) + 1
+        self._entries[slot] += 1
         self._state = new_state
+        self._slot = slot
         self._state_entry_time = self._now
 
     # -- accounting ---------------------------------------------------------------
@@ -170,19 +179,15 @@ class PowerStateMachine:
 
     def time_in(self, state: PowerState) -> float:
         """Total seconds spent in ``state``."""
-        return self._time_in_state[state]
+        return self._time_in_slot[_SLOT[state]]
 
     def energy_in(self, state: PowerState) -> float:
         """Total joules consumed in ``state``."""
-        return self._energy_in_state[state]
+        return self._energy_in_slot[_SLOT[state]]
 
     def transitions_into(self, state: PowerState) -> int:
         """Number of transitions that entered ``state``."""
-        return sum(
-            count
-            for (_, target), count in self._transition_counts.items()
-            if target is state
-        )
+        return self._entries[_SLOT[state]]
 
     @property
     def seek_count(self) -> int:
@@ -198,8 +203,8 @@ class PowerStateMachine:
         """Per-state ``{"time_s": ..., "energy_j": ...}`` summary."""
         return {
             state.value: {
-                "time_s": self._time_in_state[state],
-                "energy_j": self._energy_in_state[state],
+                "time_s": self._time_in_slot[slot],
+                "energy_j": self._energy_in_slot[slot],
             }
-            for state in PowerState
+            for slot, state in enumerate(_STATES)
         }

@@ -323,6 +323,16 @@ def _evaluate_shard_points(
                 {name: lists[name][index] for name in lists}
                 for index in range(count)
             ]
+        elif (
+            chosen == CODEC_COLUMNAR
+            and isinstance(result, np.ndarray)
+            and result.ndim == 1
+        ):
+            # One array of point values packs by its dtype; listing it
+            # would give numpy scalars, which the codec stores as JSON.
+            series = _check_series({SCALAR_COLUMN: result}, count)
+            payload = _codec.pack_series(values, series, KIND_SCALAR)
+            return {"parameter": parameter, **payload}
         else:
             points = list(result)
             if len(points) != count:

@@ -1,16 +1,15 @@
-"""A small discrete-event simulation (DES) kernel.
+"""A small discrete-event simulation (DES) kernel, and signal monitors.
 
-The paper's evaluation is analytical, but reproducing it credibly calls
-for an executable counterpart of the Figure 1b pipeline to validate the
-closed forms against.  simpy is not available in this environment, so this
-package provides a compatible-in-spirit kernel:
+The streaming pipeline (:mod:`repro.streaming.pipeline`) used to run on
+this kernel; it now runs as one direct event loop and only records with
+:mod:`repro.sim.monitor`.  No pipeline uses the engine or the resources
+any more, and their deletion is pending.  What the package holds:
 
 * :class:`~repro.sim.engine.Environment` — event loop and virtual clock,
 * :class:`~repro.sim.engine.Event` / ``Timeout`` / ``Process`` —
   generator-based processes that ``yield`` events,
 * :class:`~repro.sim.engine.AnyOf` / ``AllOf`` — condition events,
-* :class:`~repro.sim.resources.Container` — fluid level resource (the
-  streaming buffer),
+* :class:`~repro.sim.resources.Container` — fluid level resource,
 * :class:`~repro.sim.resources.Store` — FIFO object store,
 * :class:`~repro.sim.monitor.TimeSeriesMonitor` — piecewise-constant and
   piecewise-linear signal recording with exact time integrals.

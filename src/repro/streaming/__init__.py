@@ -1,10 +1,10 @@
 """Executable streaming architecture: device + DRAM buffer + workload.
 
 The analytic models of :mod:`repro.core` describe the steady state of the
-Figure 1 pipeline; this package *runs* that pipeline on the DES kernel so
-the closed forms can be validated against an executable system, and so
-scenarios the closed forms cannot capture (variable bit rate, mid-stream
-rate switches, underruns) can be studied.
+Figure 1 pipeline; this package *runs* that pipeline, event by event in
+one direct event loop, so the closed forms can be validated against an
+executable system, and so scenarios the closed forms cannot capture
+(variable bit rate, mid-stream rate switches, underruns) can be studied.
 
 * :mod:`repro.streaming.buffer` — fluid buffer with underrun detection,
 * :mod:`repro.streaming.workload` — CBR/VBR stream descriptions,

@@ -4,8 +4,8 @@ Between simulation events the buffer's fill level is a linear function of
 time — filled at the device rate, drained at the stream rate — so instead
 of ticking bit by bit, :class:`FluidBuffer` integrates rates analytically
 between events and predicts the exact times at which it would run empty or
-full.  This keeps the DES event count at a handful per refill cycle while
-remaining exact for piecewise-constant rates.
+full.  This keeps the pipeline's event count at a handful per refill
+cycle while remaining exact for piecewise-constant rates.
 """
 
 from __future__ import annotations
@@ -97,6 +97,12 @@ class FluidBuffer:
 
     def advance(self, time: float) -> None:
         """Integrate the level forward to ``time`` under current rates."""
+        if time == self._time:
+            # Nothing elapsed.  Under finite rates the update below would
+            # only turn the level into a float (an int capacity or snap
+            # target into its float value, -0.0 into 0.0): ``+ 0.0`` does.
+            self._level += 0.0
+            return
         if time < self._time - 1e-12:
             raise SimulationError(
                 f"buffer time went backwards ({self._time!r} -> {time!r})"

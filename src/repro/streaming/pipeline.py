@@ -12,11 +12,13 @@ Two executable policies:
   energy saving ``E`` is measured against: the device never shuts down,
   idling between refills.
 
-Both run on the DES kernel with a fluid buffer: a handful of events per
-cycle, exact for piecewise-constant rates, underruns detected at their
-exact times.  Variable-bit-rate streams are supported; the controller
-re-plans its sleep whenever the consumption rate changes (it waits on
-*either* its planned timeout *or* a rate-change notification).
+Each run is one direct event loop over a fluid buffer and a power-state
+machine: a handful of events per cycle, exact for piecewise-constant
+rates, underruns detected at their exact times.  The policy is
+straight-line code whose every wait ends at the earliest of three
+moments: its own planned moment, the stream's next rate change and the
+stream's end.  Variable-bit-rate streams are supported; the controller
+re-plans its sleep and its refill whenever the consumption rate changes.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from ..config import (
 from ..devices.dram import DRAMPowerModel
 from ..devices.states import PowerState, PowerStateMachine
 from ..errors import ConfigurationError, SimulationError
-from ..sim.engine import AnyOf, Environment
 from ..sim.monitor import CounterMonitor, TimeSeriesMonitor
 from .buffer import FluidBuffer
 from .stats import SimulationReport
@@ -39,6 +40,8 @@ from .workload import CBRStream, StreamDescription
 
 #: Numerical slack when comparing fluid levels (bits).
 _LEVEL_EPS = 1e-6
+
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -79,12 +82,14 @@ class PipelineConfig:
 class _PipelineBase:
     """Machinery shared by the shutdown and always-on policies."""
 
+    #: Snap a level found within slack of the wake level onto it.
+    _snap_early = False
+
     def __init__(self, config: PipelineConfig):
         self.config = config
         self.workload = (
             config.workload if config.workload is not None else WorkloadConfig()
         )
-        self.env = Environment()
         self.buffer = FluidBuffer(
             config.buffer_bits,
             initial_bits=config.buffer_bits * config.initial_fill_fraction,
@@ -98,10 +103,11 @@ class _PipelineBase:
             if config.record_level
             else None
         )
+        self._now = 0.0
         self._drain_bps = 0.0
         self._fill_bps = 0.0
-        self._rate_change = self.env.event()
         self._stream_ended = False
+        self._change_at = _INF
         self._best_effort_s = 0.0
         self._first_full_s: float | None = (
             0.0 if config.initial_fill_fraction >= 1.0 else None
@@ -112,17 +118,22 @@ class _PipelineBase:
     def _initial_state(self) -> PowerState:
         raise NotImplementedError
 
-    def _controller(self):
+    def _wake_level(self) -> float:
+        """Buffer level at which the controller ends its sleep."""
+        raise NotImplementedError
+
+    def _control(self) -> None:
+        """The policy's event loop; returns once the stream has ended."""
         raise NotImplementedError
 
     # -- plumbing -----------------------------------------------------------------
 
     def _apply_rates(self) -> None:
         self.buffer.set_rates(
-            self.env.now, fill_bps=self._fill_bps, drain_bps=self._drain_bps
+            self._now, fill_bps=self._fill_bps, drain_bps=self._drain_bps
         )
         if self.level_monitor is not None:
-            self.level_monitor.record(self.env.now, self.buffer.level_bits)
+            self.level_monitor.record(self._now, self.buffer.level_bits)
 
     def _set_fill(self, rate_bps: float) -> None:
         self._fill_bps = rate_bps
@@ -132,42 +143,114 @@ class _PipelineBase:
         self._drain_bps = rate_bps
         self._apply_rates()
 
-    def _notify_rate_change(self) -> None:
-        event, self._rate_change = self._rate_change, self.env.event()
-        event.succeed()
-
     def _mark_refill(self) -> None:
         self.counters.increment("refill")
         if self._first_full_s is None:
-            self._first_full_s = self.env.now
+            self._first_full_s = self._now
 
-    def _consumer(self, duration_s: float):
-        """Drive the decoder's consumption rate from the stream description."""
+    # -- the event loop -------------------------------------------------------------
+
+    def _stream_events(self, duration_s: float):
+        """The decoder's side: yields the stream's next moment.
+
+        Resuming it at that moment applies the rate change there (and
+        any others due by then), or ends the stream.
+        """
         for change_time, rate in self.config.stream.rate_changes(duration_s):
-            if change_time > self.env.now:
-                yield self.env.timeout(change_time - self.env.now)
+            if change_time > self._now:
+                yield self._now + (change_time - self._now)
             self._set_drain(rate)
-            self._notify_rate_change()
-        if duration_s > self.env.now:
-            yield self.env.timeout(duration_s - self.env.now)
+        if duration_s > self._now:
+            yield self._now + (duration_s - self._now)
         self._stream_ended = True
         self._set_drain(0.0)
-        self._notify_rate_change()
 
-    def _wait(self, delay_s: float):
-        """Sleep for ``delay_s`` or until the consumption rate changes.
+    def _land(self) -> None:
+        """Move to the stream's next moment and apply it."""
+        self._now = self._change_at
+        self._change_at = next(self._stream, _INF)
 
-        Returns ``(condition, timeout)``: yielding the condition wakes the
-        caller on whichever fires first; the caller checks whether the
-        timeout is among the fired events to learn if its *planned* moment
-        arrived (as opposed to a re-planning request).
+    def _sleep(self, delay_s: float) -> None:
+        """A wait the stream cannot cut short (seek, best effort, shutdown).
+
+        Rate changes inside it apply at their own moments.  One that
+        lands on the wake-up moment itself applies first only if it was
+        planned before the wait began, that is if no change landed
+        during the wait.
         """
-        timeout = self.env.timeout(delay_s)
-        return AnyOf(self.env, (timeout, self._rate_change)), timeout
+        start = self._now
+        wake = start + delay_s
+        landed = False
+        while self._change_at < wake or (
+            self._change_at == wake and not landed
+        ):
+            self._land()
+            landed = True
+        self._now = wake
+        self.buffer.advance(wake)
+        self.power.advance(wake - start)
 
-    def _advance_power(self, start_s: float) -> None:
-        """Charge the power machine for time elapsed since ``start_s``."""
-        self.power.advance(self.env.now - start_s)
+    def _wait(self, delay_s: float) -> bool:
+        """Wait ``delay_s``, or less if the stream changes strictly sooner.
+
+        Returns True when the planned moment arrived.  A change at that
+        very moment applies first, and the moment still counts as
+        arrived.  An infinite delay waits for the next change.
+        """
+        start = self._now
+        wake = start + delay_s
+        arrived = self._change_at >= wake
+        if self._change_at <= wake:
+            self._land()
+        else:
+            self._now = wake
+        self.buffer.advance(self._now)
+        self.power.advance(self._now - start)
+        return arrived
+
+    def _sleep_until_wake(self) -> bool:
+        """Standby or idle until the buffer drains to the wake level.
+
+        Returns False once the stream has ended.
+        """
+        while True:
+            self.buffer.advance(self._now)
+            if self._stream_ended:
+                return False
+            level = self._wake_level()
+            # Compare with slack: accumulated float error must not leave
+            # the controller waiting for a crossing that already happened.
+            if self.buffer.level_bits <= level + _LEVEL_EPS:
+                if self._snap_early:
+                    self.buffer.snap_to(level)
+                return True
+            if self._wait(self.buffer.time_to_level(level)):
+                # The planned crossing arrived; absorb the float residue
+                # that sub-resolution waits cannot close.
+                self.buffer.snap_to(level)
+                return True
+
+    def _refill(self) -> None:
+        """Read/write: refill the buffer to the brim at the media rate."""
+        capacity = self.config.buffer_bits
+        self.power.transition(PowerState.READ_WRITE)
+        self._set_fill(self.config.device.transfer_rate_bps)
+        while True:
+            self.buffer.advance(self._now)
+            if self.buffer.level_bits >= capacity - _LEVEL_EPS:
+                self.buffer.snap_to(capacity)
+                break
+            wait = self.buffer.time_to_full()
+            if wait == _INF:
+                raise SimulationError(
+                    "refill cannot complete: fill rate does not exceed "
+                    "the drain rate"
+                )
+            if self._wait(wait):
+                self.buffer.snap_to(capacity)
+                break
+        self._set_fill(0.0)
+        self._mark_refill()
 
     # -- entry point ------------------------------------------------------------------
 
@@ -175,10 +258,10 @@ class _PipelineBase:
         """Simulate ``duration_s`` seconds of streaming; returns the report."""
         if duration_s <= 0:
             raise ConfigurationError("duration must be > 0")
-        self.env.process(self._consumer(duration_s))
-        controller = self.env.process(self._controller())
-        self.env.run(until=controller)
-        self.buffer.advance(self.env.now)
+        self._stream = self._stream_events(duration_s)
+        self._change_at = next(self._stream, _INF)
+        self._control()
+        self.buffer.advance(self._now)
         return self._report(duration_s)
 
     def _report(self, duration_s: float) -> SimulationReport:
@@ -232,7 +315,7 @@ class StreamingPipeline(_PipelineBase):
     def _initial_state(self) -> PowerState:
         return PowerState.STANDBY
 
-    def _wake_threshold(self) -> float:
+    def _wake_level(self) -> float:
         """Buffer level at which the device must start its seek.
 
         Sized for the *peak* consumption rate, not the current one: a
@@ -258,151 +341,45 @@ class StreamingPipeline(_PipelineBase):
         cycle = self.config.buffer_bits * rm / (rate * (rm - rate))
         return self.workload.best_effort_fraction * cycle
 
-    def _controller(self):
+    def _control(self) -> None:
         device = self.config.device
-        while True:
-            # --- STANDBY: sleep until the wake threshold (or stream end).
-            while True:
-                self.buffer.advance(self.env.now)
-                if self._stream_ended:
-                    return
-                threshold = self._wake_threshold()
-                # Compare with slack: accumulated float error must not
-                # leave the controller waiting for a crossing that already
-                # happened.
-                if self.buffer.level_bits <= threshold + _LEVEL_EPS:
-                    break
-                wait = self.buffer.time_to_level(threshold)
-                start = self.env.now
-                if wait == float("inf"):
-                    yield self._rate_change
-                    self._advance_power(start)
-                else:
-                    condition, timeout = self._wait(wait)
-                    fired = yield condition
-                    self.buffer.advance(self.env.now)
-                    self._advance_power(start)
-                    if timeout in fired:
-                        # The planned crossing arrived; absorb the float
-                        # residue that sub-resolution waits cannot close.
-                        self.buffer.snap_to(threshold)
-                        break
-
+        # STANDBY until the wake threshold (or the stream's end).
+        while self._sleep_until_wake():
             # The best-effort batch is sized by the cycle it accrued in:
             # plan it now, while the cycle's consumption rate is current
             # (at stream end the drain drops to zero, but the work already
             # batched during the cycle still has to be served).
-            planned_best_effort = self._planned_best_effort_s()
-
-            # --- SEEK: reposition for the refill.
+            best_effort = self._planned_best_effort_s()
+            # SEEK: reposition for the refill.
             self.power.transition(PowerState.SEEK)
-            start = self.env.now
-            yield self.env.timeout(device.seek_time_s)
-            self.buffer.advance(self.env.now)
-            self._advance_power(start)
-
-            # --- READ/WRITE: refill the buffer to the brim.
-            self.power.transition(PowerState.READ_WRITE)
-            self._set_fill(device.transfer_rate_bps)
-            while True:
-                self.buffer.advance(self.env.now)
-                if self.buffer.level_bits >= self.config.buffer_bits - _LEVEL_EPS:
-                    self.buffer.snap_to(self.config.buffer_bits)
-                    break
-                wait = self.buffer.time_to_full()
-                if wait == float("inf"):
-                    raise SimulationError(
-                        "refill cannot complete: fill rate does not exceed "
-                        "the drain rate"
-                    )
-                start = self.env.now
-                condition, timeout = self._wait(wait)
-                fired = yield condition
-                self.buffer.advance(self.env.now)
-                self._advance_power(start)
-                if timeout in fired:
-                    self.buffer.snap_to(self.config.buffer_bits)
-                    break
-            self._set_fill(0.0)
-            self._mark_refill()
-
-            # --- Best-effort batch (still at read/write power).
-            best_effort = planned_best_effort
+            self._sleep(device.seek_time_s)
+            self._refill()
+            # Best-effort batch (still at read/write power).
             if best_effort > 0:
-                start = self.env.now
-                yield self.env.timeout(best_effort)
-                self.buffer.advance(self.env.now)
-                self._advance_power(start)
+                self._sleep(best_effort)
                 self._best_effort_s += best_effort
                 self.counters.increment("best_effort_batch")
-
-            # --- SHUTDOWN into standby.
+            # SHUTDOWN into standby.
             self.power.transition(PowerState.SHUTDOWN)
-            start = self.env.now
-            yield self.env.timeout(device.shutdown_time_s)
-            self.buffer.advance(self.env.now)
-            self._advance_power(start)
+            self._sleep(device.shutdown_time_s)
             self.power.transition(PowerState.STANDBY)
 
 
 class AlwaysOnPipeline(_PipelineBase):
     """The always-on reference: refill when empty, idle otherwise."""
 
+    _snap_early = True
+
     def _initial_state(self) -> PowerState:
         return PowerState.IDLE
 
-    def _controller(self):
-        device = self.config.device
-        while True:
-            # --- IDLE: wait until the buffer is (effectively) empty.
-            while True:
-                self.buffer.advance(self.env.now)
-                if self._stream_ended:
-                    return
-                if self.buffer.level_bits <= _LEVEL_EPS:
-                    self.buffer.snap_to(0.0)
-                    break
-                wait = self.buffer.time_to_level(0.0)
-                start = self.env.now
-                if wait == float("inf"):
-                    yield self._rate_change
-                    self._advance_power(start)
-                else:
-                    condition, timeout = self._wait(wait)
-                    fired = yield condition
-                    self.buffer.advance(self.env.now)
-                    self._advance_power(start)
-                    if timeout in fired:
-                        self.buffer.snap_to(0.0)
-                        break
+    def _wake_level(self) -> float:
+        return 0.0
 
-            # --- READ/WRITE: refill to the brim, then idle again.
-            self.power.transition(PowerState.READ_WRITE)
-            self._set_fill(device.transfer_rate_bps)
-            while True:
-                self.buffer.advance(self.env.now)
-                if (
-                    self.buffer.level_bits
-                    >= self.config.buffer_bits - _LEVEL_EPS
-                ):
-                    self.buffer.snap_to(self.config.buffer_bits)
-                    break
-                wait = self.buffer.time_to_full()
-                if wait == float("inf"):
-                    raise SimulationError(
-                        "refill cannot complete: fill rate does not exceed "
-                        "the drain rate"
-                    )
-                start = self.env.now
-                condition, timeout = self._wait(wait)
-                fired = yield condition
-                self.buffer.advance(self.env.now)
-                self._advance_power(start)
-                if timeout in fired:
-                    self.buffer.snap_to(self.config.buffer_bits)
-                    break
-            self._set_fill(0.0)
-            self._mark_refill()
+    def _control(self) -> None:
+        # IDLE until the buffer is (effectively) empty, then refill.
+        while self._sleep_until_wake():
+            self._refill()
             self.power.transition(PowerState.IDLE)
 
 

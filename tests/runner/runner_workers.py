@@ -79,6 +79,18 @@ def array_curve(values):
     return {"double": grid * 2.0, "index": np.arange(len(grid))}
 
 
+def doubled(values):
+    """Batch target returning one float array: one value per point."""
+    import numpy as np
+
+    return np.asarray(values, dtype=float) * 2.0
+
+
+def doubled_short(values):
+    """Mis-sized array target: one value too few."""
+    return doubled(values)[:-1]
+
+
 def infeasible_above_two(x):
     """Scalar sweep target that turns infeasible past x=2."""
     from repro.errors import InfeasibleDesignError

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from repro.errors import ConfigurationError
 from repro.runner import (
     Campaign,
     ResultStore,
+    collect_arrays,
     collect_points,
     lookup_point,
     run_campaign,
@@ -132,6 +134,41 @@ class TestEvaluateShard:
             {"double": 4.0, "index": 1},
         ]
         assert all(type(p["index"]) is int for p in legacy["points"])
+
+    def test_single_array_target_packs_one_binary_column(self, tmp_path):
+        """A target returning one array stores one ``<f8`` scalar column.
+
+        Listing the array gave numpy scalars, which the codec's exact
+        type scan sent to an inline JSON column.
+        """
+        grid = [0.1 * step for step in range(1, 41)]
+        payload = evaluate_shard(
+            "runner_workers:doubled", "values", grid[:3], codec="columnar"
+        )
+        assert payload["points_kind"] == "scalar"
+        assert [(c["name"], c["dtype"]) for c in payload["columns"]] == [
+            ("value", "<f8")
+        ]
+        store_path = str(tmp_path / "s.sqlite")
+        sweep = ("doubled", "runner_workers:doubled", "values", grid)
+        assert run_sharded_sweep(*sweep, store_path=store_path, shards=3).ok
+        campaign = sharded_sweep_campaign(
+            *sweep, store_path=store_path, shards=3
+        )
+        expected = [value * 2.0 for value in grid]
+        values, points = collect_points(store_path, campaign)
+        assert values == grid and points == expected
+        assert all(type(point) is float for point in points)
+        columns = collect_arrays(store_path, campaign)
+        assert columns.points_kind == "scalar"
+        assert columns.columns["value"].dtype == np.float64
+        assert columns.columns["value"].tolist() == expected
+
+    def test_single_array_length_mismatch_rejected(self):
+        with pytest.raises(ConfigurationError):
+            evaluate_shard(
+                "runner_workers:doubled_short", "values", [1.0, 2.0, 3.0]
+            )
 
     def test_array_target_packs_like_its_old_lists(self):
         """Packing the model's columns gives the bytes its lists gave.

@@ -48,6 +48,25 @@ class TestLevelIntegration:
         with pytest.raises(SimulationError):
             buffer.level_at(4.0)
 
+    def test_advance_with_no_elapsed_time(self):
+        # An int level (an int capacity or snap target) reads as its
+        # float after any advance, one with no elapsed time included.
+        buffer = FluidBuffer(1000)
+        buffer.set_rates(0.0, drain_bps=100)
+        assert type(buffer.level_bits) is float
+        assert buffer.level_bits == 1000.0
+        buffer.advance(2.0)
+        buffer.snap_to(800)
+        buffer.advance(2.0)
+        assert type(buffer.level_bits) is float
+        assert buffer.level_bits == 800.0
+        # A time within 1e-12 before the clock drains nothing, and the
+        # clock takes that earlier value.
+        buffer.advance(2.0 - 5e-13)
+        assert buffer.now == 2.0 - 5e-13
+        assert buffer.level_bits == 800.0
+        assert buffer.total_drained_bits == 200.0
+
     def test_invalid_construction(self):
         with pytest.raises(SimulationError):
             FluidBuffer(0)

@@ -134,6 +134,21 @@ def test_cached_campaign_loads_no_numpy_models_or_experiments(tmp_path):
     assert experiments == ["repro.experiments", "repro.experiments.catalog"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("-c", "import repro.streaming.pipeline"),
+        ("-m", "repro", "simulate", "--rate", "1024", "--buffer-kb", "20",
+         "--duration", "1"),
+    ],
+    ids=["import-pipeline", "simulate"],
+)
+def test_simulator_runs_without_the_des_engine(argv):
+    modules = imported(fresh_python(*argv))
+    assert "repro.streaming.pipeline" in modules
+    assert loaded_of(modules, ("repro.sim.engine",)) == []
+
+
 def test_bad_flush_chunk_env_does_not_break_import():
     # Read when a sweep is built, not when the module loads.
     fresh_python(
