@@ -6,15 +6,12 @@ abstracts all of this into a constant 2 ms seek and a 100 kbps per-probe
 rate; this module keeps the underlying geometry explicit so that
 
 * the Table I abstraction can be *derived* rather than asserted
-  (bit pitch from areal density, track counts, full-stroke seek distance),
-* distance-based seek models (:class:`~repro.devices.seek.DistanceSeekModel`)
-  have real coordinates to work with, and
-* ablation studies can scale the medium (density, field size, probe count).
+  (bit pitch from areal density, track counts, raw capacity), and
+* technology scaling (:mod:`repro.devices.scaling`) can scale the
+  medium (density, field size, probe count).
 
 Geometry conventions: bits are laid out on horizontal *tracks* inside each
-probe field; a sled displacement of ``(dx, dy)`` moves every probe by the
-same vector, so positioning to a (track, offset) pair is a single shared
-mechanical move.
+probe field, on an isotropic bit cell.
 """
 
 from __future__ import annotations
@@ -121,36 +118,6 @@ class ProbeArrayGeometry:
     def raw_capacity_gb(self) -> float:
         """Raw medium capacity in decimal gigabytes."""
         return units.bits_to_gb(self.raw_capacity_bits)
-
-    # -- positioning ----------------------------------------------------------------
-
-    def locate_bit(self, bit_index: int) -> tuple[int, float, float]:
-        """Map a per-field bit index to (track, x_um, y_um) coordinates.
-
-        Tracks are scanned boustrophedon (alternating direction), the usual
-        probe-storage layout, so consecutive bits never require a flyback.
-        """
-        if not 0 <= bit_index < self.bits_per_field:
-            raise ConfigurationError(
-                f"bit index {bit_index} outside field "
-                f"(0..{self.bits_per_field - 1})"
-            )
-        track, offset = divmod(bit_index, self.bits_per_track)
-        pitch_um = self.bit_pitch_m * 1e6
-        if track % 2 == 1:  # reverse-direction track
-            offset = self.bits_per_track - 1 - offset
-        return track, offset * pitch_um, track * pitch_um
-
-    def seek_distance_um(self, from_bit: int, to_bit: int) -> float:
-        """Euclidean sled displacement between two per-field bit positions."""
-        _, x0, y0 = self.locate_bit(from_bit)
-        _, x1, y1 = self.locate_bit(to_bit)
-        return math.hypot(x1 - x0, y1 - y0)
-
-    @property
-    def full_stroke_um(self) -> float:
-        """Longest possible sled displacement (field diagonal, µm)."""
-        return math.hypot(self.field_x_um, self.field_y_um)
 
     def density_for_capacity(self, capacity_bits: float) -> float:
         """Areal density (Tb/in^2) needed to store ``capacity_bits``.

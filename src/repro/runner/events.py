@@ -182,22 +182,6 @@ class EventBus:
         """Add one subscriber (receives every subsequent event)."""
         self._subscribers.append(subscriber)
 
-    def unsubscribe(self, subscriber: Subscriber) -> bool:
-        """Remove one subscriber; returns whether it was subscribed.
-
-        Safe to call from inside a subscriber callback during fanout:
-        delivery of the in-flight event still reaches every subscriber
-        that was registered when ``publish()`` snapshotted the list
-        (including the one being removed), and no later subscriber is
-        skipped or delivered twice.  The removed subscriber receives no
-        subsequent events.
-        """
-        try:
-            self._subscribers.remove(subscriber)
-        except ValueError:
-            return False
-        return True
-
     @property
     def subscribers(self) -> tuple[Subscriber, ...]:
         return tuple(self._subscribers)
@@ -227,9 +211,9 @@ class EventBus:
             **fields,
         )
         first_error: BaseException | None = None
-        # Snapshot: a subscriber unsubscribing (itself or another)
-        # mid-fanout must not shift the iteration and skip or
-        # double-deliver to later subscribers.
+        # Snapshot: a subscriber that subscribes another one mid-fanout
+        # must not extend this event's delivery; the newcomer sees the
+        # next event first.
         for subscriber in tuple(self._subscribers):
             try:
                 subscriber(event)

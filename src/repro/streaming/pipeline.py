@@ -173,19 +173,14 @@ class _PipelineBase:
     def _sleep(self, delay_s: float) -> None:
         """A wait the stream cannot cut short (seek, best effort, shutdown).
 
-        Rate changes inside it apply at their own moments.  One that
-        lands on the wake-up moment itself applies first only if it was
-        planned before the wait began, that is if no change landed
-        during the wait.
+        Rate changes inside it apply at their own moments, and so does
+        one that lands on the wake-up moment itself: every stream event
+        at or before that moment applies before the controller resumes.
         """
         start = self._now
         wake = start + delay_s
-        landed = False
-        while self._change_at < wake or (
-            self._change_at == wake and not landed
-        ):
+        while self._change_at <= wake:
             self._land()
-            landed = True
         self._now = wake
         self.buffer.advance(wake)
         self.power.advance(wake - start)
@@ -225,6 +220,9 @@ class _PipelineBase:
                     self.buffer.snap_to(level)
                 return True
             if self._wait(self.buffer.time_to_level(level)):
+                if self._stream_ended:
+                    # The stream ended at the crossing: no cycle starts.
+                    return False
                 # The planned crossing arrived; absorb the float residue
                 # that sub-resolution waits cannot close.
                 self.buffer.snap_to(level)

@@ -1,4 +1,4 @@
-"""Disk-drive comparator tests."""
+"""The 1.8-inch disk comparator against MEMS, through the energy model."""
 
 from __future__ import annotations
 
@@ -6,49 +6,6 @@ import pytest
 
 from repro import units
 from repro.core.energy import EnergyModel
-from repro.devices.disk import DiskDrive
-from repro.devices.states import PowerState
-from repro.errors import SimulationError
-
-
-@pytest.fixture()
-def drive(disk):
-    return DiskDrive(disk)
-
-
-class TestSpinCycle:
-    def test_full_cycle(self, drive, disk):
-        drive.standby(10.0)
-        spin_time = drive.spin_up()
-        transfer_time = drive.transfer(1e6)
-        drive.spin_down()
-        assert spin_time == disk.seek_time_s
-        expected = (
-            disk.standby_power_w * 10.0
-            + disk.seek_power_w * spin_time
-            + disk.read_write_power_w * transfer_time
-            + disk.shutdown_power_w * disk.shutdown_time_s
-        )
-        assert drive.total_energy_j == pytest.approx(expected)
-        assert drive.spin_up_count == 1
-
-    def test_idle_between_transfers(self, drive, disk):
-        drive.spin_up()
-        drive.transfer(1e6)
-        drive.idle(5.0)
-        assert drive.power.energy_in(PowerState.IDLE) == pytest.approx(
-            disk.idle_power_w * 5.0
-        )
-
-    def test_standby_discipline(self, drive):
-        drive.spin_up()
-        with pytest.raises(SimulationError):
-            drive.standby(1.0)
-
-    def test_negative_transfer_rejected(self, drive):
-        drive.spin_up()
-        with pytest.raises(SimulationError):
-            drive.transfer(-1)
 
 
 class TestPaperComparison:

@@ -2,11 +2,7 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.devices.geometry import ProbeArrayGeometry
 from repro.errors import ConfigurationError
@@ -71,46 +67,3 @@ class TestLayout:
     def test_tracks_and_bits_positive(self, geometry):
         assert geometry.bits_per_track > 0
         assert geometry.tracks_per_field > 0
-
-    def test_locate_first_bit(self, geometry):
-        track, x, y = geometry.locate_bit(0)
-        assert track == 0 and x == 0.0 and y == 0.0
-
-    def test_boustrophedon_reversal(self, geometry):
-        per_track = geometry.bits_per_track
-        # Last bit of track 0 and first bit of track 1 share (almost) the
-        # same x: the scan direction reverses.
-        _, x_end0, _ = geometry.locate_bit(per_track - 1)
-        _, x_start1, _ = geometry.locate_bit(per_track)
-        assert x_start1 == pytest.approx(x_end0)
-
-    def test_track_increments(self, geometry):
-        per_track = geometry.bits_per_track
-        track, _, y = geometry.locate_bit(3 * per_track + 5)
-        assert track == 3
-        assert y == pytest.approx(3 * geometry.bit_pitch_m * 1e6)
-
-    def test_rejects_out_of_field(self, geometry):
-        with pytest.raises(ConfigurationError):
-            geometry.locate_bit(-1)
-        with pytest.raises(ConfigurationError):
-            geometry.locate_bit(geometry.bits_per_field)
-
-    @given(st.integers(min_value=0), st.integers(min_value=0))
-    @settings(max_examples=50)
-    def test_seek_distance_bounded_by_diagonal(self, a, b):
-        geometry = ProbeArrayGeometry()
-        a %= geometry.bits_per_field
-        b %= geometry.bits_per_field
-        distance = geometry.seek_distance_um(a, b)
-        assert 0 <= distance <= geometry.full_stroke_um + 1e-9
-
-    def test_seek_distance_symmetric(self, geometry):
-        assert geometry.seek_distance_um(0, 12345) == pytest.approx(
-            geometry.seek_distance_um(12345, 0)
-        )
-
-    def test_full_stroke(self, geometry):
-        assert geometry.full_stroke_um == pytest.approx(
-            math.hypot(100.0, 100.0)
-        )

@@ -297,14 +297,33 @@ class TestSimValidate:
         assert result.headline["all_agree"]
         assert result.headline["worst_energy_error"] < 0.01
 
-    def test_default_headline_matches_reference_digest(self):
-        # Pure IEEE float arithmetic: the same bits on every Python.
+    def test_default_headline_agrees_with_equation_1(self):
         headline = run_experiment("sim-validate").headline
         assert headline["all_agree"]
         assert headline["worst_energy_error"] < 0.01
         assert headline["worst_cycle_error"] < 0.01
-        digests = json.loads(REFERENCE_DIGESTS.read_text())["digests"]
-        assert headline_digest(headline) == digests["sim-validate"]
+
+
+class TestReferenceDigests:
+    """Every artefact's headline, bit for bit, as perfbench checks it."""
+
+    REFERENCE = json.loads(REFERENCE_DIGESTS.read_text())
+
+    def test_every_artefact_has_a_reference_digest(self):
+        assert sorted(self.REFERENCE["digests"]) == sorted(EXPERIMENTS)
+
+    @pytest.mark.parametrize(
+        "experiment_id", sorted(REFERENCE["digests"])
+    )
+    def test_headline_digest(self, experiment_id):
+        overrides = (
+            {"seed": self.REFERENCE["wear_seed"]}
+            if experiment_id == "wear-balance"
+            else {}
+        )
+        headline = run_experiment(experiment_id, **overrides).headline
+        digest = self.REFERENCE["digests"][experiment_id]
+        assert headline_digest(headline) == digest
 
 
 class TestDRAMNegligible:

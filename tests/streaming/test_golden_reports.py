@@ -5,8 +5,12 @@ these show that it does not move at all.  Each case runs one pipeline
 and hashes every field of its :class:`SimulationReport` (floats by
 ``repr``, level samples included) together with the power machine's
 per-state transition counts and breakdown.  The digests were recorded
-from the generator-process pipeline that ran on ``repro.sim.engine``,
-so any rewrite of the pipeline has to reproduce them bit for bit.
+from the generator-process pipeline that ran on a generic DES engine
+(since deleted), so any rewrite of the pipeline has to reproduce them
+bit for bit.  Three were re-recorded since: ``shutdown-tie-end``,
+``shutdown-tie-change`` and ``standby-tie-end``, when the loop took one
+tie rule (every stream event at or before a wait's end applies before
+the controller resumes) instead of the engine's FIFO order.
 
 The VBR cases use traces drawn with stdlib ``random`` (whose
 ``random()`` sequence is fixed for a seed on every Python), not
@@ -104,15 +108,25 @@ def vbr_case(trace, buffer_bits, duration, **options):
     return StreamingPipeline(config), duration
 
 
+def planned_best_effort(buffer_bits, rate):
+    """One cycle's best-effort batch as the controller plans it."""
+    rm = DEVICE.transfer_rate_bps
+    return WORKLOAD.best_effort_fraction * (
+        buffer_bits * rm / (rate * (rm - rate))
+    )
+
+
 def shutdown_tie_case(rates, extra_s):
     """A stream event lands on the very end of a shutdown.
 
     Prefilled to the wake threshold, the device seeks at once and
     refills during a pause.  One rate change lands inside the shutdown
     that follows, and the next change (or the stream's end) exactly at
-    its end.  That last one was planned during the wait, so it applies
-    only after the controller has woken: with the buffer already below
-    the threshold, one more cycle starts at the old rate.
+    its end.  Like every stream event at or before a wait's end, that
+    last one applies before the controller resumes, although the buffer
+    is already below the threshold: the stream's end starts no further
+    cycle, and a new rate is in force when the next best-effort batch
+    is planned.
     """
     buffer_bits, threshold = 9000.0, 8000.0  # peak 4 Mbit/s x 2 ms seek
     fill = threshold / buffer_bits
@@ -133,8 +147,9 @@ def shutdown_tie_case(rates, extra_s):
 def standby_tie_end_case():
     """The stream ends exactly at the moment the standby sleep planned.
 
-    The end applies first and the planned moment still counts as
-    arrived, so the device wakes and runs one refill cycle.
+    The end applies before the controller resumes, and a stream that
+    has ended starts no cycle: the device stays in standby although
+    the crossing it waited for arrived.
     """
     buffer_bits, rate = 160_000.0, 1_234_567.0
     wake = (rate * DEVICE.seek_time_s - buffer_bits) / -rate
@@ -146,9 +161,10 @@ def standby_tie_end_case():
 def shutdown_tie_end_planned_case():
     """The stream ends exactly at the end of the first shutdown.
 
-    The end was planned before the shutdown began, so it applies before
-    the controller wakes, and no second cycle starts although the
-    buffer is below the wake threshold by then.
+    No change lands during the shutdown this time.  The end applies
+    before the controller resumes, as every stream event at or before a
+    wait's end does, so no second cycle starts although the buffer is
+    below the wake threshold by then.
     """
     buffer_bits, rate = 9000.0, 4_000_000.0
     fill = rate * DEVICE.seek_time_s / buffer_bits
@@ -157,13 +173,10 @@ def shutdown_tie_end_planned_case():
         buffer_bits,
     )
     rm = DEVICE.transfer_rate_bps
-    best_effort = WORKLOAD.best_effort_fraction * (
-        buffer_bits * rm / (rate * (rm - rate))
-    )
     end = (
         DEVICE.seek_time_s
         + (buffer_bits - seeked) / (rm - rate)
-        + best_effort
+        + planned_best_effort(buffer_bits, rate)
         + DEVICE.shutdown_time_s
     )
     return cbr_case(
@@ -238,7 +251,7 @@ def build_cases() -> dict:
 
 CASES = build_cases()
 
-#: Case id -> report digest, recorded from the engine-driven pipeline.
+#: Case id -> report digest (see the module docstring for their origin).
 GOLDEN = {
     "always-on-20kB-1.024e+06": "680be97d1d306cdfd5ebc23af5cb49ee9e0d8aabcec80a7d381be274da580858",
     "always-on-5kB-128000": "a2c2e72538dcd71acef3b739328c18cf534d330296789a3bb1bcd9c9bd3657e1",
@@ -249,10 +262,10 @@ GOLDEN = {
     "prefill-half": "edb324897df867a4e9b10238c6676816b73fcb781cdbb2817e722dd9c91fba67",
     "prefill-threshold": "6fc9b7d6e89adcffe75c6112a6d7a1794e0a91a4682b5d7be381e2095d4935fe",
     "record-level": "eb386c5874866cad654af0ec503f16186fdd80d24b01b603f7b96f2e970ccfa5",
-    "shutdown-tie-change": "be4f8b6b8befb4d63b5017dab69069f14bfb5849b98a5d4c4c22de287f0cd222",
-    "shutdown-tie-end": "7cd922759cf5f5979e0d62110e544061d0ff85f46f27cf682b085917ab33ee54",
+    "shutdown-tie-change": "116b6437f4aaaf087a4697f2c538fa1b5141cc2f3be0b40c7ed7deca23fed68f",
+    "shutdown-tie-end": "558d3577a62e42120ebdd8a7ed94db67925e09a0272889d205fb9645984b9274",
     "shutdown-tie-end-planned": "db4cb08d56b604ed7ba20a7d89775251cc420837936f11bdf368c54eef09f9da",
-    "standby-tie-end": "b488ac4d3b50186c5ce60402e75593e6071170b2bb63009d2708f82e8f7acb88",
+    "standby-tie-end": "8b7de8bf1170cc96313fe8430988f1825afd7c79e17c735e367bc0c8e8ddd163",
     "validate-20kB-1.024e+06": "46411336c14bbc0a02ebdd87355bb1a677ea9ecab74a9c3dfff11b4feff25372",
     "validate-20kB-128000": "a9f33d08e7d7d6c4a1777ee4add300148d12dd7dbdb48a5a933a2cd5d8b3606e",
     "validate-20kB-4.096e+06": "aa898830e81eeed3bcde2e4e4f9b9f3bede3efeb3cd6191e741ca1e9b608af0b",
@@ -315,6 +328,29 @@ def test_report_matches_golden_digest(case):
 
 def test_every_case_has_a_golden_digest():
     assert sorted(GOLDEN) == sorted(CASES)
+
+
+#: Tie case id -> (refill cycles, total best-effort seconds).
+TIE_OUTCOMES = {
+    # The one cycle runs during the pause, which plans no batch; the
+    # end at the next shutdown's end starts no second one.
+    "shutdown-tie-end": (1, 0.0),
+    # After the pause's cycle, all 144 batches are planned at 1 Mbit/s,
+    # the first one too: the change at the shutdown's end is in force
+    # before the controller resumes.
+    "shutdown-tie-change": (145, 144 * planned_best_effort(9000.0, 1e6)),
+    "standby-tie-end": (0, 0.0),
+    "shutdown-tie-end-planned": (1, planned_best_effort(9000.0, 4e6)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TIE_OUTCOMES))
+def test_tied_stream_events_apply_before_the_controller_resumes(case):
+    pipeline, duration = CASES[case]()
+    report = pipeline.run(duration)
+    cycles, best_effort_s = TIE_OUTCOMES[case]
+    assert report.refill_cycles == cycles
+    assert report.best_effort_s == pytest.approx(best_effort_s, rel=1e-12)
 
 
 def underrun_of(pipeline, duration):

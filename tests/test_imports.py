@@ -13,6 +13,7 @@ long since imported whatever the other tests needed.
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -49,6 +50,7 @@ NOT_WHEN_CACHED = (
 LAZY_PACKAGES = (
     "repro",
     "repro.analysis",
+    "repro.devices",
     "repro.experiments",
     "repro.runner",
     "repro.runner.executors",
@@ -146,7 +148,27 @@ def test_cached_campaign_loads_no_numpy_models_or_experiments(tmp_path):
 def test_simulator_runs_without_the_des_engine(argv):
     modules = imported(fresh_python(*argv))
     assert "repro.streaming.pipeline" in modules
-    assert loaded_of(modules, ("repro.sim.engine",)) == []
+    assert loaded_of(modules, ("repro.sim",)) == [
+        "repro.sim", "repro.sim.monitor",
+    ]
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["repro.sim.engine", "repro.sim.resources", "repro.devices.mems",
+     "repro.devices.disk", "repro.devices.seek"],
+)
+def test_the_des_engine_and_device_twins_are_gone(module):
+    # The refill-cycle loop is the one behavioural simulator.
+    assert importlib.util.find_spec(module) is None
+
+
+def test_table1_loads_no_numpy():
+    # Table I is arithmetic on the device config and its geometry; the
+    # devices package must not pull in the DRAM model (and numpy) too.
+    modules = imported(fresh_python("-c", "import repro.experiments.table1"))
+    assert "repro.devices.geometry" in modules
+    assert loaded_of(modules, ("numpy", "repro.devices.dram")) == []
 
 
 def test_bad_flush_chunk_env_does_not_break_import():
