@@ -1,20 +1,20 @@
 """Shared benchmark fixtures.
 
-The benchmark suite doubles as the figure-regeneration harness: each
-``bench_*`` module regenerates one paper artefact under pytest-benchmark
-timing and asserts the *shape* of the paper's claims (who wins, where
-crossovers fall, saturation points) on the produced numbers.
+The two benchmark modules time the campaign engine and the batch
+evaluation paths under pytest-benchmark and assert their claims (cache
+hits, bounded memory, batch speed-ups) on the measured numbers.  Their
+files are named ``bench_*.py``, which pytest does not collect by
+default, so name each one, as CI does::
 
-Run with::
-
-    pytest benchmarks/ --benchmark-only
+    pytest benchmarks/bench_campaign.py --benchmark-only
+    pytest benchmarks/bench_batch.py --benchmark-only
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.config import disk_18inch, ibm_mems_prototype, table1_workload
+from repro.config import ibm_mems_prototype, table1_workload
 
 
 @pytest.fixture(scope="session")
@@ -27,12 +27,6 @@ def device():
 def workload():
     """The Table I workload."""
     return table1_workload()
-
-
-@pytest.fixture(scope="session")
-def disk():
-    """The 1.8-inch disk comparator."""
-    return disk_18inch()
 
 
 def run_once(benchmark, func, *args, **kwargs):

@@ -43,7 +43,6 @@ __version__ = "1.8.0"
 
 #: Module (relative to this package) -> the public names it defines.
 _EXPORTS: dict[str, tuple[str, ...] | None] = {
-    ".api": None,
     ".units": None,
     ".config": (
         "MechanicalDeviceConfig",
@@ -75,9 +74,6 @@ _EXPORTS: dict[str, tuple[str, ...] | None] = {
         "DominanceRegion",
         "TradeoffAnalysis",
         "TradeoffPoint",
-        "ParetoFrontier",
-        "ParetoPoint",
-        "energy_buffer_frontier",
     ),
     ".core.tradeoff": ("compare_energy_goals",),
     ".runner": (

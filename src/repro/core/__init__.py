@@ -24,7 +24,6 @@ from .dimensioning import (
 )
 from .design_space import DesignSpaceExplorer, DesignSpaceResult, DominanceRegion
 from .tradeoff import TradeoffAnalysis, TradeoffPoint
-from .pareto import ParetoFrontier, ParetoPoint, energy_buffer_frontier
 
 __all__ = [
     "BatchRequirement",
@@ -46,7 +45,4 @@ __all__ = [
     "DominanceRegion",
     "TradeoffAnalysis",
     "TradeoffPoint",
-    "ParetoFrontier",
-    "ParetoPoint",
-    "energy_buffer_frontier",
 ]

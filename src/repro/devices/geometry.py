@@ -5,18 +5,15 @@ probe scans its private 100 x 100 µm field while the sled moves.  The paper
 abstracts all of this into a constant 2 ms seek and a 100 kbps per-probe
 rate; this module keeps the underlying geometry explicit so that
 
-* the Table I abstraction can be *derived* rather than asserted
-  (bit pitch from areal density, track counts, raw capacity), and
+* the Table I abstraction can be *derived* rather than asserted (the
+  41 mm^2 footprint of §I, and the areal density the 120 GB capacity
+  implies), and
 * technology scaling (:mod:`repro.devices.scaling`) can scale the
   medium (density, field size, probe count).
-
-Geometry conventions: bits are laid out on horizontal *tracks* inside each
-probe field, on an isotropic bit cell.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .. import units
@@ -81,43 +78,6 @@ class ProbeArrayGeometry:
         return units.terabit_per_in2_to_bits_per_m2(
             self.areal_density_tb_per_in2
         )
-
-    @property
-    def bit_pitch_m(self) -> float:
-        """Linear bit pitch assuming an isotropic bit cell (metres)."""
-        return 1.0 / math.sqrt(self.bits_per_m2)
-
-    @property
-    def bit_pitch_nm(self) -> float:
-        """Linear bit pitch in nanometres."""
-        return self.bit_pitch_m * 1e9
-
-    # -- per-field layout ---------------------------------------------------------
-
-    @property
-    def bits_per_track(self) -> int:
-        """Bits along one track of a probe field."""
-        return int((self.field_x_um * 1e-6) / self.bit_pitch_m)
-
-    @property
-    def tracks_per_field(self) -> int:
-        """Tracks stacked in one probe field."""
-        return int((self.field_y_um * 1e-6) / self.bit_pitch_m)
-
-    @property
-    def bits_per_field(self) -> int:
-        """Raw bit capacity of one probe field."""
-        return self.bits_per_track * self.tracks_per_field
-
-    @property
-    def raw_capacity_bits(self) -> int:
-        """Raw medium capacity over all probe fields (bits)."""
-        return self.bits_per_field * self.probe_count
-
-    @property
-    def raw_capacity_gb(self) -> float:
-        """Raw medium capacity in decimal gigabytes."""
-        return units.bits_to_gb(self.raw_capacity_bits)
 
     def density_for_capacity(self, capacity_bits: float) -> float:
         """Areal density (Tb/in^2) needed to store ``capacity_bits``.

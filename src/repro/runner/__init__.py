@@ -9,7 +9,7 @@ content-addressed memoization, and a persistent JSONL result store:
 * :mod:`~repro.runner.events` — the versioned event protocol
   (:class:`Event`, :class:`EventBus`) every layer publishes on,
 * :mod:`~repro.runner.queue` — the dependency-aware scheduler
-  (:func:`run_jobs`, :func:`parallel_map`),
+  (:func:`run_jobs`),
 * :mod:`~repro.runner.executors` — pluggable execution backends
   (serial / process pool),
 * :mod:`~repro.runner.cache` — content-addressed memoization with
@@ -92,7 +92,7 @@ _EXPORTS: dict[str, tuple[str, ...] | None] = {
     ),
     ".monitor": ("ProgressMonitor",),
     ".provenance": ("config_content_hash", "provenance_stamp"),
-    ".queue": ("JobEvent", "parallel_map", "run_jobs", "topological_order"),
+    ".queue": ("JobEvent", "run_jobs", "topological_order"),
     ".sharding": (
         "SweepColumns",
         "collect_arrays",

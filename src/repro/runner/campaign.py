@@ -1,8 +1,8 @@
 """Declarative campaigns: batches of experiments and sweeps as one run.
 
 A :class:`Campaign` collects job specs through a small builder API —
-registry experiments, importable callables, and one-parameter grids —
-and :func:`run_campaign` executes the whole batch through the scheduler
+registry experiments and importable callables — and
+:func:`run_campaign` executes the whole batch through the scheduler
 with an optional persistent store, returning a
 :class:`CampaignResult` that renders a summary table and exposes every
 job's headline scalars.
@@ -45,9 +45,12 @@ class Campaign:
             Campaign("nightly")
             .experiment("table1")
             .experiment("fig2a")
-            .sweep("be", "repro.core.energy:break_even_kb", "rate_bps",
-                   [32_000.0, 1_024_000.0])
+            .call("grid", "repro.core.batch:break_even_curve",
+                  rate_bps=[32_000.0, 1_024_000.0])
         )
+
+    Parameter grids run as sharded campaigns
+    (:func:`repro.runner.sharding.sharded_sweep_campaign`).
     """
 
     name: str = "campaign"
@@ -107,33 +110,6 @@ class Campaign:
                 retries=retries,
             )
         )
-
-    def sweep(
-        self,
-        prefix: str,
-        target: str,
-        parameter: str,
-        values: Sequence[Any],
-        after: Sequence[str] = (),
-        retries: int = 0,
-        **common: Any,
-    ) -> "Campaign":
-        """Add one job per grid value of ``parameter`` for ``target``.
-
-        Job ids are ``"{prefix}[{value}]"``; each job calls the target
-        with ``{parameter: value, **common}``.
-        """
-        if not values:
-            raise ConfigurationError(f"sweep {prefix!r} needs values")
-        for value in values:
-            self.call(
-                f"{prefix}[{value}]",
-                target,
-                after=after,
-                retries=retries,
-                **{parameter: value, **common},
-            )
-        return self
 
     def job_ids(self) -> list[str]:
         """Ids in declaration order."""

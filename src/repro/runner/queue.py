@@ -115,7 +115,6 @@ __all__ = [
     "Executor",
     "JobEvent",
     "Observer",
-    "parallel_map",
     "run_jobs",
     "topological_order",
 ]
@@ -736,25 +735,3 @@ def _run_dispatch(run: _Run, backend: ExecutionBackend) -> None:
     finally:
         backend.shutdown()
 
-
-def parallel_map(
-    func: Callable[[Any], Any],
-    items: Sequence[Any],
-    jobs: int = 1,
-) -> list[Any]:
-    """Order-preserving map, optionally over a process pool.
-
-    The light-weight sibling of :func:`run_jobs` for homogeneous grids
-    (parameter sweeps, sensitivity cases) that need no dependencies,
-    caching, or retries.  With ``jobs > 1`` both ``func`` and every item
-    must be picklable; results come back in input order so parallel
-    evaluation is indistinguishable from serial.
-    """
-    from .executors.pool import make_pool
-
-    if jobs < 1:
-        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1 or len(items) <= 1:
-        return [func(item) for item in items]
-    with make_pool(min(jobs, len(items))) as pool:
-        return list(pool.map(func, items))

@@ -1,8 +1,8 @@
 """Sharded sweeps: million-point grids as resumable, cached campaigns.
 
-One ``sweep_parameter(jobs=N)`` call parallelises a grid but lives and
-dies with its process.  Sharding instead splits a grid into contiguous
-shards and expresses the sweep *as a campaign*: one content-hash-keyed
+A sweep evaluates one target over a grid of one parameter.  Sharding
+splits the grid into contiguous shards and expresses the sweep *as a
+campaign*: one content-hash-keyed
 :class:`~repro.runner.jobs.JobSpec` per shard plus an ``after``-merge
 job, all streamed through the persistent
 :class:`~repro.runner.store.ResultStore`.  That buys, for free, every
@@ -17,7 +17,7 @@ property the campaign engine already has:
 * **parallel** — shards fan out across the worker pool like any other
   jobs.
 
-Grids travel two ways.  An explicit value list is chunked as before —
+Grids travel two ways.  An explicit value list is chunked, and
 each shard job carries (and hashes) its own values.  A *grid
 descriptor* (``{"kind": "geomspace", "start": ..., "stop": ...,
 "num": ...}``) ships only ``(descriptor, shard index, shard count)``
@@ -149,6 +149,10 @@ def grid_descriptor(
         raise ConfigurationError(f"grid num must be >= 1, got {num}")
     start = float(start)
     stop = float(stop)
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigurationError(
+            f"grid start and stop must be finite, got {start!r}, {stop!r}"
+        )
     if kind == "geomspace" and (start <= 0 or stop <= 0):
         raise ConfigurationError(
             "geomspace grids need start > 0 and stop > 0"
@@ -825,26 +829,6 @@ class SweepColumns:
     values: Any
     columns: dict[str, Any]
     points_kind: str
-
-    def numeric(self) -> dict[str, np.ndarray]:
-        """The float-convertible columns as float64 arrays.
-
-        Matches the metric filter of the dict-based sweep harness:
-        int and float columns qualify, bools and categories do not.
-        """
-        out: dict[str, np.ndarray] = {}
-        for name, column in self.columns.items():
-            if isinstance(column, np.ndarray):
-                if column.dtype.kind in "fi":
-                    out[name] = np.asarray(column, dtype=float)
-            elif column and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool)
-                for v in column
-            ):
-                # Inline JSON columns (e.g. mixed int/float series)
-                # still qualify when every entry is a number.
-                out[name] = np.asarray(column, dtype=float)
-        return out
 
 
 def collect_arrays(

@@ -23,6 +23,7 @@ re-plans its sleep and its refill whenever the consumption rate changes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..config import (
@@ -64,8 +65,10 @@ class PipelineConfig:
     initial_fill_fraction: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.buffer_bits <= 0:
-            raise ConfigurationError("buffer must be > 0 bits")
+        if not (math.isfinite(self.buffer_bits) and self.buffer_bits > 0):
+            raise ConfigurationError(
+                f"buffer must be finite and > 0 bits, got {self.buffer_bits!r}"
+            )
         if not 0.0 <= self.initial_fill_fraction <= 1.0:
             raise ConfigurationError(
                 "initial_fill_fraction must lie in [0, 1]"
@@ -254,8 +257,10 @@ class _PipelineBase:
 
     def run(self, duration_s: float) -> SimulationReport:
         """Simulate ``duration_s`` seconds of streaming; returns the report."""
-        if duration_s <= 0:
-            raise ConfigurationError("duration must be > 0")
+        if not (math.isfinite(duration_s) and duration_s > 0):
+            raise ConfigurationError(
+                f"duration must be finite and > 0, got {duration_s!r}"
+            )
         self._stream = self._stream_events(duration_s)
         self._change_at = next(self._stream, _INF)
         self._control()

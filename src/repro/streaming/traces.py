@@ -35,10 +35,12 @@ class RateTrace:
             raise ConfigurationError("durations and rates must align")
         if not self.durations_s:
             raise ConfigurationError("a trace needs at least one segment")
-        if any(d <= 0 for d in self.durations_s):
-            raise ConfigurationError("segment durations must be > 0")
-        if any(r < 0 for r in self.rates_bps):
-            raise ConfigurationError("rates must be >= 0")
+        if not all(math.isfinite(d) and d > 0 for d in self.durations_s):
+            raise ConfigurationError(
+                "segment durations must be finite and > 0"
+            )
+        if not all(math.isfinite(r) and r >= 0 for r in self.rates_bps):
+            raise ConfigurationError("rates must be finite and >= 0")
 
     @property
     def period_s(self) -> float:

@@ -10,8 +10,9 @@ workload metadata.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ConfigurationError
 from .traces import RateTrace
@@ -57,8 +58,10 @@ class CBRStream(StreamDescription):
     write_fraction: float = 0.40
 
     def __post_init__(self) -> None:
-        if self.rate_bps <= 0:
-            raise ConfigurationError("stream rate must be > 0")
+        if not (math.isfinite(self.rate_bps) and self.rate_bps > 0):
+            raise ConfigurationError(
+                f"stream rate must be finite and > 0, got {self.rate_bps!r}"
+            )
         if not 0 <= self.write_fraction <= 1:
             raise ConfigurationError("write_fraction must lie in [0, 1]")
 

@@ -56,11 +56,6 @@ SECONDS_PER_YEAR = SECONDS_PER_DAY * DAYS_PER_YEAR
 # ---------------------------------------------------------------------------
 
 
-def bytes_to_bits(n_bytes: float) -> float:
-    """Convert a size in bytes to bits."""
-    return n_bytes * BITS_PER_BYTE
-
-
 def bits_to_bytes(n_bits: float) -> float:
     """Convert a size in bits to bytes."""
     return n_bits / BITS_PER_BYTE
@@ -74,11 +69,6 @@ def kb_to_bits(kilobytes: float) -> float:
 def bits_to_kb(n_bits: float) -> float:
     """Convert bits to decimal kilobytes (1 kB = 1000 B)."""
     return n_bits / (KILO * BITS_PER_BYTE)
-
-
-def mb_to_bits(megabytes: float) -> float:
-    """Convert decimal megabytes (1 MB = 10^6 B) to bits."""
-    return megabytes * MEGA * BITS_PER_BYTE
 
 
 def bits_to_mb(n_bits: float) -> float:
@@ -106,19 +96,9 @@ def kbps_to_bps(kilobits_per_second: float) -> float:
     return kilobits_per_second * KILO
 
 
-def bps_to_kbps(bits_per_second: float) -> float:
-    """Convert bit/s to kilobits per second."""
-    return bits_per_second / KILO
-
-
 def mbps_to_bps(megabits_per_second: float) -> float:
     """Convert megabits per second to bit/s."""
     return megabits_per_second * MEGA
-
-
-def bps_to_mbps(bits_per_second: float) -> float:
-    """Convert bit/s to megabits per second."""
-    return bits_per_second / MEGA
 
 
 # ---------------------------------------------------------------------------
@@ -129,21 +109,6 @@ def bps_to_mbps(bits_per_second: float) -> float:
 def ms_to_seconds(milliseconds: float) -> float:
     """Convert milliseconds to seconds."""
     return milliseconds / 1_000
-
-
-def seconds_to_ms(seconds: float) -> float:
-    """Convert seconds to milliseconds."""
-    return seconds * 1_000
-
-
-def us_to_seconds(microseconds: float) -> float:
-    """Convert microseconds to seconds."""
-    return microseconds / 1_000_000
-
-
-def years_to_seconds(years: float) -> float:
-    """Convert (non-leap) years to seconds."""
-    return years * SECONDS_PER_YEAR
 
 
 def seconds_to_years(seconds: float) -> float:
@@ -174,21 +139,6 @@ def playback_seconds_per_year(hours_per_day: float) -> float:
 def mw_to_watts(milliwatts: float) -> float:
     """Convert milliwatts to watts."""
     return milliwatts / 1_000
-
-
-def watts_to_mw(watts: float) -> float:
-    """Convert watts to milliwatts."""
-    return watts * 1_000
-
-
-def joules_to_nj(joules: float) -> float:
-    """Convert joules to nanojoules."""
-    return joules * 1e9
-
-
-def nj_to_joules(nanojoules: float) -> float:
-    """Convert nanojoules to joules."""
-    return nanojoules / 1e9
 
 
 def j_per_bit_to_nj_per_bit(joules_per_bit: float) -> float:

@@ -215,8 +215,9 @@ class TestSaving:
         assert e_on > 0
 
     def test_max_saving_above_80_at_1024(self, energy_model):
-        # Figure 3a: the 80% goal is feasible at 1024 kbps...
-        assert energy_model.max_energy_saving(RATE) > 0.80
+        # Figure 3a: the 80% goal is feasible at 1024 kbps, though only
+        # just (§IV.C: the saving diverges in buffer near ~80.6%)...
+        assert 0.80 < energy_model.max_energy_saving(RATE) < 0.82
 
     def test_max_saving_below_80_at_2048(self, energy_model):
         # ... but the wall arrives before 2048 kbps.

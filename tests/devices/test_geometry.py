@@ -25,18 +25,6 @@ class TestScalars:
     def test_field_area(self, geometry):
         assert geometry.field_area_m2 == pytest.approx(1e-8)
 
-    def test_bit_pitch_at_1tb_in2(self, geometry):
-        # 1 Tb/in^2 -> pitch = sqrt(in^2 / 1e12) ~ 25.4 nm.
-        assert geometry.bit_pitch_nm == pytest.approx(25.4, rel=0.001)
-
-    def test_raw_capacity_order(self, geometry):
-        # ~40.96 mm^2 at 1 Tb/in^2 ~ 63.5 Gbit... per-field derivation
-        # loses partial tracks; stay within 5%.
-        expected_bits = geometry.total_area_m2 * geometry.bits_per_m2
-        assert geometry.raw_capacity_bits == pytest.approx(
-            expected_bits, rel=0.05
-        )
-
     def test_density_for_capacity_round_trip(self, geometry):
         capacity = 9.6e11  # 120 GB
         density = geometry.density_for_capacity(capacity)
@@ -62,8 +50,3 @@ class TestScalars:
             geometry = ProbeArrayGeometry()
             geometry.density_for_capacity(0)
 
-
-class TestLayout:
-    def test_tracks_and_bits_positive(self, geometry):
-        assert geometry.bits_per_track > 0
-        assert geometry.tracks_per_field > 0

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro import units
 from repro.config import ibm_mems_prototype
 from repro.core.design_space import DesignSpaceExplorer
+from repro.core.dimensioning import BufferDimensioner, Constraint
 from repro.core.lifetime import LifetimeModel
 from repro.config import DesignGoal, table1_workload
 from repro.devices.scaling import (
@@ -121,6 +122,35 @@ class TestDesignSpaceConsequences:
         assert fast.min_buffer_for_utilisation(0.88) == pytest.approx(
             4 * base.min_buffer_for_utilisation(0.88), rel=0.02
         )
+
+    def test_silicon_springs_shrink_the_buffer_not_the_wall(self):
+        # The paper's conclusion: probe endurance, not the springs,
+        # walls the design space.  Silicon springs only drop the
+        # 1024 kbps buffer (springs-bound at Table I) to the capacity
+        # plateau, and faster channels raise that plateau again.
+        workload = table1_workload()
+        goal = DesignGoal(energy_saving=0.70)
+        devices = {point.name: scale_table1_device(point) for point in ROADMAP}
+        base, springs, fast = (
+            BufferDimensioner(devices[name], workload).dimension(
+                goal, 1_024_000.0
+            )
+            for name in (
+                "Table I prototype",
+                "silicon springs",
+                "fast channels (4x per-probe rate)",
+            )
+        )
+        walls = [
+            LifetimeModel(devices[name], workload)
+            .probes.max_rate_for_lifetime(7.0)
+            for name in ("Table I prototype", "silicon springs")
+        ]
+        assert walls[1] == pytest.approx(walls[0], rel=0.01)
+        assert base.dominant is Constraint.SPRINGS
+        assert springs.dominant is Constraint.CAPACITY
+        assert springs.required_buffer_bits < 0.5 * base.required_buffer_bits
+        assert fast.required_buffer_bits > 2 * springs.required_buffer_bits
 
     def test_roadmap_points_all_explore(self):
         workload = table1_workload()

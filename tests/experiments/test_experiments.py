@@ -143,6 +143,10 @@ class TestBreakeven:
             3.0, abs=0.1
         )
 
+    def test_disk_to_mems_ratio_holds_at_every_rate(self, result):
+        ratios = result.tables[0].column("disk/MEMS")
+        assert all(900 <= ratio <= 1200 for ratio in ratios)
+
 
 class TestCapacityExample:
     @pytest.fixture(scope="class")
@@ -162,6 +166,17 @@ class TestCapacityExample:
 
     def test_88_point_at_tens_of_kb(self, result):
         assert 30 <= result.headline["buffer_for_88pct_kb"] <= 40
+
+    def test_curve_rises_and_saturates(self, result):
+        # Monotone once the best format <= the cap is chosen, and beyond
+        # ~7 kB the gain per doubling collapses.
+        curve = result.tables[0]
+        utilisation = curve.column("utilisation")
+        by_size = dict(zip(curve.column("buffer (kB)"), utilisation))
+        assert all(
+            a <= b + 1e-12 for a, b in zip(utilisation, utilisation[1:])
+        )
+        assert by_size[20] - by_size[10] < 0.3 * (by_size[4] - by_size[2])
 
 
 class TestFig2a:
@@ -239,6 +254,23 @@ class TestFig2b:
             buffers[-1] / buffers[0], rel=1e-6
         )
 
+    def test_springs_bind_at_every_buffer(self, result):
+        # In the plotted range the springs limit the device; the probes
+        # rise towards their ceiling, saw-tooth (Equation 2) allowed.
+        springs = result.tables[0].column("springs (years)")
+        probes = result.tables[0].column("probes (years)")
+        assert all(s < p for s, p in zip(springs, probes))
+        assert all(b >= 0.95 * a for a, b in zip(probes, probes[1:]))
+        assert probes[-1] > probes[0]
+
+    def test_energy_buffer_is_far_short_of_7_years(self, result):
+        # §IV.B: energy is met by ~20 kB, but 7 years needs ~90 kB.
+        table = result.tables[0]
+        springs = zip(
+            table.column("buffer (kB)"), table.column("springs (years)")
+        )
+        assert all(years < 2 for kb, years in springs if kb <= 20)
+
 
 class TestFig3Panels:
     def test_fig3a_regions(self):
@@ -252,6 +284,12 @@ class TestFig3Panels:
         assert result.headline["buffer_at_min_rate_kb"] == pytest.approx(
             33.8, rel=0.02
         )
+        # The buffer diverges towards the wall: the last feasible sample
+        # sits far above the plateau.
+        feasible = [
+            row[1] for row in result.tables[0].rows if math.isfinite(row[1])
+        ]
+        assert feasible[-1] > 20 * feasible[0]
 
     def test_fig3b_regions(self):
         result = run_experiment("fig3b")
@@ -260,6 +298,18 @@ class TestFig3Panels:
         assert "Lsp" in sequence
         assert "E" not in sequence  # "energy has no word on buffer size"
         assert sequence[-1] == "X"
+
+    def test_fig3b_lifetime_buffer_far_above_energy_buffer(self):
+        # 1-2 orders of magnitude between the required and the
+        # energy-efficiency buffer across the springs-dominated range.
+        result = run_experiment("fig3b")
+        ratios = [
+            row[1] / row[2]
+            for row in result.tables[0].rows
+            if row[3] == "Lsp" and math.isfinite(row[2])
+        ]
+        assert ratios, "springs-dominated region missing"
+        assert all(3 <= ratio <= 300 for ratio in ratios)
 
     def test_fig3b_probes_wall(self):
         result = run_experiment("fig3b")
@@ -289,6 +339,9 @@ class TestTradeoff10:
         result = run_experiment("tradeoff10")
         assert result.headline["max_orders_of_magnitude"] >= 3.0
         assert "orders of magnitude" in result.headline["summary"]
+        # A stricter goal never needs less buffer.
+        ratios = result.tables[0].column("ratio")
+        assert all(ratio >= 1.0 - 1e-12 for ratio in ratios)
 
 
 class TestSimValidate:
@@ -330,6 +383,16 @@ class TestDRAMNegligible:
     def test_share_is_small(self):
         result = run_experiment("dram-negligible")
         assert result.headline["max_dram_share"] < 0.25
+
+    def test_share_grows_but_stays_minor(self):
+        # The device's overhead term dominates at small buffers; as it
+        # decays the DRAM share grows, from a few percent at the
+        # break-even end, but stays a minor contributor.
+        result = run_experiment("dram-negligible")
+        shares = result.tables[0].column("DRAM share")
+        assert shares[0] < 0.05
+        assert all(a <= b + 1e-12 for a, b in zip(shares, shares[1:]))
+        assert shares[-1] < 0.25
 
 
 class TestWearBalance:

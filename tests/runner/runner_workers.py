@@ -24,7 +24,7 @@ def identity(value):
 
 
 def square(x):
-    """Single-argument mapper for parallel_map tests."""
+    """Deterministic one-argument job."""
     return x * x
 
 

@@ -22,7 +22,8 @@ class TestBuilder:
             Campaign("demo")
             .experiment("table1")
             .call("kb", "repro.units:kb_to_bits", kb=2.0)
-            .sweep("sq", "runner_workers:square", "x", [1, 2])
+            .call("sq[1]", "runner_workers:square", x=1)
+            .call("sq[2]", "runner_workers:square", x=2)
         )
         assert campaign.job_ids() == ["table1", "kb", "sq[1]", "sq[2]"]
 
@@ -39,10 +40,6 @@ class TestBuilder:
         assert spec.job_id == "fast-validate"
         assert spec.target == "sim-validate"
         assert spec.params_dict() == {"cycles_per_point": 5}
-
-    def test_sweep_needs_values(self):
-        with pytest.raises(ConfigurationError, match="needs values"):
-            Campaign("demo").sweep("s", "runner_workers:square", "x", [])
 
     def test_registry_campaign_defaults_to_all(self):
         from repro.experiments import list_experiments

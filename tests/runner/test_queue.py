@@ -11,7 +11,6 @@ from repro.runner.cache import ResultCache
 from repro.runner.jobs import JobSpec
 from repro.runner.queue import (
     JobEvent,
-    parallel_map,
     run_jobs,
     topological_order,
 )
@@ -299,20 +298,3 @@ class TestParallelExecution:
         assert results["innocent"].status == "ok"
         assert results["innocent"].value == "ok"
         assert results["table1"].status == "ok"
-
-
-class TestParallelMap:
-    def test_preserves_order(self):
-        from runner_workers import square
-
-        items = list(range(10))
-        assert parallel_map(square, items, jobs=3) == [
-            x * x for x in items
-        ]
-
-    def test_serial_fallback(self):
-        assert parallel_map(lambda x: x + 1, [1, 2], jobs=1) == [2, 3]
-
-    def test_invalid_jobs(self):
-        with pytest.raises(ConfigurationError):
-            parallel_map(lambda x: x, [1], jobs=0)

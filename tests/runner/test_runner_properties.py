@@ -18,9 +18,7 @@ import sys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.sweep import sweep_parameter
-from repro.config import ibm_mems_prototype, table1_workload
-from repro.analysis.sensitivity import sensitivity_analysis
+from repro.config import ibm_mems_prototype
 from repro.runner import registry_campaign, run_campaign
 from repro.runner.jobs import JobSpec, freeze_params, thaw_params
 
@@ -124,41 +122,3 @@ class TestParallelEqualsSerial:
         )
         assert rerun.status_counts() == {"cached": len(FAST_IDS)}
         assert rerun.headlines() == first.headlines()
-
-    def test_sweep_parallel_equals_serial(self):
-        from runner_workers import break_even_kb
-
-        rates = [32_000.0, 128_000.0, 1_024_000.0, 4_096_000.0]
-        metrics = {"break_even_kb": break_even_kb}
-        serial = sweep_parameter("rate", rates, metrics)
-        parallel = sweep_parameter("rate", rates, metrics, jobs=2)
-        assert parallel.metrics == serial.metrics
-        assert parallel.values == serial.values
-
-    def test_sweep_unpicklable_metrics_fall_back_to_serial(self):
-        result = sweep_parameter(
-            "x", [1.0, 2.0], {"double": lambda x: 2 * x}, jobs=4
-        )
-        assert result.metric("double") == (2.0, 4.0)
-
-    def test_sweep_unpicklable_values_fall_back_to_serial(self):
-        from runner_workers import square
-
-        values = [2.0, lambda: None]  # second value cannot pickle
-        result = sweep_parameter(
-            "x", values, {"sq": lambda v: square(2.0)}, jobs=4
-        )
-        assert result.metric("sq") == (4.0, 4.0)
-
-    def test_sensitivity_parallel_equals_serial(self):
-        device = ibm_mems_prototype()
-        workload = table1_workload()
-        knobs = ("seek_time_s", "standby_power_w", "hours_per_day")
-        base_s, serial = sensitivity_analysis(
-            device, workload, knobs=knobs
-        )
-        base_p, parallel = sensitivity_analysis(
-            device, workload, knobs=knobs, jobs=2
-        )
-        assert base_p == base_s
-        assert parallel == serial

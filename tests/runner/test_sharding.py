@@ -15,6 +15,7 @@ from repro.runner import (
     ResultStore,
     collect_arrays,
     collect_points,
+    grid_descriptor,
     lookup_point,
     run_campaign,
     run_sharded_sweep,
@@ -54,6 +55,16 @@ class TestShardGrid:
             shard_grid(GRID, 0)
         with pytest.raises(ConfigurationError):
             shard_grid([], 4)
+
+    @pytest.mark.parametrize("kind", ["linspace", "geomspace"])
+    @pytest.mark.parametrize(
+        "start, stop",
+        [(math.nan, 1e6), (1e3, math.inf), (1e3, math.nan)],
+        ids=["nan-start", "inf-stop", "nan-stop"],
+    )
+    def test_descriptor_rejects_non_finite_bounds(self, kind, start, stop):
+        with pytest.raises(ConfigurationError, match="finite"):
+            grid_descriptor(kind, start, stop, 10)
 
     @given(
         st.lists(st.integers(), min_size=1, max_size=200),

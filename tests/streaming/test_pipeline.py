@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro import units
 from repro.core.energy import EnergyModel
 from repro.errors import BufferUnderrunError, ConfigurationError
 from repro.streaming.pipeline import (
+    AlwaysOnPipeline,
     PipelineConfig,
     StreamingPipeline,
     simulate_always_on,
@@ -206,6 +209,18 @@ class TestConfiguration:
                 workload=workload,
             )
 
+    @pytest.mark.parametrize(
+        "buffer_bits", [math.nan, math.inf], ids=["nan", "inf"]
+    )
+    def test_rejects_non_finite_buffer(self, device, workload, buffer_bits):
+        with pytest.raises(ConfigurationError, match="finite"):
+            PipelineConfig(
+                device=device,
+                buffer_bits=buffer_bits,
+                stream=CBRStream(rate_bps=RATE),
+                workload=workload,
+            )
+
     def test_rejects_rate_at_device_speed(self, device, workload):
         with pytest.raises(ConfigurationError):
             PipelineConfig(
@@ -226,6 +241,21 @@ class TestConfiguration:
         )
         with pytest.raises(ConfigurationError):
             pipeline.run(0.0)
+
+    @pytest.mark.parametrize("policy", [StreamingPipeline, AlwaysOnPipeline])
+    def test_rejects_nan_duration(self, device, workload, policy):
+        # An infinite duration never returns where it is not rejected,
+        # so the CLI tests, which run under a timeout, cover inf.
+        pipeline = policy(
+            PipelineConfig(
+                device=device,
+                buffer_bits=BUFFER,
+                stream=CBRStream(rate_bps=RATE),
+                workload=workload,
+            )
+        )
+        with pytest.raises(ConfigurationError, match="finite"):
+            pipeline.run(math.nan)
 
     def test_level_recording(self, device, workload):
         pipeline = StreamingPipeline(

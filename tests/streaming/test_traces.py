@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,6 +57,13 @@ class TestRateTrace:
             trace.rate_at(-1.0)
         with pytest.raises(ConfigurationError):
             list(trace.segments(0))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_segments(self, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            RateTrace(durations_s=(1.0, value), rates_bps=(1.0, 2.0))
+        with pytest.raises(ConfigurationError, match="finite"):
+            RateTrace(durations_s=(1.0, 1.0), rates_bps=(1.0, value))
 
 
 class TestSinusoidalTrace:

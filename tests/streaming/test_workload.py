@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -34,6 +36,11 @@ class TestCBRStream:
             CBRStream(rate_bps=100).rate_at(-1)
         with pytest.raises(ConfigurationError):
             list(CBRStream(rate_bps=100).rate_changes(0))
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_rate(self, rate):
+        with pytest.raises(ConfigurationError, match="finite"):
+            CBRStream(rate_bps=rate)
 
 
 class TestVBRStream:

@@ -1,10 +1,35 @@
-"""CLI tests driven through main(argv)."""
+"""CLI tests, driven through main(argv), or through a fresh interpreter
+under a timeout where a command could run forever."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main
+
+#: The directory holding the ``repro`` package these tests import.
+SOURCE_ROOT = str(Path(repro.__file__).resolve().parents[1])
+
+
+def run_repro(*args: str) -> subprocess.CompletedProcess:
+    """``python -m repro ARGS`` in a fresh interpreter, under a timeout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SOURCE_ROOT, env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
 
 
 class TestList:
@@ -310,6 +335,49 @@ class TestSimulate:
         )
         assert code == 2
         assert "underrun" in capsys.readouterr().err
+
+
+class TestNonFiniteArguments:
+    """NaN and inf fail at once with exit 2, before any work or output."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--rate", "1024", "--buffer-kb", "20", "--duration", "inf"),
+            ("--rate", "nan", "--buffer-kb", "20", "--duration", "1"),
+            ("--rate", "1024", "--buffer-kb", "20", "--duration", "nan"),
+            ("--rate", "1024", "--buffer-kb", "nan", "--duration", "1"),
+            ("--rate", "1024", "--buffer-kb", "inf", "--duration", "1"),
+            ("--rate", "nan", "--buffer-kb", "20", "--duration", "1",
+             "--always-on"),
+        ],
+        ids=[
+            "duration-inf", "rate-nan", "duration-nan", "buffer-nan",
+            "buffer-inf", "always-on-rate-nan",
+        ],
+    )
+    def test_simulate(self, argv):
+        completed = run_repro("simulate", *argv)
+        assert completed.returncode == 2
+        assert completed.stdout == ""
+        assert "finite" in completed.stderr
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [("--min", "nan", "--max", "4096e3"),
+         ("--min", "32e3", "--max", "inf")],
+        ids=["min-nan", "max-inf"],
+    )
+    def test_sweep_writes_no_store(self, tmp_path, bounds):
+        store = tmp_path / "sweep.sqlite"
+        completed = run_repro(
+            "sweep", "repro.core.batch:break_even_curve",
+            "--parameter", "rate_bps", *bounds, "--points", "16",
+            "--store", str(store), "--quiet",
+        )
+        assert completed.returncode == 2
+        assert "finite" in completed.stderr
+        assert not store.exists()
 
 
 class TestParser:

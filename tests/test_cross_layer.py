@@ -15,7 +15,6 @@ from repro.core.design_space import DesignSpaceExplorer
 from repro.core.dimensioning import BufferDimensioner
 from repro.core.energy import EnergyModel
 from repro.core.lifetime import LifetimeModel
-from repro.core.pareto import energy_buffer_frontier
 from repro.experiments import run_experiment
 
 DEVICE = ibm_mems_prototype()
@@ -113,31 +112,4 @@ class TestEquationSymmetries:
         written = lifetime.probes._written_bits_per_year(buffer_bits, RATE)
         assert years * written == pytest.approx(
             DEVICE.capacity_bits * DEVICE.probe_write_cycles
-        )
-
-
-class TestParetoVsDesignSpace:
-    def test_frontier_endpoints_match_dimensioner(self):
-        frontier = energy_buffer_frontier(DEVICE, WORKLOAD)
-        dimensioner = BufferDimensioner(DEVICE, WORKLOAD)
-        for point in frontier.points[:: max(1, len(frontier.points) // 6)]:
-            if not point.feasible:
-                continue
-            direct = dimensioner.dimension(
-                DesignGoal(
-                    energy_saving=point.energy_saving,
-                    capacity_utilisation=0.88,
-                    lifetime_years=7.0,
-                ),
-                RATE,
-            )
-            assert direct.required_buffer_bits == pytest.approx(
-                point.buffer_bits
-            )
-
-    def test_frontier_wall_matches_max_saving(self):
-        frontier = energy_buffer_frontier(DEVICE, WORKLOAD)
-        model = EnergyModel(DEVICE, WORKLOAD)
-        assert frontier.max_saving == pytest.approx(
-            model.max_energy_saving(RATE)
         )

@@ -155,11 +155,17 @@ def test_simulator_runs_without_the_des_engine(argv):
 
 @pytest.mark.parametrize(
     "module",
-    ["repro.sim.engine", "repro.sim.resources", "repro.devices.mems",
-     "repro.devices.disk", "repro.devices.seek"],
+    [
+        # The refill-cycle loop is the one behavioural simulator.
+        "repro.sim.engine", "repro.sim.resources", "repro.devices.mems",
+        "repro.devices.disk", "repro.devices.seek",
+        # runner.sharding is the one sweep; repro, repro.runner and
+        # repro.experiments are the one public surface.
+        "repro.analysis.sweep", "repro.analysis.sensitivity", "repro.api",
+        "repro.core.pareto",
+    ],
 )
-def test_the_des_engine_and_device_twins_are_gone(module):
-    # The refill-cycle loop is the one behavioural simulator.
+def test_deleted_modules_are_gone(module):
     assert importlib.util.find_spec(module) is None
 
 

@@ -93,3 +93,19 @@ def test_every_runtime_dependency_is_imported():
     imported = {module.lower() for module in third_party_imports()}
     unused = sorted(runtime - imported)
     assert not unused, f"declared but never imported: {unused}"
+
+
+def test_every_benchmark_file_runs_in_ci():
+    # pytest does not collect ``bench_*.py``, so a file that no CI step
+    # names by path is a file that nothing runs.
+    workflow = (ROOT / ".github" / "workflows" / "ci.yml").read_text(
+        encoding="utf-8"
+    )
+    benches = sorted((ROOT / "benchmarks").glob("bench_*.py"))
+    assert benches
+    unnamed = [
+        path.name
+        for path in benches
+        if f"benchmarks/{path.name}" not in workflow
+    ]
+    assert not unnamed, f"benchmark files no CI step runs: {unnamed}"

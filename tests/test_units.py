@@ -36,16 +36,12 @@ class TestConstants:
 
 
 class TestSizeConversions:
-    def test_bytes_to_bits(self):
-        assert units.bytes_to_bits(1) == 8
-        assert units.bytes_to_bits(1000) == 8000
-
     def test_kb_is_decimal(self):
         # 1 kB = 1000 bytes = 8000 bits (the paper's convention).
         assert units.kb_to_bits(1) == 8_000
 
     def test_mb_gb(self):
-        assert units.mb_to_bits(1) == 8_000_000
+        assert units.bits_to_mb(8_000_000) == 1
         assert units.gb_to_bits(1) == 8_000_000_000
 
     def test_gb_round_figure(self):
@@ -54,9 +50,9 @@ class TestSizeConversions:
 
     @given(finite_positive)
     def test_bits_bytes_round_trip(self, value):
-        assert units.bits_to_bytes(units.bytes_to_bits(value)) == pytest.approx(
-            value, rel=1e-12
-        )
+        assert units.bits_to_bytes(
+            value * units.BITS_PER_BYTE
+        ) == pytest.approx(value, rel=1e-12)
 
     @given(finite_positive)
     def test_kb_round_trip(self, value):
@@ -66,9 +62,9 @@ class TestSizeConversions:
 
     @given(finite_positive)
     def test_mb_round_trip(self, value):
-        assert units.bits_to_mb(units.mb_to_bits(value)) == pytest.approx(
-            value, rel=1e-12
-        )
+        assert units.bits_to_mb(
+            value * units.MEGA * units.BITS_PER_BYTE
+        ) == pytest.approx(value, rel=1e-12)
 
     @given(finite_positive)
     def test_gb_round_trip(self, value):
@@ -86,13 +82,13 @@ class TestRateConversions:
 
     @given(finite_positive)
     def test_kbps_round_trip(self, value):
-        assert units.bps_to_kbps(units.kbps_to_bps(value)) == pytest.approx(
+        assert units.kbps_to_bps(value) / units.KILO == pytest.approx(
             value, rel=1e-12
         )
 
     @given(finite_positive)
     def test_mbps_round_trip(self, value):
-        assert units.bps_to_mbps(units.mbps_to_bps(value)) == pytest.approx(
+        assert units.mbps_to_bps(value) / units.MEGA == pytest.approx(
             value, rel=1e-12
         )
 
@@ -100,13 +96,8 @@ class TestRateConversions:
 class TestTimeConversions:
     def test_ms(self):
         assert units.ms_to_seconds(2) == 0.002
-        assert units.seconds_to_ms(0.001) == 1
-
-    def test_us(self):
-        assert units.us_to_seconds(30) == pytest.approx(3e-5)
 
     def test_years(self):
-        assert units.years_to_seconds(1) == 365 * 86_400
         assert units.seconds_to_years(365 * 86_400) == 1
 
     def test_playback_seconds_table1(self):
@@ -125,11 +116,6 @@ class TestTimeConversions:
 class TestPowerEnergy:
     def test_mw(self):
         assert units.mw_to_watts(316) == pytest.approx(0.316)
-        assert units.watts_to_mw(0.672) == pytest.approx(672)
-
-    def test_nj(self):
-        assert units.joules_to_nj(1e-9) == pytest.approx(1)
-        assert units.nj_to_joules(120) == pytest.approx(1.2e-7)
 
     def test_per_bit(self):
         assert units.j_per_bit_to_nj_per_bit(1.2e-7) == pytest.approx(120)
