@@ -7,8 +7,8 @@ running:
 
 * the commands: every subcommand — ``list``; ``run all``; ``campaign``
   on JSONL and on SQLite, fresh and cached, and with ``--jobs 2``,
-  ``--telemetry`` and ``--trace``; ``sweep`` serial, on a pool, with
-  ``--codec json`` and with ``break_even_curve``; ``store
+  ``--telemetry`` and ``--trace``; ``sweep`` serial, on a pool, over
+  explicit ``--values`` and with ``break_even_curve``; ``store
   info/verify/compact/migrate``; ``trace export``; ``telemetry
   summary``; ``dimension``; ``plot``; and ``simulate`` under both
   policies;
@@ -170,8 +170,9 @@ def probe_commands(work: str) -> None:
     run_cli(["sweep", target, *grid, "--store", w("s.sqlite")])
     run_cli(["sweep", target, *grid, "--store", w("s.sqlite")])  # cached
     run_cli(["sweep", target, *grid, "--jobs", "2", "--store", w("sp.jsonl")])
-    run_cli(["sweep", target, *grid, "--codec", "json",
-             "--store", w("sj.sqlite")])
+    run_cli(["sweep", target, "--parameter", "rate_bps",
+             "--values", "32000,64000,128000,1024000", "--shards", "2",
+             "--quiet", "--store", w("sv.sqlite")])
     run_cli(["sweep", "repro.core.batch:break_even_curve", *grid,
              "--store", w("sb.sqlite")])
     for store in (w("c.jsonl"), w("s.sqlite")):

@@ -49,7 +49,6 @@ def _add_run_options(
     *,
     store: bool = False,
     store_required: bool = False,
-    codec: bool = False,
 ) -> None:
     """The one shared option group every run-shaped command uses.
 
@@ -57,8 +56,7 @@ def _add_run_options(
     environment fallback so scripts and CI set them once:
     ``--jobs``/``$REPRO_JOBS``, ``--store``/``$REPRO_STORE``,
     ``--store-backend``/``$REPRO_STORE_BACKEND``,
-    ``--codec``/``$REPRO_POINT_CODEC``, ``--trace``/``$REPRO_TRACE``,
-    ``--telemetry``/``$REPRO_TELEMETRY``.
+    ``--trace``/``$REPRO_TRACE``, ``--telemetry``/``$REPRO_TELEMETRY``.
     """
     parser.add_argument(
         "--jobs", type=int, default=_jobs_default(), metavar="N",
@@ -89,15 +87,6 @@ def _add_run_options(
                 "persistence backend for --store (default: auto-detect "
                 "existing format, then $REPRO_STORE_BACKEND, then the "
                 "path extension)"
-            ),
-        )
-    if codec:
-        parser.add_argument(
-            "--codec", choices=("columnar", "json"), default=None,
-            help=(
-                "point payload codec: 'columnar' packs results as binary "
-                "column blocks, 'json' keeps one JSON record per point "
-                "(default: $REPRO_POINT_CODEC, then columnar)"
             ),
         )
     parser.add_argument(
@@ -206,9 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--shards", type=int, default=8, metavar="N",
         help="contiguous grid shards, one cached job each (default 8)",
     )
-    _add_run_options(
-        sweep_parser, store=True, store_required=True, codec=True
-    )
+    _add_run_options(sweep_parser, store=True, store_required=True)
     sweep_parser.add_argument(
         "--name", default="sweep", metavar="NAME",
         help="campaign name prefix for the shard/merge jobs",
@@ -557,6 +544,8 @@ def _sweep_grid(args: argparse.Namespace):
     become a grid *descriptor*, so shard jobs ship four scalars instead
     of the whole grid and workers materialise their own slices.
     """
+    import math
+
     from .errors import ConfigurationError
     from .runner import grid_descriptor
 
@@ -573,6 +562,11 @@ def _sweep_grid(args: argparse.Namespace):
             ) from error
         if not grid:
             raise ConfigurationError("--values produced an empty grid")
+        for value in grid:
+            if not math.isfinite(value):
+                raise ConfigurationError(
+                    f"--values must be finite, got {value!r}"
+                )
         return grid
     if args.grid_min is None or args.grid_max is None:
         raise ConfigurationError(
@@ -607,7 +601,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
         shards=args.shards,
         jobs=args.jobs,
         store_backend=args.store_backend,
-        codec=args.codec,
         monitor=monitor,
         strict=False,
         observers=[capture] if capture is not None else [],
@@ -619,15 +612,10 @@ def _command_sweep(args: argparse.Namespace) -> int:
     merge = result.results.get(f"{args.name}/merge")
     if result.ok and merge is not None and isinstance(merge.value, dict):
         summary = merge.value
-        stored = (
-            f" ({summary['point_records']} point records)"
-            if summary.get("point_records")
-            else ""
-        )
         print()
         print(
             f"{summary['points']} points over {summary['shards']} shards "
-            f"-> {args.store}{stored}"
+            f"-> {args.store}"
         )
         for name in sorted(summary.get("metrics", {})):
             stats = summary["metrics"][name]

@@ -3,7 +3,7 @@
 This package is the pipeline's fault model: a declarative
 :class:`FaultPlan` (site pattern × trigger × action) armed per
 process, probed by ``fault_site()`` calls threaded through the
-scheduler, the store backends, the codec and the merge writer.  See
+scheduler, the store backends and the codec.  See
 :mod:`.plan` for the plan format and :mod:`.runtime` for activation
 semantics.
 
@@ -19,7 +19,6 @@ Site                Where it probes (job-id context in parens)
 ``store.iter``      backend scan open (iter / latest-by-key)
 ``store.get``       backend point lookup (content key)
 ``codec.unpack``    columnar payload decode
-``merge.flush``     ``codec="json"`` merge flush of one point-record chunk
 ==================  ====================================================
 
 The ``queue.attempt`` context carries the attempt number because

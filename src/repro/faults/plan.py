@@ -63,7 +63,7 @@ class FaultRule:
     site:
         ``fnmatch`` glob matched against the instrumented site name
         (``queue.attempt``, ``store.append``, ``store.iter``,
-        ``store.get``, ``codec.unpack``, ``merge.flush``).
+        ``store.get``, ``codec.unpack``).
     action:
         One of :data:`KNOWN_ACTIONS`.
     job_id:

@@ -57,12 +57,7 @@ _EXPORTS: dict[str, tuple[str, ...] | None] = {
         "registry_campaign",
         "run_campaign",
     ),
-    ".codec": (
-        "CODEC_COLUMNAR",
-        "CODEC_ENV_VAR",
-        "CODEC_JSON",
-        "STORAGE_FORMAT",
-    ),
+    ".codec": ("CODEC_COLUMNAR", "STORAGE_FORMAT"),
     ".events": (
         "EVENT_LOST",
         "EVENT_REQUEUED",
@@ -98,8 +93,6 @@ _EXPORTS: dict[str, tuple[str, ...] | None] = {
         "collect_arrays",
         "collect_points",
         "grid_descriptor",
-        "iter_points",
-        "lookup_point",
         "run_sharded_sweep",
         "shard_grid",
         "sharded_sweep_campaign",

@@ -46,16 +46,14 @@ Either way the record the rest of the system sees — cache, compaction,
 migration — carries real ``bytes``, so columnar payloads move between
 backends verbatim and a JSONL↔SQLite migration is still byte-exact.
 
-The ``REPRO_POINT_CODEC`` environment variable (``columnar`` |
-``json``) selects the default packing for sharded sweeps; old stores
-whose payloads predate the codec keep reading — every decoder branches
-on the payload's ``codec``/``format`` stamp.
+Columnar payloads are the one form sharded sweeps write.  Stores whose
+payloads predate the codec keep reading: every decoder branches on the
+payload's ``codec``/``format`` stamp.
 """
 
 from __future__ import annotations
 
 import base64
-import os
 import time
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
@@ -70,13 +68,9 @@ from ..telemetry import metrics
 if TYPE_CHECKING:
     import numpy as np
 
-#: Environment variable naming the default point codec.
-CODEC_ENV_VAR = "REPRO_POINT_CODEC"
-#: Pack uniform numeric/categorical point series as binary columns.
+#: Payload-kind marker of uniform numeric/categorical point series
+#: packed as binary columns.
 CODEC_COLUMNAR = "columnar"
-#: The legacy per-point JSON-dict path.
-CODEC_JSON = "json"
-CODECS = (CODEC_COLUMNAR, CODEC_JSON)
 
 #: Storage-format version stamped into every columnar payload.  Bump it
 #: when the payload layout changes; decoders refuse formats they do not
@@ -101,22 +95,6 @@ _DTYPE_I8 = "<i8"
 _DTYPE_U1 = "|u1"
 _DTYPE_JSON = "json"
 _ITEMSIZE = {_DTYPE_F8: 8, _DTYPE_I8: 8, _DTYPE_U1: 1}
-
-
-def default_codec() -> str:
-    """The codec sharded sweeps use when none is passed explicitly."""
-    name = os.environ.get(CODEC_ENV_VAR, "").strip() or CODEC_COLUMNAR
-    return check_codec(name)
-
-
-def check_codec(name: str) -> str:
-    """Validate a codec name."""
-    if name not in CODECS:
-        known = ", ".join(CODECS)
-        raise ConfigurationError(
-            f"unknown point codec {name!r}; known: {known}"
-        )
-    return name
 
 
 # -- column packing --------------------------------------------------------
@@ -521,10 +499,11 @@ def payload_kind(record: Mapping[str, Any]) -> str:
     """Classify one store record for ``repro store info`` breakdowns.
 
     Kinds: ``columnar-shard`` (shard payloads in the binary codec),
-    ``columnar-block`` (merged point blocks, which older builds wrote
-    beside the shard payloads), ``shard-json`` (legacy shard payloads),
-    ``point`` (per-point records of the ``codec="json"`` merge), ``job``
-    (campaign job results), ``other``.
+    ``shard-json`` (per-point JSON shard payloads, written by older
+    builds and still for points that will not columnise), ``job``
+    (campaign job results), ``other``, and two kinds written by older
+    builds only: ``columnar-block`` (merged point blocks beside the
+    shard payloads) and ``point`` (one record per grid point).
     """
     value = record.get("value")
     if isinstance(value, Mapping):

@@ -28,12 +28,14 @@ Resilience: every attempt may carry a wall-clock **deadline**
 (``JobSpec.deadline_s``, or the ``REPRO_JOB_DEADLINE_S`` environment
 default) — an attempt that outlives it is abandoned, emits a
 ``timeout`` event, and is charged against the retry budget, so one
-hung job can never wedge a campaign.  Retries wait an exponentially
-growing, fully jittered **backoff** (``JobSpec.retry_backoff_s``),
-seedable per run for deterministic tests.  The scheduler also hosts
-the ``queue.attempt`` fault-injection site (:mod:`repro.faults`):
-``run_jobs(..., faults=...)`` activates a plan for the run, exported
-to worker processes through the environment.
+hung job can never wedge a campaign.  Its retry starts at once, since
+the hung attempt already waited out its deadline; a retry after an
+error waits an exponentially growing, fully jittered **backoff**
+(``JobSpec.retry_backoff_s``), seedable per run for deterministic
+tests.  The serial and pool loops share this policy.  The scheduler
+also hosts the ``queue.attempt`` fault-injection site
+(:mod:`repro.faults`): ``run_jobs(..., faults=...)`` activates a plan
+for the run, exported to worker processes through the environment.
 
 Events travel over the :class:`~repro.runner.events.EventBus`: every
 run publishes a stamped :class:`~repro.runner.events.Event` stream
@@ -86,7 +88,6 @@ from .executors.base import (
     ExecutionBackend,
     make_executor,
     resolve_executor_kind,
-    run_one_attempt,
 )
 from .executors.serial import SerialExecutor
 from .jobs import (
@@ -128,12 +129,6 @@ DEADLINE_ENV_VAR = "REPRO_JOB_DEADLINE_S"
 
 #: Ceiling on any single jittered backoff delay, seconds.
 BACKOFF_CAP_S = 30.0
-
-#: Backward-compatible alias; the class now lives with the backends.
-_DeadlineExceeded = DeadlineExceeded
-
-#: Backward-compatible alias for the attempt primitive.
-_attempt = run_one_attempt
 
 
 def _env_deadline() -> float | None:
@@ -483,12 +478,14 @@ def _execute_with_retries(
     while attempt <= spec.retries:
         attempt += 1
         run._event(EVENT_STARTED, spec.job_id, attempt=attempt)
+        timed_out = False
         try:
             value, duration, pid = backend.run_attempt(
                 spec, attempt, deadline
             )
         except DeadlineExceeded:
             error_text = run.timed_out(spec, attempt)
+            timed_out = True
         except Exception as error:  # noqa: BLE001 - jobs may raise anything
             error_text = f"{type(error).__name__}: {error}"
         else:
@@ -509,6 +506,10 @@ def _execute_with_retries(
                 EVENT_RETRY, spec.job_id, attempt=attempt,
                 error=error_text,
             )
+            if timed_out:
+                # No backoff, as on the pool path: a hung attempt
+                # already waited out its deadline.
+                continue
             delay = run.backoff_delay(spec, attempt)
             if delay > 0:
                 time.sleep(delay)

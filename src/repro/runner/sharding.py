@@ -27,23 +27,21 @@ a few dozen bytes per job instead of 125k floats, and content keys
 hash O(1) descriptors instead of O(n) value lists.
 
 Shard results move through the store in the **columnar binary codec**
-(:mod:`repro.runner.codec`) by default: a batch target hands back one
-numpy column per metric, :func:`evaluate_shard` packs those columns as
-they are into one blob, and that shard record is the sweep's one
-stored copy of its points.  The merge job only folds the metric
-summary from the shard payloads; :func:`collect_arrays` decodes them
-straight to numpy, :func:`collect_points` / :func:`iter_points` to
-exact Python values, and :func:`lookup_point` answers one grid point.
-``codec="json"`` (or ``REPRO_POINT_CODEC=json``) keeps the legacy
-per-point path, whose merge also files one JSON record per point,
-and every reader transparently accepts payloads in either format, so
-stores written before the codec existed keep working.
+(:mod:`repro.runner.codec`): a batch target hands back one numpy column
+per metric, :func:`evaluate_shard` packs those columns as they are into
+one blob, and that shard record is the sweep's one stored copy of its
+points.  The merge job only folds the metric summary from the shard
+payloads; :func:`collect_arrays` decodes them straight to numpy and
+:func:`collect_points` to exact Python values.  Points that will not
+columnise (ragged mappings) keep the per-point ``{"values": [...],
+"points": [...]}`` payload older builds wrote, and every reader accepts
+payloads in either form, so stores written before the codec existed
+keep working.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Iterator, Mapping, Sequence
@@ -51,62 +49,19 @@ from typing import Any, Iterator, Mapping, Sequence
 import numpy as np
 
 from ..errors import ConfigurationError, InfeasibleDesignError
-from ..faults import fault_site
-from ..telemetry import metrics, span
+from ..telemetry import span
 from . import codec as _codec
 from .campaign import Campaign
-from .codec import (
-    CODEC_COLUMNAR,
-    KIND_MAPPING,
-    KIND_SCALAR,
-    SCALAR_COLUMN,
-    check_codec,
-    default_codec,
-)
-from .jobs import content_key, json_safe, resolve_callable
+from .codec import KIND_MAPPING, KIND_SCALAR, SCALAR_COLUMN
+from .jobs import json_safe, resolve_callable
 from .store import ResultStore
 
 #: Dotted paths the shard and merge jobs resolve in worker processes.
 SHARD_TARGET = "repro.runner.sharding:evaluate_shard"
 MERGE_TARGET = "repro.runner.sharding:merge_shards"
 
-#: Pseudo-kind hashed into per-point record keys.  Deliberately NOT a
-#: schedulable job kind: a point record holds one point's metrics, not
-#: what a single-point *job* of the target would return (that job sees
-#: a scalar argument and may shape its output differently), so these
-#: records must never be served as cache hits for real jobs.
-POINT_KIND = "point"
-
 #: Grid-descriptor kinds workers know how to materialise.
 GRID_KINDS = ("geomspace", "linspace")
-
-#: The ``codec="json"`` merge flushes its point records to the store in
-#: batches of this many, so a million-point merge never holds more than
-#: one batch of JSON lines / SQL rows beyond the one shard payload
-#: currently being drained.  Override per merge with ``flush_chunk=`` or
-#: globally via :data:`FLUSH_CHUNK_ENV_VAR`.
-FLUSH_CHUNK = 50_000
-#: Environment variable overriding :data:`FLUSH_CHUNK`.
-FLUSH_CHUNK_ENV_VAR = "REPRO_MERGE_FLUSH_CHUNK"
-
-
-def _env_flush_chunk() -> int:
-    """The :data:`FLUSH_CHUNK_ENV_VAR` merge chunk, validated."""
-    raw = os.environ.get(FLUSH_CHUNK_ENV_VAR, "").strip()
-    if not raw:
-        return FLUSH_CHUNK
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{FLUSH_CHUNK_ENV_VAR} must be a whole number of points, "
-            f"got {raw!r}"
-        ) from None
-    if value < 1:
-        raise ConfigurationError(
-            f"{FLUSH_CHUNK_ENV_VAR} must be >= 1, got {raw!r}"
-        )
-    return value
 
 
 def shard_grid(values: Sequence[Any], shards: int) -> list[list[Any]]:
@@ -251,7 +206,6 @@ def evaluate_shard(
     grid: Mapping[str, Any] | None = None,
     shard_index: int | None = None,
     shard_count: int | None = None,
-    codec: str | None = None,
 ) -> dict[str, Any]:
     """Evaluate one contiguous shard of a sweep grid (worker entry point).
 
@@ -260,12 +214,11 @@ def evaluate_shard(
     points.  A batch target gets them in one call: the list, or for a
     descriptor the read-only float64 slice of :func:`shard_values`; a
     scalar target (``batch=False``) gets one Python value per call.
-    Returns the shard payload: with the columnar codec (the default), a
-    batch target's per-metric series are packed straight into binary
-    columns (numpy columns by dtype, with no per-value type scan) and
-    no per-point dict is ever built; with ``codec="json"`` (or for
-    results the binary dtypes cannot represent exactly) the payload is
-    the legacy ``{"values": [...], "points": [...]}`` form.
+    Returns the shard payload: a batch target's per-metric series are
+    packed straight into binary columns (numpy columns by dtype, with
+    no per-value type scan) and no per-point dict is ever built.  Only
+    points that will not columnise (ragged mappings) fall back to the
+    per-point ``{"values": [...], "points": [...]}`` form.
     """
     if (values is None) == (grid is None):
         raise ConfigurationError(
@@ -282,7 +235,6 @@ def evaluate_shard(
             shard = shard.tolist()
     else:
         shard = list(values)  # type: ignore[arg-type]
-    chosen = check_codec(codec) if codec is not None else default_codec()
     func = resolve_callable(sweep_target)
     kwargs = dict(common or {})
     count = len(shard)
@@ -294,7 +246,7 @@ def evaluate_shard(
         shard=shard_index,
     ):
         return _evaluate_shard_points(
-            func, parameter, shard, kwargs, batch, chosen, count
+            func, parameter, shard, kwargs, batch, count
         )
 
 
@@ -304,7 +256,6 @@ def _evaluate_shard_points(
     values: Sequence[Any],
     kwargs: dict[str, Any],
     batch: bool,
-    chosen: str,
     count: int,
 ) -> dict[str, Any]:
     """The compute + pack body of :func:`evaluate_shard`."""
@@ -312,38 +263,20 @@ def _evaluate_shard_points(
         result = func(**{parameter: values}, **kwargs)
         if isinstance(result, Mapping):
             series = _check_series(result, count)
-            if chosen == CODEC_COLUMNAR:
-                payload = _codec.pack_series(values, series, KIND_MAPPING)
-                return {"parameter": parameter, **payload}
-            lists = {
-                name: (
-                    column.tolist()
-                    if isinstance(column, np.ndarray)
-                    else column
-                )
-                for name, column in series.items()
-            }
-            points: list[Any] = [
-                {name: lists[name][index] for name in lists}
-                for index in range(count)
-            ]
-        elif (
-            chosen == CODEC_COLUMNAR
-            and isinstance(result, np.ndarray)
-            and result.ndim == 1
-        ):
+            payload = _codec.pack_series(values, series, KIND_MAPPING)
+            return {"parameter": parameter, **payload}
+        if isinstance(result, np.ndarray) and result.ndim == 1:
             # One array of point values packs by its dtype; listing it
             # would give numpy scalars, which the codec stores as JSON.
             series = _check_series({SCALAR_COLUMN: result}, count)
             payload = _codec.pack_series(values, series, KIND_SCALAR)
             return {"parameter": parameter, **payload}
-        else:
-            points = list(result)
-            if len(points) != count:
-                raise ConfigurationError(
-                    f"batch target returned {len(points)} values for a "
-                    f"{count}-point shard"
-                )
+        points = list(result)
+        if len(points) != count:
+            raise ConfigurationError(
+                f"batch target returned {len(points)} values for a "
+                f"{count}-point shard"
+            )
     else:
         points = []
         for value in values:
@@ -351,10 +284,9 @@ def _evaluate_shard_points(
                 points.append(func(**{parameter: value}, **kwargs))
             except InfeasibleDesignError:
                 points.append(math.inf)
-    if chosen == CODEC_COLUMNAR:
-        packed = _codec.pack_points(values, points)
-        if packed is not None:
-            return {"parameter": parameter, **packed}
+    packed = _codec.pack_points(values, points)
+    if packed is not None:
+        return {"parameter": parameter, **packed}
     return {
         "parameter": parameter,
         "values": json_safe(values),
@@ -368,8 +300,8 @@ class _PointSummary:
     Replaces the materialise-then-reduce summary so the merge job can
     fold points in as they stream past — state is three scalars per
     metric name, never the point series itself.  Columnar shards fold
-    in as whole arrays (:meth:`add_columns`), producing bit-identical
-    statistics to the per-point path.
+    in as whole arrays (:meth:`add_columns`); per-point payloads fold
+    point by point (:meth:`add`) to the same statistics.
     """
 
     def __init__(self) -> None:
@@ -434,7 +366,7 @@ def _iter_shard_payloads(
 
     Only one shard payload is ever decoded at once — the caller drains
     it before the next ``store.get`` — which is what keeps the merge
-    worker's footprint O(shard + chunk) instead of O(points).  Raises
+    worker's footprint O(shard) instead of O(points).  Raises
     :class:`~repro.errors.ConfigurationError` when a shard has no
     ``ok`` record — the sweep was not (fully) run against this store.
     """
@@ -460,9 +392,9 @@ def _payload_columns(
 ) -> tuple[Any, dict[str, Any], str] | None:
     """A shard payload as ``(values, columns, points_kind)`` arrays.
 
-    Columnar payloads decode straight to numpy; legacy JSON payloads
+    Columnar payloads decode straight to numpy; per-point JSON payloads
     are columnised when their points are uniform (``None`` when they
-    are not — the caller falls back to the per-point path).
+    are not).
     """
     if _codec.is_columnar(payload):
         return _codec.unpack_columns(payload)
@@ -480,25 +412,6 @@ def _payload_columns(
     )
 
 
-def point_key(
-    sweep_target: str,
-    parameter: str,
-    value: Any,
-    common: Mapping[str, Any] | None = None,
-) -> str:
-    """Deterministic content key of one grid point of one sweep.
-
-    The legacy (``codec="json"``) merge files every grid point under
-    this key, so any point of an already-swept grid is one indexed
-    ``store.get`` away.  The key hashes :data:`POINT_KIND`, never a
-    schedulable job kind — point records are a query surface, not
-    cache entries for real jobs.
-    """
-    return content_key(
-        POINT_KIND, sweep_target, {parameter: value, **dict(common or {})}
-    )
-
-
 def merge_shards(
     store_path: str,
     shard_keys: Sequence[str],
@@ -507,8 +420,6 @@ def merge_shards(
     prefix: str,
     common: Mapping[str, Any] | None = None,
     store_backend: str | None = None,
-    flush_chunk: int | None = None,
-    codec: str | None = None,
 ) -> dict[str, Any]:
     """Fold a finished sweep's shard payloads into its summary.
 
@@ -516,42 +427,19 @@ def merge_shards(
     store by the time this job is scheduled — the scheduler cache-puts
     results before releasing dependents) and folds the finite count,
     minimum and maximum of each numeric metric.  The shard records are
-    the sweep's one stored copy of its points, so with the columnar
-    codec (the default) the merge writes nothing: each payload decodes
-    straight to column arrays and folds in one vectorised pass per
-    metric.  With ``codec="json"`` the merge also files one JSON record
-    per point under :func:`point_key`, flushed in ``append_many``
-    batches of ``flush_chunk`` points.  Either way the full point list
-    is never materialised: peak merge memory is O(shard + chunk), not
-    O(points).  Re-merging after an interrupt may append duplicate
-    point records; latest-wins store semantics make that harmless and
-    ``compact()`` reclaims them.
+    the sweep's one stored copy of its points, so the merge writes
+    nothing: a columnar payload decodes straight to column arrays and
+    folds in one vectorised pass per metric, and a per-point payload
+    folds point by point.  The full point list is never materialised:
+    peak merge memory is O(shard), not O(points).  ``prefix`` and
+    ``common`` are not read; they stay parameters because they are
+    hashed into the merge job's content key, which keeps existing
+    stores resolving from cache.
     """
-    chunk_size = (
-        flush_chunk if flush_chunk is not None else _env_flush_chunk()
-    )
-    if chunk_size < 1:
-        raise ConfigurationError(
-            f"flush_chunk must be >= 1, got {chunk_size}"
-        )
-    chosen = check_codec(codec) if codec is not None else default_codec()
     store = ResultStore(store_path, backend=store_backend)
     summary = _PointSummary()
     merged = 0
-    point_records = 0
     try:
-        chunk: list[dict[str, Any]] = []
-
-        def flush_points() -> None:
-            nonlocal chunk, point_records
-            if not chunk:
-                return
-            fault_site("merge.flush")
-            with metrics().timer("merge.flush_s"):
-                store.append_many(chunk)
-            point_records += len(chunk)
-            chunk = []
-
         with span(
             "merge",
             cat="sweep",
@@ -561,44 +449,20 @@ def merge_shards(
             for payload in _iter_shard_payloads(
                 store, shard_keys, store_path
             ):
-                columns = (
-                    _payload_columns(payload)
-                    if chosen == CODEC_COLUMNAR
-                    else None
-                )
-                if columns is not None:
-                    values, series, _ = columns
+                if _codec.is_columnar(payload):
+                    values, series, _ = _codec.unpack_columns(payload)
                     summary.add_columns(series)
                     merged += len(values)
-                    continue
-                # Per-point path: codec="json", which also files the
-                # point records, or a payload that will not columnise.
-                values, points = _payload_points(payload)
-                for value, point in zip(values, points):
-                    summary.add(point)
-                    merged += 1
-                    if chosen == CODEC_COLUMNAR:
-                        continue
-                    chunk.append(
-                        {
-                            "key": point_key(
-                                sweep_target, parameter, value, common
-                            ),
-                            "job_id": f"{prefix}[{value}]",
-                            "status": "ok",
-                            "value": point,
-                        }
-                    )
-                    if len(chunk) >= chunk_size:
-                        flush_points()
-            flush_points()
+                else:
+                    for point in payload["points"]:
+                        summary.add(point)
+                    merged += len(payload["points"])
     finally:
         store.close()
     return {
         "parameter": parameter,
         "points": merged,
         "shards": len(shard_keys),
-        "point_records": point_records,
         "metrics": summary.as_dict(),
     }
 
@@ -615,8 +479,6 @@ def sharded_sweep_campaign(
     common: Mapping[str, Any] | None = None,
     retries: int = 0,
     batch: bool = True,
-    flush_chunk: int | None = None,
-    codec: str | None = None,
 ) -> Campaign:
     """Build the campaign for one sharded sweep.
 
@@ -630,22 +492,11 @@ def sharded_sweep_campaign(
     count)`` and materialises its own slice.  Run it with
     ``run_campaign(campaign, store_path=store_path, jobs=N)`` — the
     same store makes the sweep resumable and re-runs cached.
-    ``flush_chunk`` bounds the ``codec="json"`` merge's point-record
-    batches (default :data:`FLUSH_CHUNK`, or :data:`FLUSH_CHUNK_ENV_VAR`,
-    which is validated here so a bad value fails before any shard
-    runs); like
-    ``codec``, it is left out of job content keys when unset so
-    existing stores keep resolving from cache.
     """
-    if flush_chunk is None:
-        _env_flush_chunk()
     common = dict(common or {})
     campaign = Campaign(name)
     shard_ids: list[str] = []
     shard_keys: list[str] = []
-    extra: dict[str, Any] = {}
-    if codec is not None:
-        extra["codec"] = check_codec(codec)
     if isinstance(values, Mapping):
         grid = _coerce_grid(values)
         if shards < 1:
@@ -672,11 +523,14 @@ def sharded_sweep_campaign(
             common=common,
             batch=batch,
             **chunk_params,
-            **extra,
         )
         shard_ids.append(job_id)
         shard_keys.append(campaign.specs[-1].key)
-    merge_params: dict[str, Any] = dict(
+    campaign.call(
+        f"{name}/merge",
+        MERGE_TARGET,
+        after=shard_ids,
+        retries=retries,
         store_path=str(store_path),
         shard_keys=shard_keys,
         sweep_target=target,
@@ -684,16 +538,6 @@ def sharded_sweep_campaign(
         prefix=name,
         common=common,
         store_backend=store_backend,
-        **extra,
-    )
-    if flush_chunk is not None:
-        merge_params["flush_chunk"] = flush_chunk
-    campaign.call(
-        f"{name}/merge",
-        MERGE_TARGET,
-        after=shard_ids,
-        retries=retries,
-        **merge_params,
     )
     return campaign
 
@@ -711,8 +555,6 @@ def run_sharded_sweep(
     common: Mapping[str, Any] | None = None,
     retries: int = 0,
     batch: bool = True,
-    flush_chunk: int | None = None,
-    codec: str | None = None,
     monitor: Any = None,
     strict: bool = True,
     observers: Sequence[Any] = (),
@@ -722,14 +564,13 @@ def run_sharded_sweep(
     """Build and execute a sharded sweep; return its ``CampaignResult``.
 
     The merge summary is at ``result.results[f"{name}/merge"].value``;
-    the full per-point series reassembles with :func:`collect_points`
-    (or streams through :func:`iter_points`, or decodes straight to
-    numpy with :func:`collect_arrays`).  The campaign's cache preloads
-    only the campaign's own content keys, so re-running against a
-    store already holding millions of point records never loads them
-    into memory.  ``executor`` picks the execution backend
-    (``"serial"``/``"pool"`` or a backend instance), forwarded through
-    :func:`~repro.runner.campaign.run_campaign`.
+    the full per-point series reassembles with :func:`collect_points`,
+    or decodes straight to numpy with :func:`collect_arrays`.  The
+    campaign's cache preloads only the campaign's own content keys, so
+    re-running against a store that holds millions of other records
+    never loads them into memory.  ``executor`` picks the execution
+    backend (``"serial"``/``"pool"`` or a backend instance), forwarded
+    through :func:`~repro.runner.campaign.run_campaign`.
     """
     from .campaign import run_campaign
 
@@ -744,8 +585,6 @@ def run_sharded_sweep(
         common=common,
         retries=retries,
         batch=batch,
-        flush_chunk=flush_chunk,
-        codec=codec,
     )
     return run_campaign(
         campaign,
@@ -776,9 +615,9 @@ def collect_points(
     Streams shard records in shard order, so the caller gets the same
     series a monolithic sweep would have produced — columnar payloads
     are decoded back to exact per-point Python values, bit-identical
-    to the JSON-dict path.  Materialises the whole grid by contract;
-    use :func:`iter_points` to stream, or :func:`collect_arrays` to
-    skip per-point objects entirely.
+    to the per-point JSON payload.  Materialises the whole grid by
+    contract; use :func:`collect_arrays` to skip per-point objects
+    entirely.
     """
     shard_keys = _campaign_shard_keys(campaign)
     store = ResultStore(store_path, backend=store_backend)
@@ -792,27 +631,6 @@ def collect_points(
     finally:
         store.close()
     return values, points
-
-
-def iter_points(
-    store_path: str,
-    campaign: Campaign,
-    store_backend: str | None = None,
-) -> Iterator[tuple[Any, Any]]:
-    """Stream a sharded sweep's ``(value, point)`` pairs in grid order.
-
-    The lazy twin of :func:`collect_points`: one shard payload is
-    decoded at a time and released as soon as it drains, so walking a
-    10M-point sweep costs one shard of memory, not the grid.
-    """
-    shard_keys = _campaign_shard_keys(campaign)
-    store = ResultStore(store_path, backend=store_backend)
-    try:
-        for payload in _iter_shard_payloads(store, shard_keys, store_path):
-            values, points = _payload_points(payload)
-            yield from zip(values, points)
-    finally:
-        store.close()
 
 
 @dataclass(frozen=True)
@@ -882,62 +700,3 @@ def collect_arrays(
         },
         points_kind=points_kind or KIND_SCALAR,
     )
-
-
-def lookup_point(
-    store_path: str,
-    campaign: Campaign,
-    value: Any,
-    store_backend: str | None = None,
-) -> Any:
-    """One grid point's metrics from a finished sweep's store.
-
-    Searches the campaign's shard payloads in shard order, one indexed
-    ``get`` each, and decodes the first holding ``value``; a shard
-    without a stored record is passed over.  Shard payloads are in
-    every sweep store, whatever codec or build wrote it.  Returns the
-    point's metrics as exact Python values (a mapping or scalar,
-    matching the sweep target's shape) or ``None`` when the value is
-    not a stored grid point.
-    """
-    shard_keys = _campaign_shard_keys(campaign)
-    if not shard_keys:
-        raise ConfigurationError(
-            "campaign holds no sharded sweep (no shard jobs)"
-        )
-    store = ResultStore(store_path, backend=store_backend)
-    try:
-        for key in shard_keys:
-            record = store.get(key)
-            if record is None:
-                continue
-            payload = record["value"]
-            if not _codec.is_columnar(payload):
-                try:
-                    position = payload["values"].index(value)
-                except ValueError:
-                    continue
-                return payload["points"][position]
-            values, columns, points_kind = _codec.unpack_columns(payload)
-            if isinstance(values, np.ndarray):
-                hits = np.flatnonzero(values == value)
-                if not hits.size:
-                    continue
-                position = int(hits[0])
-            else:
-                try:
-                    position = values.index(value)
-                except ValueError:
-                    continue
-            point: dict[str, Any] = {}
-            for name, column in columns.items():
-                entry = column[position]
-                point[name] = (
-                    entry.item() if isinstance(entry, np.generic) else entry
-                )
-            if points_kind == KIND_SCALAR:
-                return point[SCALAR_COLUMN]
-            return point
-        return None
-    finally:
-        store.close()

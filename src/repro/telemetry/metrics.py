@@ -3,7 +3,7 @@
 No third-party dependencies, no background threads, no sampling — just
 three dictionaries of scalars behind a tiny API, cheap enough to leave
 on in every hot path the runner owns (store appends, cache lookups,
-codec packs, merge flushes):
+codec packs):
 
 * **counters** are monotonically increasing floats (``count``),
 * **gauges** are last-value-wins floats, with a ``gauge_max`` variant

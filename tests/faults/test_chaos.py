@@ -42,7 +42,6 @@ SITES = (
     "store.iter",
     "store.get",
     "codec.unpack",
-    "merge.flush",
     "store.*",
     "*",
 )

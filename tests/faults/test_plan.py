@@ -137,11 +137,11 @@ class TestPlanSerialisation:
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "plan.json"
         path.write_text(
-            '{"rules": [{"site": "merge.flush", "action": "raise"}]}',
+            '{"rules": [{"site": "codec.unpack", "action": "raise"}]}',
             encoding="utf-8",
         )
         plan = FaultPlan.load(path)
-        assert plan.rules[0].site == "merge.flush"
+        assert plan.rules[0].site == "codec.unpack"
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError, match="cannot read"):

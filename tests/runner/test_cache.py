@@ -268,7 +268,12 @@ class TestLazyPreload:
 class TestCampaignCachePreload:
     @pytest.mark.parametrize("cache_preload", ["specs", None])
     def test_specs_preload_skips_point_records(self, tmp_path, cache_preload):
-        from repro.runner import run_campaign, run_sharded_sweep
+        from repro.runner import (
+            ResultStore,
+            content_key,
+            run_campaign,
+            run_sharded_sweep,
+        )
         from repro.runner.sharding import sharded_sweep_campaign
 
         grid = [float(v) for v in range(32_000, 32_020)]
@@ -282,6 +287,22 @@ class TestCampaignCachePreload:
             shards=4,
         )
         assert first.ok
+        # Older builds' merges also filed one record per grid point.
+        store = ResultStore(store_path)
+        store.append_many([
+            {
+                "key": content_key(
+                    "point", "repro.core.batch:break_even_curve",
+                    {"rate_bps": value},
+                ),
+                "job_id": f"sweep[{value}]",
+                "status": "ok",
+                "value": {"break_even_bits": value},
+            }
+            for value in grid
+        ])
+        assert len(store) == 25
+        store.close()
         campaign = sharded_sweep_campaign(
             "sweep",
             "repro.core.batch:break_even_curve",
@@ -295,7 +316,7 @@ class TestCampaignCachePreload:
         )
         assert rerun.status_counts() == {"cached": 5}
         # Only the campaign's own keys were warmed, not the 20 point
-        # records the merge filed.
+        # records beside them.
         assert rerun.cache_stats["size"] == 5
 
     def test_lazy_preload_matches_eager_outcome(self, tmp_path):

@@ -1,13 +1,14 @@
 """Columnar codec tests: round-trip parity, backends, migration, resume.
 
-The codec's contract is *bit-exact equivalence* with the JSON-dict
-path: whatever a sweep stores through binary columns must decode
-back to the same Python values — same types, same mapping key order,
-NaN/inf included — that the legacy per-point pipeline would have
-produced.  These tests drive that contract property-based (hypothesis
+The codec's contract is *bit-exact equivalence* with the per-point
+JSON payload: whatever a sweep stores through binary columns must
+decode back to the same Python values — same types, same mapping key
+order, NaN/inf included — that a per-point payload of the same points
+holds.  These tests drive that contract property-based (hypothesis
 generates adversarial column mixes), through both persistence
-backends, across store migration, and through a crash-resumed
-columnar merge.
+backends, across store migration, through a crash-resumed columnar
+merge, and against stores of per-point payloads that older builds
+wrote.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from repro.runner import (
     ResultStore,
     collect_arrays,
     collect_points,
-    lookup_point,
     migrate_store,
     run_campaign,
     run_sharded_sweep,
@@ -45,11 +45,15 @@ from repro.runner.codec import (
     unpack_columns,
     unpack_points,
 )
-from repro.runner.jobs import content_key
+from repro.runner.jobs import STATUS_OK, JobResult, content_key
+from repro.runner.provenance import stamp_record
 from repro.runner.sharding import merge_shards
 
 GRID = [float(v) for v in range(32_000, 32_000 + 40)]
 TARGET_DSPACE = "repro.core.batch:evaluate_rate_grid"
+
+#: A grid whose upper rates are infeasible, so its points carry inf.
+LEGACY_GRID = np.geomspace(32e3, 1e8, 42).tolist()
 
 
 def same_value(a, b) -> bool:
@@ -134,6 +138,61 @@ def mapping_sweeps(draw):
         for index in range(count)
     ]
     return values, points
+
+
+def _model_points(values):
+    """``evaluate_rate_grid`` over ``values`` as one dict per point."""
+    from repro.core.batch import evaluate_rate_grid
+
+    lists = {
+        name: column.tolist()
+        for name, column in evaluate_rate_grid(values).items()
+    }
+    return [
+        {name: lists[name][index] for name in lists}
+        for index in range(len(values))
+    ]
+
+
+def _legacy_sweep_store(path):
+    """A store of LEGACY_GRID's shards as builds before the codec left it.
+
+    Each shard record holds the per-point ``{"parameter", "values",
+    "points"}`` payload those builds wrote, under the campaign's own
+    content key, and one per-point record of their merge sits beside
+    the shards.  No merge of this build has run.  Returns the campaign.
+    """
+    campaign = sharded_sweep_campaign(
+        "sweep", TARGET_DSPACE, "rate_bps", LEGACY_GRID,
+        store_path=str(path), shards=4,
+    )
+    records = []
+    for spec in campaign.specs[:-1]:
+        values = spec.params_dict()["values"]
+        payload = {
+            "parameter": "rate_bps",
+            "values": values,
+            "points": _model_points(values),
+        }
+        result = JobResult(
+            job_id=spec.job_id, key=spec.key, status=STATUS_OK,
+            value=payload,
+        )
+        records.append(stamp_record(result.to_record(spec)))
+    records.append({
+        "key": content_key(
+            "point", TARGET_DSPACE, {"rate_bps": LEGACY_GRID[0]}
+        ),
+        "job_id": f"sweep[{LEGACY_GRID[0]}]",
+        "status": "ok",
+        "value": _model_points(LEGACY_GRID[:1])[0],
+    })
+    store = ResultStore(path)
+    try:
+        store.append_many(records)
+    finally:
+        store.close()
+    return campaign
 
 
 class TestRoundTrip:
@@ -247,7 +306,7 @@ class TestBytesAcrossBackends:
 
 
 class TestMigration:
-    def _sweep_store(self, path, backend=None, codec=None):
+    def _sweep_store(self, path, backend=None):
         campaign = sharded_sweep_campaign(
             "sweep",
             TARGET_DSPACE,
@@ -255,7 +314,6 @@ class TestMigration:
             GRID,
             store_path=str(path),
             shards=4,
-            codec=codec,
         )
         result = run_campaign(
             campaign, store_path=str(path), store_backend=backend
@@ -278,69 +336,41 @@ class TestMigration:
         assert len(source) == migrated
         assert source == via == back  # bytes payloads included
 
-        # The migrated store still answers sweep queries.
+        # The migrated store answers sweep queries as its source does.
         values, points = collect_points(str(sqlite_path), campaign)
         assert values == GRID
-        point = lookup_point(str(sqlite_path), campaign, GRID[3])
-        assert point == points[3]
+        assert (values, points) == collect_points(str(jsonl_path), campaign)
+        arrays = collect_arrays(str(sqlite_path), campaign)
+        assert arrays.columns["dominant"].tolist() == [
+            p["dominant"] for p in points
+        ]
 
     def test_mixed_payload_kind_store_migrates(self, tmp_path):
-        """json-codec point records and columnar payloads coexist."""
+        """Legacy per-point and columnar payloads coexist and migrate."""
         path = tmp_path / "mixed.sqlite"
-        self._sweep_store(path, codec="json")
-        self._sweep_store(path, codec=None)  # columnar on top
+        legacy = _legacy_sweep_store(path)
+        self._sweep_store(path)  # columnar payloads of another grid
+        resumed = run_campaign(legacy, store_path=str(path))
+        assert resumed.status_counts() == {"cached": 4, "ok": 1}
+        store = ResultStore(path)
+        kinds = {payload_kind(record) for record in store.iter_records()}
+        store.close()
+        assert kinds == {"shard-json", "point", "columnar-shard", "job"}
         dst = tmp_path / "mixed.jsonl"
         migrated = migrate_store(path, dst, dst_backend="jsonl")
         assert migrated == len(ResultStore(path).load())
         assert ResultStore(dst).load() == ResultStore(path).load()
+        assert collect_points(str(dst), legacy) == collect_points(
+            str(path), legacy
+        )
 
 
 class TestColumnarParity:
     def test_columnar_vs_json_pipeline_identical(self, tmp_path):
-        """Same grid, both codecs: identical points, arrays, summary."""
-        stores = {}
-        summaries = {}
-        for codec in ("columnar", "json"):
-            path = str(tmp_path / f"{codec}.sqlite")
-            campaign = sharded_sweep_campaign(
-                "sweep",
-                TARGET_DSPACE,
-                "rate_bps",
-                GRID,
-                store_path=path,
-                shards=4,
-                codec=codec,
-            )
-            result = run_campaign(campaign, store_path=path)
-            assert result.ok
-            summaries[codec] = result.results["sweep/merge"].value
-            stores[codec] = collect_points(path, campaign)
-            if codec == "columnar":
-                columns = collect_arrays(path, campaign)
-        v_col, p_col = stores["columnar"]
-        v_json, p_json = stores["json"]
-        assert same_points(v_col, v_json)
-        assert same_points(p_col, p_json, ordered=False)
-        assert summaries["columnar"]["metrics"] == (
-            summaries["json"]["metrics"]
-        )
-        # And the array view agrees with the per-point view bit for bit.
-        assert np.asarray(columns.values).tolist() == v_col
-        assert columns.columns["required_buffer_bits"].tolist() == [
-            p["required_buffer_bits"] for p in p_col
-        ]
-        assert columns.columns["dominant"].tolist() == [
-            p["dominant"] for p in p_col
-        ]
+        """A sweep's readers and summary equal one direct model call."""
+        from repro.core.batch import evaluate_rate_grid
 
-    def test_pre_codec_store_still_reads_and_merges(
-        self, tmp_path, monkeypatch
-    ):
-        """A store whose shards predate the codec merges columnar."""
-        path = str(tmp_path / "old.sqlite")
-        # Write shard payloads in the legacy JSON-dict format under the
-        # DEFAULT content keys (what a pre-codec build produced).
-        monkeypatch.setenv("REPRO_POINT_CODEC", "json")
+        path = str(tmp_path / "s.sqlite")
         campaign = sharded_sweep_campaign(
             "sweep",
             TARGET_DSPACE,
@@ -349,30 +379,76 @@ class TestColumnarParity:
             store_path=path,
             shards=4,
         )
-        shards_only = Campaign("old", specs=list(campaign.specs[:-1]))
-        assert run_campaign(shards_only, store_path=path).ok
-        monkeypatch.delenv("REPRO_POINT_CODEC")
+        result = run_campaign(campaign, store_path=path)
+        assert result.ok
+        whole = evaluate_rate_grid(GRID)
+        values, points = collect_points(path, campaign)
+        assert same_points(values, GRID)
+        assert same_points(points, _model_points(GRID))
+        columns = collect_arrays(path, campaign)
+        assert np.asarray(columns.values).tolist() == GRID
+        assert set(columns.columns) == set(whole)
+        for name, column in whole.items():
+            assert columns.columns[name].dtype.kind == column.dtype.kind
+            assert columns.columns[name].tolist() == column.tolist()
+        # The summary folds the float columns only, as numpy would.
+        metrics = result.results["sweep/merge"].value["metrics"]
+        expected = {}
+        for name, column in whole.items():
+            if column.dtype.kind != "f":
+                continue
+            finite = column[np.isfinite(column)]
+            expected[name] = {
+                "finite": int(finite.size),
+                "min": float(finite.min()),
+                "max": float(finite.max()),
+            }
+        assert metrics == expected
 
-        # A current build folds those legacy payloads into its summary
-        # without writing a record, and every reader still answers
-        # identically.
-        merge = campaign.specs[-1]
+    def test_pre_codec_store_still_reads_and_merges(self, tmp_path):
+        """A store of per-point shard payloads answers like a new one."""
+        path = str(tmp_path / "old.sqlite")
+        campaign = _legacy_sweep_store(path)
+        reference_path = str(tmp_path / "new.sqlite")
+        reference = run_sharded_sweep(
+            "sweep", TARGET_DSPACE, "rate_bps", LEGACY_GRID,
+            store_path=reference_path, shards=4,
+        )
+        assert reference.ok
+        reference_summary = reference.results["sweep/merge"].value
+
+        # A current build folds those legacy payloads into the same
+        # summary without writing a record...
         store = ResultStore(path)
         stored = len(store)
         store.close()
-        summary = merge_shards(**merge.params_dict())
-        assert summary["points"] == len(GRID)
-        assert summary["point_records"] == 0
+        summary = merge_shards(**campaign.specs[-1].params_dict())
+        assert summary == reference_summary
+        assert summary["metrics"]["required_buffer_bits"]["finite"] < len(
+            LEGACY_GRID
+        )  # the infinite points are counted out
         store = ResultStore(path)
         assert len(store) == stored
         store.close()
+
+        # ...both readers answer as for the columnar store...
         values, points = collect_points(path, campaign)
-        assert values == GRID
-        columns = collect_arrays(path, campaign)
-        assert columns.columns["required_buffer_bits"].tolist() == [
-            p["required_buffer_bits"] for p in points
-        ]
-        assert lookup_point(path, campaign, GRID[5]) == points[5]
+        ref_values, ref_points = collect_points(reference_path, campaign)
+        assert same_points(values, ref_values)
+        assert same_points(points, ref_points, ordered=False)
+        arrays = collect_arrays(path, campaign)
+        ref_arrays = collect_arrays(reference_path, campaign)
+        assert np.array_equal(arrays.values, ref_arrays.values)
+        assert arrays.points_kind == ref_arrays.points_kind
+        assert set(arrays.columns) == set(ref_arrays.columns)
+        for name, column in ref_arrays.columns.items():
+            assert arrays.columns[name].dtype == column.dtype
+            assert arrays.columns[name].tolist() == column.tolist()
+
+        # ...and a re-run resolves every shard from cache.
+        rerun = run_campaign(campaign, store_path=path)
+        assert rerun.status_counts() == {"cached": 4, "ok": 1}
+        assert rerun.results["sweep/merge"].value == reference_summary
 
 
 class TestColumnarCrashResume:
@@ -423,7 +499,9 @@ class TestColumnarCrashResume:
         assert summary["points"] == len(GRID)
         values, points = collect_points(str(path), full)
         assert values == GRID
-        assert lookup_point(str(path), full, GRID[0]) == points[0]
+        assert collect_arrays(str(path), full).columns[
+            "required_buffer_bits"
+        ].tolist() == [p["required_buffer_bits"] for p in points]
 
 
 class TestLegacyBlockRecords:
@@ -433,9 +511,9 @@ class TestLegacyBlockRecords:
         """Stores merged by older builds also hold columnar block records.
 
         Those merges re-packed every point into ``point-block`` records
-        beside the shard payloads.  ``lookup_point`` now reads the shard
-        payloads, which every sweep store holds, so its answers on such
-        a store are the shards' points; the blocks still classify.
+        beside the shard payloads.  The readers take the shard payloads,
+        which every sweep store holds, so an old block changes none of
+        their answers; the block still classifies.
         """
         path = str(tmp_path / "old.sqlite")
         campaign = sharded_sweep_campaign(
@@ -443,6 +521,7 @@ class TestLegacyBlockRecords:
             store_path=path, shards=4,
         )
         assert run_campaign(campaign, store_path=path).ok
+        points = collect_points(path, campaign)
         columns = collect_arrays(path, campaign)
         block = pack_series(columns.values, columns.columns)
         block["block"] = 0
@@ -462,10 +541,12 @@ class TestLegacyBlockRecords:
         finally:
             store.close()
         assert kinds.count("columnar-block") == 1
-        _, points = collect_points(path, campaign)
-        for index in (0, 17, len(GRID) - 1):
-            assert lookup_point(path, campaign, GRID[index]) == points[index]
-        assert lookup_point(path, campaign, -1.0) is None
+        assert collect_points(path, campaign) == points
+        after = collect_arrays(path, campaign)
+        assert after.points_kind == columns.points_kind
+        assert np.array_equal(after.values, columns.values)
+        for name, column in columns.columns.items():
+            assert np.array_equal(after.columns[name], column)
 
 
 class TestNoReferenceCycles:

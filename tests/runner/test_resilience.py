@@ -177,3 +177,40 @@ class TestRetryBackoff:
             executor=executor,
         )
         assert [s for s in recorded if s > 0] == []
+
+
+class TestTimeoutRetryPolicy:
+    @pytest.mark.parametrize("executor", ["serial", "pool"])
+    def test_timed_out_attempt_retries_without_backoff(
+        self, executor, monkeypatch
+    ):
+        """Both loops retry a hung attempt at once, with the same events.
+
+        The hung attempt already waited out its deadline, so no backoff
+        is drawn before its retry, however large ``retry_backoff_s``.
+        """
+        from repro.runner.queue import _Run
+
+        drawn = []
+        original = _Run.backoff_delay
+
+        def recording(self, spec, attempt):
+            drawn.append(attempt)
+            return original(self, spec, attempt)
+
+        monkeypatch.setattr(_Run, "backoff_delay", recording)
+        events = []
+        results = run_jobs(
+            [sleepy_spec("hung", 30.0, deadline_s=0.2, retries=1,
+                         retry_backoff_s=3.0)],
+            executor=executor,
+            observers=[events.append],
+            backoff_seed=1,
+        )
+        assert results["hung"].status == "failed"
+        assert results["hung"].attempts == 2
+        assert [e.kind for e in events] == [
+            "scheduled", "started", "timeout", "retry",
+            "started", "timeout", "failed",
+        ]
+        assert drawn == []

@@ -12,22 +12,20 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.runner import (
     Campaign,
-    ResultStore,
     collect_arrays,
     collect_points,
     grid_descriptor,
-    lookup_point,
     run_campaign,
     run_sharded_sweep,
     shard_grid,
     sharded_sweep_campaign,
 )
 from repro.runner.codec import is_columnar, unpack_points
-from repro.runner.sharding import evaluate_shard, point_key
+from repro.runner.sharding import evaluate_shard
 
 
 def _payload_points(payload):
-    """(values, points) of a shard payload in either codec."""
+    """(values, points) of a columnar or per-point shard payload."""
     if is_columnar(payload):
         return unpack_points(payload)
     return payload["values"], payload["points"]
@@ -80,15 +78,12 @@ class TestShardGrid:
 
 
 class TestEvaluateShard:
-    @pytest.mark.parametrize("codec", ["columnar", "json"])
-    def test_scalar_and_batch_targets_agree(self, codec):
+    def test_scalar_and_batch_targets_agree(self):
         scalar = evaluate_shard(
-            TARGET_SCALAR, "rate_bps", GRID[:5], batch=False, codec=codec
+            TARGET_SCALAR, "rate_bps", GRID[:5], batch=False
         )
-        batch = evaluate_shard(
-            TARGET_BATCH, "rate_bps", GRID[:5], batch=True, codec=codec
-        )
-        assert is_columnar(batch) == (codec == "columnar")
+        batch = evaluate_shard(TARGET_BATCH, "rate_bps", GRID[:5], batch=True)
+        assert is_columnar(scalar) and is_columnar(batch)
         scalar_values, scalar_points = _payload_points(scalar)
         batch_values, batch_points = _payload_points(batch)
         assert scalar_values == batch_values == GRID[:5]
@@ -97,15 +92,27 @@ class TestEvaluateShard:
         assert scaled == pytest.approx(scalar_points, rel=1e-12)
 
     def test_codec_paths_bit_identical(self):
-        columnar = evaluate_shard(
-            TARGET_DSPACE, "rate_bps", GRID[:7], codec="columnar"
-        )
-        legacy = evaluate_shard(
-            TARGET_DSPACE, "rate_bps", GRID[:7], codec="json"
-        )
-        assert is_columnar(columnar) and not is_columnar(legacy)
-        assert _payload_points(columnar) == (
-            legacy["values"], legacy["points"]
+        """The shard decodes point for point to the model's own lists."""
+        from repro.core.batch import evaluate_rate_grid
+
+        columnar = evaluate_shard(TARGET_DSPACE, "rate_bps", GRID[:7])
+        assert is_columnar(columnar)
+        lists = {
+            name: column.tolist()
+            for name, column in evaluate_rate_grid(GRID[:7]).items()
+        }
+        expected = [
+            {name: lists[name][index] for name in lists}
+            for index in range(7)
+        ]
+        values, points = _payload_points(columnar)
+        assert values == GRID[:7]
+        assert points == expected
+        assert [list(point) for point in points] == [list(lists)] * 7
+        assert all(
+            type(point[name]) is type(expected[0][name])
+            for point in points
+            for name in lists
         )
 
     def test_batch_length_mismatch_rejected(self):
@@ -120,8 +127,7 @@ class TestEvaluateShard:
         pack via their dtype and decode back to exact Python scalars.
         """
         payload = evaluate_shard(
-            "runner_workers:array_curve", "values", [1.0, 2.0, 3.0],
-            codec="columnar",
+            "runner_workers:array_curve", "values", [1.0, 2.0, 3.0]
         )
         dtypes = {
             column["name"]: column["dtype"]
@@ -135,16 +141,6 @@ class TestEvaluateShard:
             {"double": 6.0, "index": 2},
         ]
         assert all(type(p["index"]) is int for p in points)
-        # The legacy codec degrades arrays to plain Python scalars too.
-        legacy = evaluate_shard(
-            "runner_workers:array_curve", "values", [1.0, 2.0],
-            codec="json",
-        )
-        assert legacy["points"] == [
-            {"double": 2.0, "index": 0},
-            {"double": 4.0, "index": 1},
-        ]
-        assert all(type(p["index"]) is int for p in legacy["points"])
 
     def test_single_array_target_packs_one_binary_column(self, tmp_path):
         """A target returning one array stores one ``<f8`` scalar column.
@@ -153,9 +149,7 @@ class TestEvaluateShard:
         type scan sent to an inline JSON column.
         """
         grid = [0.1 * step for step in range(1, 41)]
-        payload = evaluate_shard(
-            "runner_workers:doubled", "values", grid[:3], codec="columnar"
-        )
+        payload = evaluate_shard("runner_workers:doubled", "values", grid[:3])
         assert payload["points_kind"] == "scalar"
         assert [(c["name"], c["dtype"]) for c in payload["columns"]] == [
             ("value", "<f8")
@@ -235,7 +229,7 @@ class TestEvaluateShard:
 
 
 class TestShardedSweepCampaign:
-    def _campaign(self, store_path, shards=4, **kwargs):
+    def _campaign(self, store_path, shards=4):
         return sharded_sweep_campaign(
             "sweep",
             TARGET_DSPACE,
@@ -243,7 +237,35 @@ class TestShardedSweepCampaign:
             GRID,
             store_path=str(store_path),
             shards=shards,
-            **kwargs,
+        )
+
+    def test_default_sweep_content_keys_are_pinned(self):
+        """Default sweeps keep their keys, so old stores stay cached.
+
+        A merge key hashes every shard key, so each merge pin covers
+        its sweep's shards too.
+        """
+        descriptor = sharded_sweep_campaign(
+            "sweep", TARGET_DSPACE, "rate_bps",
+            grid_descriptor("geomspace", 32e3, 4096e3, 2000),
+            store_path="sweep.sqlite", shards=4,
+        )
+        keys = {spec.job_id: spec.key for spec in descriptor.specs}
+        assert keys["sweep/shard0000"] == (
+            "3f8094acedfda9c57c9799bf2578a0ad"
+            "17084166c7b8782f23f72c6f6801a0c8"
+        )
+        assert keys["sweep/merge"] == (
+            "1d878dd12498a45fbbe32dd1a8c2dbe3"
+            "0238007abe13b291271aa98c6caba2b5"
+        )
+        explicit = sharded_sweep_campaign(
+            "sweep", TARGET_BATCH, "rate_bps", [32000.0, 64000.0, 128000.0],
+            store_path="sweep.sqlite", shards=2,
+        )
+        assert explicit.specs[-1].key == (
+            "8c2ca608186b3387bd9b00215bce2a49"
+            "48ee2e35297082ac84c9d24fdff25376"
         )
 
     def test_shard_jobs_plus_merge(self, tmp_path):
@@ -268,9 +290,8 @@ class TestShardedSweepCampaign:
         summary = result.results["sweep/merge"].value
         assert summary["points"] == len(GRID)
         assert summary["shards"] == 4
-        # The columnar merge writes nothing: the shard payloads are the
-        # one stored copy of the points.
-        assert summary["point_records"] == 0
+        # The merge writes nothing: the shard payloads are the one
+        # stored copy of the points.
         assert "block_records" not in summary
         assert summary["metrics"]["required_buffer_bits"]["finite"] > 0
 
@@ -331,14 +352,8 @@ class TestShardedSweepCampaign:
             shards=4,
         )
         campaign = self._campaign(store_path)
-        # Any grid point decodes from its shard's payload in a handful
-        # of indexed lookups; values off the grid return None.
-        point = lookup_point(store_path, campaign, GRID[7])
-        assert point is not None
+        point = collect_points(store_path, campaign)[1][7]
         assert point["dominant"] in ("E", "C", "Lsp", "Lpb", "lat")
-        _, points = collect_points(store_path, campaign)
-        assert point == points[7]
-        assert lookup_point(store_path, campaign, -1.0) is None
         # Shard records never masquerade as cache entries for a real
         # single-point job: that job sees a scalar argument and shapes
         # its output as length-1 series, so it must execute fresh.
@@ -352,27 +367,6 @@ class TestShardedSweepCampaign:
         assert fresh["required_buffer_bits"].tolist() == [
             point["required_buffer_bits"]
         ]
-
-    def test_point_records_queryable_with_json_codec(self, tmp_path):
-        """codec="json" keeps the legacy per-point query surface."""
-        store_path = str(tmp_path / "s.sqlite")
-        run_sharded_sweep(
-            "sweep",
-            TARGET_DSPACE,
-            "rate_bps",
-            GRID,
-            store_path=store_path,
-            shards=4,
-            codec="json",
-        )
-        store = ResultStore(store_path)
-        record = store.get(point_key(TARGET_DSPACE, "rate_bps", GRID[7]))
-        store.close()
-        assert record is not None
-        assert record["value"]["dominant"] in ("E", "C", "Lsp", "Lpb", "lat")
-        # lookup_point reads the json-codec shard payloads alike.
-        campaign = self._campaign(store_path, codec="json")
-        assert lookup_point(store_path, campaign, GRID[7]) == record["value"]
 
     def test_grid_materialised_once_per_process(self):
         """Shards slice one read-only grid array, as shard_grid would."""

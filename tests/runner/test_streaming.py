@@ -1,10 +1,10 @@
-"""Memory-bounded streaming paths: merge chunks, lazy reads, resume.
+"""Memory-bounded streaming paths: the merge, lazy reads, compaction.
 
-The PR contract under test: the sweep -> merge -> cache pipeline never
-materialises a full grid — shard payloads decode one at a time, point
-records flush through bounded ``append_many`` chunks, the latest-per-key
-view streams off both backends, and an interrupted (even *crashed*)
-merge resumes from per-shard cache without recomputing shards.
+The contract under test: the sweep -> merge -> cache pipeline never
+materialises a full grid — shard payloads decode one at a time, the
+merge writes nothing, and the latest-per-key view streams off both
+backends.  A crashed merge resuming from per-shard cache is
+``tests/runner/test_codec.py::TestColumnarCrashResume``.
 """
 
 from __future__ import annotations
@@ -22,32 +22,26 @@ from repro.runner import (
     Campaign,
     ResultStore,
     collect_points,
-    iter_points,
     run_campaign,
     sharded_sweep_campaign,
 )
 from repro.runner.backends import JsonlBackend, SqliteBackend
-from repro.runner.sharding import merge_shards, point_key
+from repro.runner.sharding import merge_shards
 
 GRID = [float(v) for v in range(32_000, 32_000 + 40)]
 TARGET = "repro.core.batch:break_even_curve"
 
 
-def _campaign(store_path, **kwargs):
-    return sharded_sweep_campaign(
+def _run_shards_only(store_path):
+    """Complete every shard job but not the merge (the usual interrupt)."""
+    full = sharded_sweep_campaign(
         "sweep",
         TARGET,
         "rate_bps",
         GRID,
         store_path=str(store_path),
         shards=4,
-        **kwargs,
     )
-
-
-def _run_shards_only(store_path, **kwargs):
-    """Complete every shard job but not the merge (the usual interrupt)."""
-    full = _campaign(store_path, **kwargs)
     shards_only = Campaign("shards-only", specs=list(full.specs[:-1]))
     result = run_campaign(shards_only, store_path=str(store_path))
     assert result.ok
@@ -55,26 +49,6 @@ def _run_shards_only(store_path, **kwargs):
 
 
 class TestBoundedChunks:
-    def test_flush_chunk_bounds_append_batches(self, tmp_path, monkeypatch):
-        """codec="json": per-point records flush in bounded batches."""
-        store_path = tmp_path / "s.sqlite"
-        full = _run_shards_only(store_path, codec="json")
-        merge = full.specs[-1]
-
-        batch_sizes = []
-        original = ResultStore.append_many
-
-        def recording(self, records):
-            batch_sizes.append(len(records))
-            return original(self, records)
-
-        monkeypatch.setattr(ResultStore, "append_many", recording)
-        summary = merge_shards(flush_chunk=7, **merge.params_dict())
-        assert summary["points"] == len(GRID)
-        assert summary["point_records"] == len(GRID)
-        assert sum(batch_sizes) == len(GRID)
-        assert max(batch_sizes) <= 7
-
     def test_columnar_merge_writes_nothing(self, tmp_path, monkeypatch):
         """The shard payloads are the one stored copy of the points."""
         store_path = tmp_path / "s.sqlite"
@@ -92,47 +66,12 @@ class TestBoundedChunks:
             return original(self, records)
 
         monkeypatch.setattr(ResultStore, "append_many", recording)
-        summary = merge_shards(flush_chunk=7, **merge.params_dict())
+        summary = merge_shards(**merge.params_dict())
         assert summary["points"] == len(GRID)
-        assert summary["point_records"] == 0
         assert appended == []
         store = ResultStore(str(store_path))
         assert len(store) == before
         store.close()
-
-    def test_flush_chunk_rejects_nonpositive(self, tmp_path):
-        full = _run_shards_only(tmp_path / "s.sqlite")
-        with pytest.raises(ConfigurationError):
-            merge_shards(flush_chunk=0, **full.specs[-1].params_dict())
-
-    @pytest.mark.parametrize("raw", ["abc", "0", "-5"])
-    def test_bad_flush_chunk_env_fails_when_the_sweep_is_built(
-        self, tmp_path, monkeypatch, raw
-    ):
-        monkeypatch.setenv("REPRO_MERGE_FLUSH_CHUNK", raw)
-        with pytest.raises(
-            ConfigurationError, match="REPRO_MERGE_FLUSH_CHUNK"
-        ):
-            _campaign(tmp_path / "s.sqlite")
-
-    def test_flush_chunk_env_sets_the_merge_block_size(
-        self, tmp_path, monkeypatch
-    ):
-        """The variable sizes the json merge's point-record batches."""
-        store_path = tmp_path / "s.sqlite"
-        full = _run_shards_only(store_path, codec="json")
-        batch_sizes = []
-        original = ResultStore.append_many
-
-        def recording(self, records):
-            batch_sizes.append(len(records))
-            return original(self, records)
-
-        monkeypatch.setattr(ResultStore, "append_many", recording)
-        monkeypatch.setenv("REPRO_MERGE_FLUSH_CHUNK", "16")
-        summary = merge_shards(**full.specs[-1].params_dict())
-        assert summary["points"] == len(GRID)
-        assert batch_sizes == [16, 16, 8]
 
     def test_streaming_summary_matches_points(self, tmp_path):
         store_path = tmp_path / "s.sqlite"
@@ -144,65 +83,6 @@ class TestBoundedChunks:
         assert stats["finite"] == len(series)
         assert stats["min"] == min(series)
         assert stats["max"] == max(series)
-
-
-class TestCrashMidMerge:
-    def test_crashed_merge_resumes_from_shard_cache(
-        self, tmp_path, monkeypatch
-    ):
-        """A merge killed mid-flush re-runs without recomputing shards."""
-        store_path = tmp_path / "s.sqlite"
-        full = _run_shards_only(store_path, codec="json")
-        merge = full.specs[-1]
-
-        # Simulated crash: the store dies after the first point flush.
-        flushes = {"count": 0}
-        original = ResultStore.append_many
-
-        def dying(self, records):
-            if flushes["count"] >= 1:
-                raise OSError("simulated crash mid-merge")
-            flushes["count"] += 1
-            return original(self, records)
-
-        monkeypatch.setattr(ResultStore, "append_many", dying)
-        with pytest.raises(OSError):
-            merge_shards(flush_chunk=10, **merge.params_dict())
-        monkeypatch.setattr(ResultStore, "append_many", original)
-
-        # The store now holds a partial point-record prefix...
-        store = ResultStore(str(store_path))
-        partial = sum(
-            1
-            for record in store.iter_records()
-            if record.get("job_id", "").startswith("sweep[")
-        )
-        store.close()
-        assert 0 < partial < len(GRID)
-
-        # ...and the campaign re-run resolves every shard from cache,
-        # re-running only the merge; duplicated point records are
-        # harmless under latest-wins semantics.
-        resumed = run_campaign(full, store_path=str(store_path))
-        assert resumed.status_counts() == {"cached": 4, "ok": 1}
-        assert resumed.results["sweep/merge"].value["points"] == len(GRID)
-        store = ResultStore(str(store_path))
-        for value in (GRID[0], GRID[17], GRID[-1]):
-            record = store.get(point_key(TARGET, "rate_bps", value))
-            assert record is not None
-            assert record["value"]["break_even_bits"] > 0
-        store.close()
-
-
-class TestIterPoints:
-    def test_streams_grid_order(self, tmp_path):
-        store_path = tmp_path / "s.sqlite"
-        full = _run_shards_only(store_path)
-        merge_shards(**full.specs[-1].params_dict())
-        streamed = list(iter_points(str(store_path), full))
-        values, points = collect_points(str(store_path), full)
-        assert streamed == list(zip(values, points))
-        assert [v for v, _ in streamed] == GRID
 
 
 class TestIterLatestByKey:

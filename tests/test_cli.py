@@ -363,16 +363,18 @@ class TestNonFiniteArguments:
         assert "finite" in completed.stderr
 
     @pytest.mark.parametrize(
-        "bounds",
+        "grid",
         [("--min", "nan", "--max", "4096e3"),
-         ("--min", "32e3", "--max", "inf")],
-        ids=["min-nan", "max-inf"],
+         ("--min", "32e3", "--max", "inf"),
+         ("--values", "nan,64000"),
+         ("--values", "inf")],
+        ids=["min-nan", "max-inf", "values-nan", "values-inf"],
     )
-    def test_sweep_writes_no_store(self, tmp_path, bounds):
+    def test_sweep_writes_no_store(self, tmp_path, grid):
         store = tmp_path / "sweep.sqlite"
         completed = run_repro(
             "sweep", "repro.core.batch:break_even_curve",
-            "--parameter", "rate_bps", *bounds, "--points", "16",
+            "--parameter", "rate_bps", *grid, "--points", "16",
             "--store", str(store), "--quiet",
         )
         assert completed.returncode == 2
@@ -481,21 +483,26 @@ class TestSweepCommand:
             capsys.readouterr().err
         )
 
-    def test_bad_flush_chunk_env_fails_before_any_shard(
-        self, capsys, tmp_path, monkeypatch
-    ):
+    def test_removed_codec_settings_are_ignored(self, tmp_path, monkeypatch):
+        """The per-point codec and its merge chunk are gone, not read."""
+        monkeypatch.setenv("REPRO_POINT_CODEC", "json")
         monkeypatch.setenv("REPRO_MERGE_FLUSH_CHUNK", "abc")
-        store = tmp_path / "s.sqlite"
-        assert main([
+        store = str(tmp_path / "s.sqlite")
+        swept = run_repro(
             "sweep", self.TARGET,
             "--parameter", "rate_bps",
-            "--values", "32000,64000",
-            "--store", str(store), "--quiet",
-        ]) == 2
-        assert capsys.readouterr().err.startswith(
-            "error: REPRO_MERGE_FLUSH_CHUNK"
+            "--values", "32000,64000,128000", "--shards", "2",
+            "--store", store, "--store-backend", "sqlite", "--quiet",
         )
-        assert not store.exists()
+        assert swept.returncode == 0, swept.stderr
+        info = run_repro("store", "info", store)
+        assert info.returncode == 0, info.stderr
+        payloads = [
+            line.split(":")[0].split()[-1]
+            for line in info.stdout.splitlines()
+            if line.strip().startswith("payload ")
+        ]
+        assert payloads == ["columnar-shard", "job"]
 
     def test_log_grid_needs_positive_min(self, capsys, tmp_path):
         assert main([

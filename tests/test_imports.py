@@ -61,11 +61,9 @@ LAZY_PACKAGES = (
 SOURCE_ROOT = str(Path(repro.__file__).resolve().parents[1])
 
 
-def fresh_python(
-    *args: str, env_overrides: dict[str, str] | None = None
-) -> subprocess.CompletedProcess:
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
     """Run ``python -X importtime ARGS`` on this session's package."""
-    env = dict(os.environ, **(env_overrides or {}))
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [SOURCE_ROOT, env.get("PYTHONPATH")])
     )
@@ -177,12 +175,21 @@ def test_table1_loads_no_numpy():
     assert loaded_of(modules, ("numpy", "repro.devices.dram")) == []
 
 
-def test_bad_flush_chunk_env_does_not_break_import():
-    # Read when a sweep is built, not when the module loads.
-    fresh_python(
-        "-c", "import repro.runner.sharding",
-        env_overrides={"REPRO_MERGE_FLUSH_CHUNK": "abc"},
-    )
+@pytest.mark.parametrize(
+    "name", ["CODEC_ENV_VAR", "CODEC_JSON", "iter_points", "lookup_point"]
+)
+def test_per_point_codec_names_are_gone(name):
+    # Columnar shard payloads are the one stored form of sweep points.
+    import repro.runner
+
+    assert name not in repro.runner.__all__
+    assert not hasattr(repro.runner, name)
+
+
+def test_sweep_has_no_codec_option():
+    completed = fresh_python("-m", "repro", "sweep", "--help")
+    assert "--store" in completed.stdout
+    assert "--codec" not in completed.stdout
 
 
 def export_homes(package_name: str) -> list[tuple[str, object]]:
