@@ -184,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="grid end (with --min/--points)",
     )
     sweep_parser.add_argument(
-        "--points", type=int, default=101, metavar="N",
+        "--points", type=int, default=None, metavar="N",
         help="grid size for --min/--max (default 101)",
     )
     sweep_parser.add_argument(
@@ -550,10 +550,6 @@ def _sweep_grid(args: argparse.Namespace):
     from .runner import grid_descriptor
 
     if args.values is not None:
-        if args.grid_min is not None or args.grid_max is not None:
-            raise ConfigurationError(
-                "pass either --values or --min/--max, not both"
-            )
         try:
             grid = [float(v) for v in args.values.split(",") if v.strip()]
         except ValueError as error:
@@ -567,13 +563,22 @@ def _sweep_grid(args: argparse.Namespace):
                 raise ConfigurationError(
                     f"--values must be finite, got {value!r}"
                 )
+        if args.linear or any(
+            option is not None
+            for option in (args.grid_min, args.grid_max, args.points)
+        ):
+            raise ConfigurationError(
+                "pass either --values or --min/--max/--points/--linear, "
+                "not both"
+            )
         return grid
     if args.grid_min is None or args.grid_max is None:
         raise ConfigurationError(
             "pass --values or both --min and --max"
         )
-    if args.points < 2:
-        raise ConfigurationError(f"--points must be >= 2, got {args.points}")
+    points = 101 if args.points is None else args.points
+    if points < 2:
+        raise ConfigurationError(f"--points must be >= 2, got {points}")
     if not args.linear and args.grid_min <= 0:
         raise ConfigurationError(
             "log-spaced grids need --min > 0 (or pass --linear)"
@@ -582,7 +587,7 @@ def _sweep_grid(args: argparse.Namespace):
         "linspace" if args.linear else "geomspace",
         args.grid_min,
         args.grid_max,
-        args.points,
+        points,
     )
 
 

@@ -124,8 +124,16 @@ def _pack_ndarray(column: np.ndarray) -> tuple[dict[str, Any], bytes] | None:
             _column_bytes(column, _DTYPE_U1),
         )
     if kind == "U":
-        categories, codes = np.unique(column, return_inverse=True)
+        # Factorise by runs: a sweep's labels change a few times over
+        # thousands of points, so only the run heads are sorted.
+        heads = np.flatnonzero(column[1:] != column[:-1]) + 1
+        if column.size:
+            heads = np.concatenate(([0], heads))
+        categories, head_codes = np.unique(
+            column[heads], return_inverse=True
+        )
         if categories.size <= 255:
+            codes = np.repeat(head_codes, np.diff(heads, append=column.size))
             return (
                 {"dtype": _DTYPE_U1, "categories": categories.tolist()},
                 _column_bytes(codes, _DTYPE_U1),

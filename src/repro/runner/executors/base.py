@@ -27,8 +27,8 @@ The ``status`` vocabulary is deliberately small:
 ========== ==========================================================
 
 ``charge`` says whether the attempt counts against the spec's retry
-budget (an attempt that never started, or an innocent evicted with its
-pool, is refunded).
+budget (an innocent evicted with its pool is refunded).  An attempt no
+worker started is never reported: the backend reruns it itself.
 """
 
 from __future__ import annotations
@@ -92,7 +92,14 @@ class ExecutionBackend(ABC):
 
     @abstractmethod
     def capacity(self) -> int:
-        """Max concurrent attempts the scheduler should keep in flight."""
+        """Most attempts the scheduler may hold submitted at once.
+
+        It may exceed the attempts the backend can execute at once: the
+        pool counts one attempt queued behind its workers.  An attempt
+        that waits for a worker starts its deadline clock only when one
+        is free for it, and a failure it took no part in never reports
+        it.
+        """
 
     @abstractmethod
     def submit(

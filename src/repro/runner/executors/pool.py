@@ -1,22 +1,36 @@
 """Process-pool execution backend with broken-pool isolation.
 
 The mechanism half of what ``queue.py``'s ``_run_pool``/``_batch_round``
-used to be.  A worker dying hard (segfault, OOM kill) breaks the whole
+used to be.  The shared pool holds one attempt beyond its workers
+(:meth:`PoolExecutor.capacity`), the same one-call slack CPython's own
+executor keeps: a worker that finishes an attempt starts the next one
+at once, while the parent unpickles, persists and announces the last.
+Workers take attempts in submission order, so of a pool's unfinished
+attempts only the first ``max_workers`` can have started; any later
+one is *queued*, and no worker has touched it.
+
+A worker dying hard (segfault, OOM kill) breaks the whole
 :class:`~concurrent.futures.ProcessPoolExecutor`, which poisons every
-in-flight future with :class:`BrokenProcessPool` — the culprit is
+pending future with :class:`BrokenProcessPool` — the culprit is
 indistinguishable from innocent co-flying jobs.  On breakage every
-in-flight attempt is reported *lost* (charged; the scheduler requeues
+started attempt is reported *lost* (charged; the scheduler requeues
 every lost attempt) and its job marked a **suspect**: the next time
 the scheduler submits it, it runs alone on a fresh single-worker pool,
 where a broken pool can only mean this job killed its worker (a
-certain verdict, charged as an ordinary error).  Attempts that were
-submitted but never picked up by a worker are requeued *uncharged*
-and are not suspects — they cannot have killed anyone.
+certain verdict, charged as an ordinary error).  A queued attempt
+cannot have killed anyone: it moves to the replacement pool unseen,
+under the same ticket and attempt number, with no ``lost`` outcome and
+no charge.  Once a suspect is known the queued slot is withheld, so a
+suspect's solo run never lifts the executing attempts past
+``max_workers``.
 
-Deadlines: a ticket's clock starts at submission.  Workers cannot be
+Deadlines: an attempt's clock starts when a worker is free for it, so
+time spent queued never eats its window.  Workers cannot be
 interrupted individually, so an expired running attempt evicts its
 whole pool (:func:`abandon_pool`); the expired attempt is reported as
-a timeout (charged), innocent co-flyers as uncharged losses.
+a timeout (charged), started co-flyers as uncharged losses, and an
+attempt no worker started — queued, or still cancellable — moves to
+the replacement pool unseen.
 """
 
 from __future__ import annotations
@@ -49,19 +63,11 @@ from .base import (
     telemetry_marks,
 )
 
-#: Error text for in-flight suspects when the shared pool breaks.
+#: Error text for started attempts when the shared pool breaks.
 BROKEN_POOL_ERROR = "worker process died (pool broken); isolating"
 #: Error text when a job breaks its own single-worker pool.
 SOLO_BREAK_ERROR = "worker process died (job killed its worker)"
-#: Error text for submitted-but-never-started attempts on a dead pool.
-QUEUED_BEHIND_ERROR = (
-    "worker process died (pool broken); queued job requeued"
-)
-#: Error text for a future cancelled before any worker picked it up.
-NEVER_STARTED_ERROR = (
-    "pool replaced before the attempt started; requeued"
-)
-#: Error text for innocents evicted alongside an expired attempt.
+#: Error text for started innocents evicted alongside an expired attempt.
 EVICTED_ERROR = "pool replaced (deadline eviction); requeued"
 
 
@@ -144,8 +150,9 @@ class _Ticket:
     future: Future
     pool: ProcessPoolExecutor
     solo: bool
-    cutoff: float | None
-    order: int
+    deadline_s: float | None
+    #: When the deadline expires; set once a worker is free for it.
+    cutoff: float | None = None
 
 
 class PoolExecutor(ExecutionBackend):
@@ -159,15 +166,34 @@ class PoolExecutor(ExecutionBackend):
         self._max_workers = max(1, int(max_workers))
         self._fn = executor_fn
         self._main: ProcessPoolExecutor | None = None
+        #: Unfinished tickets in submission order, the order in which a
+        #: pool's workers take them (a moved ticket keeps its place).
         self._tickets: dict[str, _Ticket] = {}
         self._ready: dict[str, AttemptOutcome] = {}
         self._suspects: set[str] = set()
         self._seq = 0
 
     def capacity(self) -> int:
-        return self._max_workers
+        """The workers, plus one queued attempt while no suspect is known.
+
+        A suspect may be resubmitted at any later time and then runs on
+        its own worker, so from the first suspect on only the workers
+        count: the executing attempts never exceed ``max_workers``.  A
+        break first seen by :meth:`submit` lowers it in the middle of a
+        dispatch pass; the scheduler still counts the suspects' lost
+        tickets until it collects them, so its earlier reading cannot
+        overfill the pool.
+        """
+        if self._suspects:
+            return self._max_workers
+        return self._max_workers + 1
 
     # -- dispatch ----------------------------------------------------------
+
+    def _main_pool(self) -> ProcessPoolExecutor:
+        if self._main is None:
+            self._main = make_pool(self._max_workers)
+        return self._main
 
     def _submit_to(
         self, pool: ProcessPoolExecutor, spec: JobSpec, attempt: int
@@ -187,28 +213,46 @@ class PoolExecutor(ExecutionBackend):
         self._seq += 1
         ticket = f"p{self._seq}"
         solo = spec.job_id in self._suspects
-        if solo:
-            pool = make_pool(1)
-        else:
-            if self._main is None:
-                self._main = make_pool(self._max_workers)
-            pool = self._main
+        pool = make_pool(1) if solo else self._main_pool()
         try:
             future = self._submit_to(pool, spec, attempt)
         except BrokenProcessPool:
             # Only the shared pool can already be broken: a worker died
             # since the last poll.  Account its tickets like any break,
-            # then submit to a fresh pool.
+            # then submit beside any attempt it moved to the replacement.
             self._handle_break(pool)
-            pool = self._main = make_pool(self._max_workers)
+            pool = self._main_pool()
             future = self._submit_to(pool, spec, attempt)
-        cutoff = (
-            time.monotonic() + deadline_s if deadline_s is not None else None
-        )
         self._tickets[ticket] = _Ticket(
-            spec, attempt, future, pool, solo, cutoff, self._seq
+            spec, attempt, future, pool, solo, deadline_s
         )
+        self._start_clocks()
         return ticket
+
+    def _on(self, pool: ProcessPoolExecutor) -> list[str]:
+        """The tickets on ``pool``, in submission order."""
+        return [
+            tid for tid, ticket in self._tickets.items()
+            if ticket.pool is pool
+        ]
+
+    def _move(self, tid: str) -> None:
+        """Resubmit an attempt no worker started to a fresh pool, unseen."""
+        ticket = self._tickets[tid]
+        ticket.pool = make_pool(1) if ticket.solo else self._main_pool()
+        ticket.future = self._submit_to(
+            ticket.pool, ticket.spec, ticket.attempt
+        )
+        ticket.cutoff = None
+
+    def _start_clocks(self) -> None:
+        """Start the deadline clock of each attempt a worker is free for."""
+        now = time.monotonic()
+        for pool in {ticket.pool for ticket in self._tickets.values()}:
+            for tid in self._on(pool)[: self._max_workers]:
+                ticket = self._tickets[tid]
+                if ticket.cutoff is None and ticket.deadline_s is not None:
+                    ticket.cutoff = now + ticket.deadline_s
 
     # -- completion --------------------------------------------------------
 
@@ -235,6 +279,7 @@ class PoolExecutor(ExecutionBackend):
         for future in done:
             self._harvest(waitable[future])
         self._evict_overdue()
+        self._start_clocks()
         return list(self._ready)
 
     def collect(self, ticket: str) -> AttemptOutcome:
@@ -249,138 +294,92 @@ class PoolExecutor(ExecutionBackend):
             if outcome.error != SOLO_BREAK_ERROR:
                 ticket.pool.shutdown(wait=True)
 
-    def _harvest(self, tid: str) -> None:
-        """Turn one completed future into an outcome (idempotent)."""
-        ticket = self._tickets.get(tid)
-        if ticket is None:
-            return  # already finished by a break/eviction handler
+    def _settled(self, tid: str) -> AttemptOutcome | None:
+        """The job's own outcome if its future holds one, else ``None``.
+
+        ``None`` covers a future still pending, cancelled, or poisoned
+        by its pool's break.
+        """
+        ticket = self._tickets[tid]
         try:
             value, duration, pid, telemetry = ticket.future.result(
                 timeout=0
             )
-        except BrokenProcessPool:
-            self._handle_break(ticket.pool)
-            return
-        except (FutureTimeout, CancelledError):
-            return  # not actually done; eviction will account for it
+        except (BrokenProcessPool, FutureTimeout, CancelledError):
+            return None
         except Exception as error:  # noqa: BLE001 - jobs may raise anything
-            self._finish(
-                tid,
-                AttemptOutcome(
-                    tid, ticket.spec.job_id, ticket.attempt, OUTCOME_ERROR,
-                    error=f"{type(error).__name__}: {error}",
-                ),
+            return AttemptOutcome(
+                tid, ticket.spec.job_id, ticket.attempt, OUTCOME_ERROR,
+                error=f"{type(error).__name__}: {error}",
             )
-            return
-        self._finish(
-            tid,
-            AttemptOutcome(
-                tid, ticket.spec.job_id, ticket.attempt, OUTCOME_OK,
-                value=value, duration_s=duration, worker_pid=pid,
-                telemetry=telemetry,
-            ),
+        return AttemptOutcome(
+            tid, ticket.spec.job_id, ticket.attempt, OUTCOME_OK,
+            value=value, duration_s=duration, worker_pid=pid,
+            telemetry=telemetry,
         )
+
+    def _harvest(self, tid: str) -> None:
+        """Turn a completed future into an outcome (idempotent)."""
+        ticket = self._tickets.get(tid)
+        if ticket is None or not ticket.future.done():
+            return  # finished by a break/eviction handler, or pending
+        outcome = self._settled(tid)
+        if outcome is not None:
+            self._finish(tid, outcome)
+        elif not ticket.future.cancelled():
+            self._handle_break(ticket.pool)
 
     # -- failure handling --------------------------------------------------
 
     def _handle_break(self, pool: ProcessPoolExecutor) -> None:
         """Account every ticket on a broken pool, then abandon it.
 
-        On the shared pool, at most ``max_workers`` attempts can have
-        been executing when it broke — in submission order, those are
-        the suspects (charged, marked for isolation).  Later tickets
-        were still queued behind them: requeued uncharged, innocent.
+        Attempts that finished before the break keep their outcomes.  Of
+        the rest, in submission order, the first ``max_workers`` may
+        have been executing.  On the shared pool they are the suspects
+        (charged, marked for isolation); alone on a solo pool, the one
+        attempt is the culprit.  Any later attempt was still queued: it
+        moves to the replacement pool unseen.
         """
-        members = sorted(
-            (
-                tid
-                for tid, ticket in self._tickets.items()
-                if ticket.pool is pool
-            ),
-            key=lambda tid: self._tickets[tid].order,
-        )
-        main = pool is self._main
-        if main:
+        if pool is self._main:
             self._main = None
         lost: list[str] = []
-        for tid in members:
-            ticket = self._tickets[tid]
-            try:
-                value, duration, pid, telemetry = ticket.future.result(
-                    timeout=0
-                )
-            except (BrokenProcessPool, FutureTimeout, CancelledError):
+        for tid in self._on(pool):
+            outcome = self._settled(tid)
+            if outcome is None:
                 lost.append(tid)
-            except Exception as error:  # noqa: BLE001
-                self._finish(
-                    tid,
-                    AttemptOutcome(
-                        tid, ticket.spec.job_id, ticket.attempt,
-                        OUTCOME_ERROR,
-                        error=f"{type(error).__name__}: {error}",
-                    ),
+            else:
+                self._finish(tid, outcome)
+        abandon_pool(pool)
+        for tid in lost[: self._max_workers]:
+            ticket = self._tickets[tid]
+            metrics().count("executor.workers.lost")
+            if ticket.solo:
+                # Alone on a one-worker pool, a break has one explanation.
+                outcome = AttemptOutcome(
+                    tid, ticket.spec.job_id, ticket.attempt,
+                    OUTCOME_ERROR, error=SOLO_BREAK_ERROR,
                 )
             else:
-                self._finish(
-                    tid,
-                    AttemptOutcome(
-                        tid, ticket.spec.job_id, ticket.attempt, OUTCOME_OK,
-                        value=value, duration_s=duration, worker_pid=pid,
-                        telemetry=telemetry,
-                    ),
-                )
-        if not main:
-            # Alone on a one-worker pool, a break has one explanation.
-            for tid in lost:
-                ticket = self._tickets[tid]
-                metrics().count("executor.workers.lost")
-                self._finish(
-                    tid,
-                    AttemptOutcome(
-                        tid, ticket.spec.job_id, ticket.attempt,
-                        OUTCOME_ERROR, error=SOLO_BREAK_ERROR,
-                    ),
-                )
-        else:
-            suspects = lost[: self._max_workers]
-            queued_behind = lost[self._max_workers:]
-            for tid in suspects:
-                ticket = self._tickets[tid]
                 self._suspects.add(ticket.spec.job_id)
-                metrics().count("executor.workers.lost")
-                self._finish(
-                    tid,
-                    AttemptOutcome(
-                        tid, ticket.spec.job_id, ticket.attempt,
-                        OUTCOME_LOST, error=BROKEN_POOL_ERROR,
-                        charge=True,
-                    ),
+                outcome = AttemptOutcome(
+                    tid, ticket.spec.job_id, ticket.attempt,
+                    OUTCOME_LOST, error=BROKEN_POOL_ERROR, charge=True,
                 )
-            for tid in queued_behind:
-                ticket = self._tickets[tid]
-                self._finish(
-                    tid,
-                    AttemptOutcome(
-                        tid, ticket.spec.job_id, ticket.attempt,
-                        OUTCOME_LOST, error=QUEUED_BEHIND_ERROR,
-                        charge=False,
-                    ),
-                )
-        abandon_pool(pool)
+            self._finish(tid, outcome)
+        for tid in lost[self._max_workers:]:
+            self._move(tid)
 
     def _evict_overdue(self) -> None:
         """Replace pools holding expired attempts.
 
-        Three populations, three treatments (matching the scheduler's
-        historical semantics):
-
-        * an overdue future the pool never *started* is cancelled and
-          reported as an uncharged loss (queue wait ate the window —
-          an undersized pool, not a hung job),
-        * an overdue *running* attempt is reported as a timeout
-          (charged),
-        * innocent in-flight jobs lose their worker with the pool;
-          they are reported as uncharged losses.
+        On each such pool, attempts that finished keep their outcomes.
+        Of the rest, in submission order, the first ``max_workers`` may
+        be executing: an expired one is reported as a timeout
+        (charged), any other as an innocent evicted with its pool (an
+        uncharged loss).  An attempt no worker started — queued behind
+        them, or still cancellable — moves to the replacement pool
+        unseen.
         """
         now = time.monotonic()
         overdue = {
@@ -392,30 +391,17 @@ class PoolExecutor(ExecutionBackend):
         }
         if not overdue:
             return
-        pools = {self._tickets[tid].pool for tid in overdue}
-        for pool in pools:
-            members = sorted(
-                (
-                    tid
-                    for tid, ticket in self._tickets.items()
-                    if ticket.pool is pool
-                ),
-                key=lambda tid: self._tickets[tid].order,
-            )
-            for tid in members:
+        for pool in {self._tickets[tid].pool for tid in overdue}:
+            for tid in self._on(pool):
+                self._harvest(tid)  # finished before the axe fell?
+            members = self._on(pool)
+            if overdue.isdisjoint(members):
+                continue  # finished in time, or a break accounted for them
+            unstarted: list[str] = []
+            for position, tid in enumerate(members):
                 ticket = self._tickets[tid]
-                if ticket.future.done():
-                    self._harvest(tid)  # finished before the axe fell
-                    continue
-                if ticket.future.cancel():
-                    self._finish(
-                        tid,
-                        AttemptOutcome(
-                            tid, ticket.spec.job_id, ticket.attempt,
-                            OUTCOME_LOST, error=NEVER_STARTED_ERROR,
-                            charge=False,
-                        ),
-                    )
+                if position >= self._max_workers or ticket.future.cancel():
+                    unstarted.append(tid)
                 elif tid in overdue:
                     self._finish(
                         tid,
@@ -436,6 +422,8 @@ class PoolExecutor(ExecutionBackend):
             if pool is self._main:
                 self._main = None
             abandon_pool(pool)
+            for tid in unstarted:
+                self._move(tid)
 
     # -- teardown ----------------------------------------------------------
 

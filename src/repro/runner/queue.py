@@ -545,12 +545,13 @@ def _submit_ready(
 ) -> None:
     """Dispatch every runnable pending spec, capacity permitting.
 
-    Mutates ``pending`` in place.  Capacity capping is what fixes the
-    historical ``_abandon_pool`` unfairness: a job is only ever handed
-    to the backend when a worker slot exists for it, so a broken pool
-    can never take down jobs that were merely queued behind the
-    casualties.  The skip/cache cascade keeps running at capacity —
-    only actual dispatch is gated.
+    Mutates ``pending`` in place.  A job is handed to the backend only
+    while it holds fewer attempts than the backend's capacity: for the
+    pool, its workers plus one queued attempt.  The pool itself moves
+    an attempt no worker started off a broken or evicted pool, so a
+    failure never takes down jobs merely queued behind the casualties.
+    The skip/cache cascade keeps running at capacity — only actual
+    dispatch is gated.
     """
     capacity = backend.capacity()
     inflight_keys = {spec.key for spec in tickets.values()}
@@ -648,8 +649,8 @@ def _dispatch_outcome(
     if outcome.status == OUTCOME_LOST:
         # Always requeued, immediately: a pool-break suspect must
         # re-run in isolation to find the culprit, and a refunded
-        # attempt (never started, or evicted as an innocent) re-runs
-        # as if it had never been dispatched.
+        # attempt (an innocent evicted with its pool) re-runs as if it
+        # had never been dispatched.
         run._event(
             EVENT_LOST, spec.job_id, attempt=attempt, error=outcome.error
         )

@@ -129,6 +129,36 @@ _pool_rules = st.lists(
 )
 
 
+def _pool_chaos(rules, baseline, tmp_path_factory, jobs):
+    """One random fault plan over a sweep on a ``jobs``-worker pool."""
+    reset()
+    store_path = str(tmp_path_factory.mktemp("pchaos") / "s.jsonl")
+    campaign = _sweep(store_path)
+    plan = FaultPlan.from_json({"rules": rules})
+    try:
+        result = run_campaign(
+            campaign, store_path=store_path, jobs=jobs,
+            executor="pool", faults=plan,
+        )
+    except (InjectedFault, ReproError):
+        result = None  # loud is allowed; silent wrongness is not
+    finally:
+        reset()
+    if result is not None:
+        if result.ok:
+            assert collect_points(store_path, campaign) == baseline
+        else:
+            assert result.failures
+            for job_id in result.failures:
+                assert result.results[job_id].error
+    store = ResultStore(store_path)
+    try:
+        stats = store.verify()
+    finally:
+        store.close()
+    assert damage_total(stats) >= 0
+
+
 class TestPoolChaosProperty:
     @given(rules=_pool_rules)
     @settings(max_examples=40, deadline=None)
@@ -142,32 +172,53 @@ class TestPoolChaosProperty:
         against the undisturbed baseline or fail loudly — and in both
         cases a full store scan must complete, any damage quarantined.
         """
-        reset()
-        store_path = str(tmp_path_factory.mktemp("pchaos") / "s.jsonl")
-        campaign = _sweep(store_path)
-        plan = FaultPlan.from_json({"rules": rules})
-        try:
-            result = run_campaign(
-                campaign, store_path=store_path, jobs=2,
-                executor="pool", faults=plan,
-            )
-        except (InjectedFault, ReproError):
-            result = None  # loud is allowed; silent wrongness is not
-        finally:
-            reset()
-        if result is not None:
-            if result.ok:
-                assert collect_points(store_path, campaign) == baseline
-            else:
-                assert result.failures
-                for job_id in result.failures:
-                    assert result.results[job_id].error
-        store = ResultStore(store_path)
-        try:
-            stats = store.verify()
-        finally:
-            store.close()
-        assert damage_total(stats) >= 0
+        _pool_chaos(rules, baseline, tmp_path_factory, jobs=2)
+
+    @given(rules=_pool_rules)
+    @settings(max_examples=40, deadline=None)
+    def test_one_worker_pool_converges_bit_exact_or_fails_loudly(
+        self, rules, baseline, tmp_path_factory
+    ):
+        """The same contract on one worker, with a shard queued behind it.
+
+        This is the pool ``repro sweep`` runs at ``--jobs 1 --executor
+        pool``: every shard but the last has an attempt queued behind
+        it when a crash breaks the pool.
+        """
+        _pool_chaos(rules, baseline, tmp_path_factory, jobs=1)
+
+
+def _shard_kill(tmp_path, baseline, jobs):
+    """Crash shard 0's first attempt on a ``jobs``-worker pool."""
+    store_path = str(tmp_path / "s.jsonl")
+    campaign = _sweep(store_path)
+    plan = {
+        "rules": [
+            {"site": "queue.attempt", "action": "crash",
+             "job_id": "chaos/shard0000#1"},
+        ]
+    }
+    events = []
+    result = run_campaign(
+        campaign, store_path=store_path, jobs=jobs, executor="pool",
+        faults=plan, observers=[events.append],
+    )
+    assert result.ok
+    assert result.results["chaos/shard0000"].attempts == 2
+    assert collect_points(store_path, campaign) == baseline
+    kinds = [
+        e.kind for e in events if e.job_id == "chaos/shard0000"
+    ]
+    assert "lost" in kinds
+    assert "requeued" in kinds
+    assert kinds.count("finished") == 1
+    store = ResultStore(store_path)
+    try:
+        stats = store.verify()
+    finally:
+        store.close()
+    assert damage_total(stats) == 0
+    return events
 
 
 class TestCannedScenarios:
@@ -229,31 +280,14 @@ class TestCannedScenarios:
         bit-exact, and the store verifies clean — a killed worker
         never loses or duplicates a result.
         """
-        store_path = str(tmp_path / "s.jsonl")
-        campaign = _sweep(store_path)
-        plan = {
-            "rules": [
-                {"site": "queue.attempt", "action": "crash",
-                 "job_id": "chaos/shard0000#1"},
-            ]
-        }
-        events = []
-        result = run_campaign(
-            campaign, store_path=store_path, jobs=2, executor="pool",
-            faults=plan, observers=[events.append],
-        )
-        assert result.ok
-        assert result.results["chaos/shard0000"].attempts == 2
-        assert collect_points(store_path, campaign) == baseline
-        kinds = [
-            e.kind for e in events if e.job_id == "chaos/shard0000"
-        ]
-        assert "lost" in kinds
-        assert "requeued" in kinds
-        assert kinds.count("finished") == 1
-        store = ResultStore(store_path)
-        try:
-            stats = store.verify()
-        finally:
-            store.close()
-        assert damage_total(stats) == 0
+        _shard_kill(tmp_path, baseline, jobs=2)
+
+    def test_one_worker_pool_shard_kill_converges_bit_exact(
+        self, tmp_path, baseline
+    ):
+        """The same kill on one worker: the shard queued behind the
+        killed one moves to the replacement pool with no event."""
+        events = _shard_kill(tmp_path, baseline, jobs=1)
+        kinds = [e.kind for e in events if e.job_id == "chaos/shard0001"]
+        assert "lost" not in kinds
+        assert kinds.count("started") == 1

@@ -185,17 +185,24 @@ class TestCodecParity:
     @given(
         values=st.lists(
             st.integers(min_value=0, max_value=254), min_size=0, max_size=64
-        )
+        ),
+        run=st.integers(min_value=1, max_value=3),
     )
     @settings(max_examples=60, deadline=None)
-    def test_u1_roundtrip_bit_exact(self, path, values):
+    def test_u1_roundtrip_bit_exact(self, path, values, run):
         # A string column of at most 255 categories packs as one u1
-        # code per value, indexing the sorted categories.
-        labels = [f"c{v:03d}" for v in values]
+        # code per value, indexing the sorted categories, whatever its
+        # runs; an empty column is a u1 column with no categories.
+        labels = [f"c{v:03d}" for v in values for _ in range(run)]
         categories = sorted(set(labels))
-        blob, decoded = _roundtrip(np.array(labels, dtype=str))
+        column = np.array(labels, dtype=str)
+        blob, decoded = _roundtrip(column)
         assert blob == bytes(categories.index(s) for s in labels)
         assert np.asarray(decoded).tolist() == labels
+        payload = pack_series(np.arange(len(labels), dtype=np.float64), {"m": column})
+        assert payload["columns"] == [
+            {"dtype": "|u1", "categories": categories, "name": "m"}
+        ]
 
     @pytest.mark.parametrize("path", PATHS)
     def test_unpack_respects_offset(self, path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 from concurrent.futures import wait
@@ -10,9 +11,11 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.runner.events import (
+    EVENT_FINISHED,
     EVENT_LOST,
     EVENT_REQUEUED,
     EVENT_RETRY,
+    EVENT_STARTED,
 )
 from repro.runner.executors import (
     EXECUTOR_ENV_VAR,
@@ -87,12 +90,16 @@ class TestKindResolution:
 
 
 class TestPoolBackend:
-    def test_queued_behind_jobs_unaffected_by_pool_break(self, tmp_path):
-        """A broken pool only charges the jobs that were in flight.
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_queued_behind_jobs_unaffected_by_pool_break(
+        self, tmp_path, jobs
+    ):
+        """A broken pool only charges the jobs a worker had started.
 
-        Capacity-capped dispatch means queued-behind jobs are never
-        handed to the pool that broke: they run later, first try, with
-        no lost/retry events of their own.
+        The pool holds one attempt queued behind its workers.  When the
+        pool breaks, that attempt moves to the replacement pool unseen;
+        later jobs wait in the scheduler.  Either way they run first
+        try, with no lost/retry events of their own.
         """
         events = []
         specs = [
@@ -103,7 +110,7 @@ class TestPoolBackend:
             _spec("q3", "add", a=5, b=6),
         ]
         results = run_jobs(
-            specs, jobs=2, executor="pool", observers=[events.append]
+            specs, jobs=jobs, executor="pool", observers=[events.append]
         )
         assert results["killer"].status == "failed"
         assert "worker process died" in results["killer"].error
@@ -114,6 +121,32 @@ class TestPoolBackend:
             kinds = {e.kind for e in events if e.job_id == queued}
             assert EVENT_LOST not in kinds
             assert EVENT_RETRY not in kinds
+
+    def test_suspect_waits_for_a_free_worker(self):
+        """A suspect's solo run never adds a worker beyond ``jobs``.
+
+        On one worker, the attempt queued behind the killer moves to the
+        replacement pool and runs there; the killer's solo retry starts
+        only after it finishes.
+        """
+        events = []
+        results = run_jobs(
+            [
+                _spec("killer", "die", retries=1),
+                _spec("innocent", "slow_identity", value=5, delay_s=0.4),
+            ],
+            jobs=1, executor="pool", observers=[events.append],
+        )
+        assert results["killer"].status == "failed"
+        assert results["innocent"].value == 5
+        assert results["innocent"].attempts == 1
+        order = [(e.job_id, e.kind) for e in events]
+        solo_start = [
+            i for i, pair in enumerate(order)
+            if pair == ("killer", EVENT_STARTED)
+        ][1]
+        assert order.index(("innocent", EVENT_FINISHED)) < solo_start
+        assert ("innocent", EVENT_LOST) not in order
 
     def test_lost_events_on_worker_crash(self):
         events = []
@@ -149,3 +182,38 @@ class TestPoolBackend:
         assert outcomes[killer].status == OUTCOME_LOST
         assert outcomes[after].status == OUTCOME_OK
         assert outcomes[after].value == 3
+
+    def test_break_seen_by_submit_moves_queued_beside_new(self):
+        """A break first seen by submit() while an attempt is queued.
+
+        The queued attempt and the new one share one replacement pool,
+        and shutdown leaves no worker process behind.
+        """
+        before = set(multiprocessing.active_children())
+        backend = PoolExecutor(1)
+        try:
+            killer = backend.submit(_spec("killer", "die"), 1, None)
+            queued = backend.submit(_spec("queued", "add", a=1, b=2), 1, None)
+            futures = [backend._tickets[t].future for t in (killer, queued)]
+            done, _ = wait(futures, timeout=30)
+            assert len(done) == 2
+            after = backend.submit(_spec("after", "add", a=3, b=4), 1, None)
+            assert (
+                backend._tickets[queued].pool is backend._tickets[after].pool
+            )
+            outcomes = {}
+            give_up = time.monotonic() + 30
+            while len(outcomes) < 3 and time.monotonic() < give_up:
+                for ticket in backend.poll(1.0):
+                    outcomes[ticket] = backend.collect(ticket)
+        finally:
+            backend.shutdown()
+        assert outcomes[killer].status == OUTCOME_LOST
+        assert (outcomes[queued].status, outcomes[queued].value) == (
+            OUTCOME_OK, 3,
+        )
+        assert outcomes[queued].attempt == 1
+        assert (outcomes[after].status, outcomes[after].value) == (
+            OUTCOME_OK, 7,
+        )
+        assert set(multiprocessing.active_children()) <= before

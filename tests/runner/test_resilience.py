@@ -7,7 +7,12 @@ import time
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.runner.events import EVENT_TIMEOUT, TERMINAL_EVENTS
+from repro.runner.events import (
+    EVENT_LOST,
+    EVENT_REQUEUED,
+    EVENT_TIMEOUT,
+    TERMINAL_EVENTS,
+)
 from repro.runner.jobs import JobSpec
 from repro.runner.queue import run_jobs
 
@@ -117,6 +122,44 @@ class TestPoolDeadline:
         assert "deadline exceeded" in results["hung"].error
         assert results["fast"].status == "ok"
         assert results["fast"].value == 2
+
+    def test_queued_attempt_clock_starts_when_a_worker_is_free(self):
+        """A job queued behind a slow one keeps its whole deadline."""
+        events = []
+        results = run_jobs(
+            [
+                sleepy_spec("slow", 0.6, deadline_s=5.0),
+                JobSpec("quick", "callable", "runner_workers:add",
+                        params={"a": 1, "b": 1}, deadline_s=0.3),
+            ],
+            jobs=1, executor="pool", observers=[events.append],
+        )
+        for job_id in ("slow", "quick"):
+            assert results[job_id].status == "ok"
+            assert results[job_id].attempts == 1
+        kinds = {e.kind for e in events}
+        assert EVENT_TIMEOUT not in kinds
+        assert EVENT_LOST not in kinds
+
+    def test_queued_attempt_survives_eviction_on_one_worker(self):
+        """Evicting a hung job moves the one queued behind it unseen."""
+        events = []
+        results = run_jobs(
+            [
+                sleepy_spec("hung", 60.0, deadline_s=0.75),
+                JobSpec("fast", "callable", "runner_workers:add",
+                        params={"a": 1, "b": 1}),
+            ],
+            jobs=1, executor="pool", observers=[events.append],
+        )
+        assert results["hung"].status == "failed"
+        assert "deadline exceeded" in results["hung"].error
+        assert results["fast"].status == "ok"
+        assert results["fast"].value == 2
+        assert results["fast"].attempts == 1
+        kinds = {e.kind for e in events if e.job_id == "fast"}
+        assert EVENT_LOST not in kinds
+        assert EVENT_REQUEUED not in kinds
 
     def test_hung_worker_retry_then_give_up(self):
         results = run_jobs(

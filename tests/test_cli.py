@@ -464,14 +464,21 @@ class TestSweepCommand:
         ]) == 0
         assert "2 points" in capsys.readouterr().out
 
-    def test_values_and_range_conflict(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "range_flags",
+        [["--min", "1", "--max", "2"], ["--points", "16"], ["--linear"]],
+        ids=["min-max", "points", "linear"],
+    )
+    def test_values_and_range_conflict(self, capsys, tmp_path, range_flags):
+        store = tmp_path / "s.jsonl"
         assert main([
             "sweep", self.TARGET,
             "--parameter", "rate_bps",
-            "--values", "1,2", "--min", "1", "--max", "2",
-            "--store", str(tmp_path / "s.jsonl"),
+            "--values", "32000,64000", *range_flags,
+            "--store", str(store),
         ]) == 2
         assert "not both" in capsys.readouterr().err
+        assert not store.exists()
 
     def test_missing_grid_rejected(self, capsys, tmp_path):
         assert main([
