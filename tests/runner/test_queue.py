@@ -188,6 +188,107 @@ class TestEvents:
         assert [e.kind for e in events] == ["scheduled", "cached"]
 
 
+def _cache_hit_between_misses(cache):
+    middle = callable_spec("b", "identity", value="b")
+    run_jobs([middle], cache=cache)
+    return [
+        callable_spec("a", "identity", value="a"),
+        middle,
+        callable_spec("c", "identity", value="c"),
+    ]
+
+
+def _failure_then_independent_then_dependent(cache):
+    return [
+        callable_spec("bad", "boom", retries=1),
+        callable_spec("good", "identity", value="good"),
+        callable_spec("child", "identity", after=("bad",), value="child"),
+    ]
+
+
+def _duplicate_content_key(cache):
+    return [
+        callable_spec("first", "square", x=3),
+        callable_spec("second", "square", x=3),
+        callable_spec("other", "square", x=4),
+    ]
+
+
+def _cached_job_mid_chain(cache):
+    run_jobs([callable_spec("b", "identity", value="b")], cache=cache)
+    return [
+        callable_spec("a", "identity", value="a"),
+        callable_spec("b", "identity", after=("a",), value="b"),
+        callable_spec("c", "identity", after=("b",), value="c"),
+        callable_spec("d", "identity", value="d"),
+    ]
+
+
+class TestSerialEventOrder:
+    """A serial run's exact event stream and cache accounting.
+
+    Each job finishes before the next job's cache hit, skip or start is
+    announced, and each job is looked up in the cache at most once.
+    """
+
+    @pytest.mark.parametrize(
+        "build, expected, stats",
+        [
+            (
+                _cache_hit_between_misses,
+                [
+                    ("started", "a", 1), ("finished", "a", 1),
+                    ("cached", "b", 0),
+                    ("started", "c", 1), ("finished", "c", 1),
+                ],
+                {"hits": 1, "misses": 3, "puts": 3, "stale": 0, "size": 3},
+            ),
+            (
+                _failure_then_independent_then_dependent,
+                [
+                    ("started", "bad", 1), ("retry", "bad", 1),
+                    ("started", "bad", 2), ("failed", "bad", 2),
+                    ("started", "good", 1), ("finished", "good", 1),
+                    ("skipped", "child", 0),
+                ],
+                {"hits": 0, "misses": 2, "puts": 1, "stale": 0, "size": 1},
+            ),
+            (
+                _duplicate_content_key,
+                [
+                    ("started", "first", 1), ("finished", "first", 1),
+                    ("cached", "second", 0),
+                    ("started", "other", 1), ("finished", "other", 1),
+                ],
+                {"hits": 0, "misses": 2, "puts": 2, "stale": 0, "size": 2},
+            ),
+            (
+                _cached_job_mid_chain,
+                [
+                    ("started", "a", 1), ("finished", "a", 1),
+                    ("started", "d", 1), ("finished", "d", 1),
+                    ("cached", "b", 0),
+                    ("started", "c", 1), ("finished", "c", 1),
+                ],
+                {"hits": 1, "misses": 4, "puts": 4, "stale": 0, "size": 4},
+            ),
+        ],
+        ids=["hit-between-misses", "failure-independent-dependent",
+             "duplicate-key", "cached-mid-chain"],
+    )
+    def test_event_sequence_and_cache_stats(self, build, expected, stats):
+        cache = ResultCache()
+        specs = build(cache)
+        events = []
+        run_jobs(specs, cache=cache, observers=[events.append])
+        scheduled = [("scheduled", spec.job_id, 0) for spec in
+                     topological_order(specs)]
+        assert [(e.kind, e.job_id, e.attempt) for e in events] == (
+            scheduled + expected
+        )
+        assert cache.stats() == stats
+
+
 class TestCacheIntegration:
     def test_second_run_hits_cache(self):
         cache = ResultCache()
