@@ -5,10 +5,12 @@ Runs the user paths in this one process under ``sys.setprofile`` and
 ``threading.setprofile`` and records every code object that starts
 running:
 
-* the commands: every subcommand — ``list``; ``run all``; ``campaign``
-  on JSONL and on SQLite, fresh and cached, and with ``--jobs 2``,
-  ``--telemetry`` and ``--trace``; ``sweep`` serial, on a pool, over
-  explicit ``--values`` and with ``break_even_curve``; ``store
+* the commands: every subcommand — ``list``; ``run all``, and ``run
+  table1 fig2a --jobs 2``; ``campaign`` on JSONL and on SQLite, fresh
+  and cached, and with ``--jobs 2``, ``--telemetry`` and ``--trace``;
+  ``sweep`` serial, on a pool, over explicit ``--values``, with
+  ``break_even_curve``, and serially under a ``REPRO_FAULTS`` plan that
+  fails one shard's first attempt (exit 1, the merge skipped); ``store
   info/verify/compact/migrate``; ``trace export``; ``telemetry
   summary``; ``dimension``; ``plot``; and ``simulate`` under both
   policies;
@@ -140,12 +142,12 @@ def quiet():
         yield sink
 
 
-def run_cli(argv: list[str]) -> str:
+def run_cli(argv: list[str], expect: int = 0) -> str:
     from repro.cli import main
 
     with quiet() as sink:
         code = main(argv)
-    if code != 0:
+    if code != expect:
         raise RuntimeError(
             f"repro {' '.join(argv)} exited {code}:\n{sink.getvalue()}"
         )
@@ -158,6 +160,7 @@ def probe_commands(work: str) -> None:
 
     run_cli(["list"])
     run_cli(["run", "all"])
+    run_cli(["run", "table1", "fig2a", "--jobs", "2"])
     for store in (w("c.jsonl"), w("c.sqlite")):
         run_cli(["campaign", "--store", store, "--quiet"])
         run_cli(["campaign", "--store", store])  # cached, with progress
@@ -175,6 +178,16 @@ def probe_commands(work: str) -> None:
              "--quiet", "--store", w("sv.sqlite")])
     run_cli(["sweep", "repro.core.batch:break_even_curve", *grid,
              "--store", w("sb.sqlite")])
+    from repro.faults import active_faults
+
+    # As under REPRO_FAULTS: the plan is armed and exported for the run.
+    fail_shard = {"rules": [{"site": "queue.attempt", "action": "raise",
+                             "job_id": "sweep/shard0001#1"}]}
+    with active_faults(fail_shard):
+        out = run_cli(["sweep", target, *grid, "--store", w("sf.sqlite")],
+                      expect=1)
+    if "dependency 'sweep/shard0001' did not succeed" not in out:
+        raise RuntimeError(f"the faulted sweep ran its merge:\n{out}")
     for store in (w("c.jsonl"), w("s.sqlite")):
         run_cli(["store", "info", store, "--timings"])
         run_cli(["store", "verify", store])

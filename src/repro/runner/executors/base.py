@@ -10,7 +10,10 @@ detected.  Two implementations ship:
   one attempt at a time (the debugging baseline),
 * :class:`~repro.runner.executors.pool.PoolExecutor` — a local
   ``ProcessPoolExecutor`` with broken-pool isolation and deadline
-  eviction (refactored out of the old ``queue._run_pool`` path).
+  eviction.
+
+The scheduler has one loop, and every run goes through this protocol,
+the serial one included.
 
 A backend reports each finished attempt as an :class:`AttemptOutcome`.
 The ``status`` vocabulary is deliberately small:

@@ -1,7 +1,6 @@
 """Process-pool execution backend with broken-pool isolation.
 
-The mechanism half of what ``queue.py``'s ``_run_pool``/``_batch_round``
-used to be.  The shared pool holds one attempt beyond its workers
+The shared pool holds one attempt beyond its workers
 (:meth:`PoolExecutor.capacity`), the same one-call slack CPython's own
 executor keeps: a worker that finishes an attempt starts the next one
 at once, while the parent unpickles, persists and announces the last.

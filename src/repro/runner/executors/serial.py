@@ -69,8 +69,8 @@ class SerialExecutor(ExecutionBackend):
 
     ``submit`` executes the attempt before returning (there is nowhere
     to defer it to), so ``poll``/``collect`` simply hand the queued
-    outcome back.  The scheduler's serial fast path calls
-    :meth:`run_attempt` directly and keeps its own retry loop.
+    outcome back.  Its one slot makes the scheduler take the jobs one at
+    a time, in topological order, each resolved before the next starts.
     """
 
     name = "serial"
@@ -83,19 +83,15 @@ class SerialExecutor(ExecutionBackend):
     def capacity(self) -> int:
         return 1
 
-    def run_attempt(
-        self, spec: JobSpec, attempt: int, deadline_s: float | None
-    ) -> tuple[Any, float, int]:
-        """One attempt now: ``(value, duration_s, pid)`` or raises."""
-        return run_attempt_with_deadline(spec, self._fn, deadline_s, attempt)
-
     def submit(
         self, spec: JobSpec, attempt: int, deadline_s: float | None
     ) -> str:
         self._seq += 1
         ticket = f"s{self._seq}"
         try:
-            value, duration, pid = self.run_attempt(spec, attempt, deadline_s)
+            value, duration, pid = run_attempt_with_deadline(
+                spec, self._fn, deadline_s, attempt
+            )
         except DeadlineExceeded:
             outcome = AttemptOutcome(
                 ticket, spec.job_id, attempt, OUTCOME_TIMEOUT,

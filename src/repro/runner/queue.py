@@ -16,13 +16,19 @@ full-jitter backoff, deadlines, caching, events — and delegates
   with broken-pool isolation and deadline eviction (default for
   ``jobs > 1``).
 
-Both backends share the same bookkeeping, produce the same results, and
-schedule ready jobs in the stable order the specs were given, so a
-parallel campaign is a faithful — bit-identical — replay of the serial
-one.  A backend reporting an attempt *lost* (worker crash, broken
-pool, deadline eviction) emits ``lost``/``requeued`` events and the
-job re-runs — worker death is a recoverable event, not a run-fatal
-one.
+One loop drives every backend through that protocol.  It takes ready
+jobs in the stable topological order of the specs, from a heap fed by
+per-job dependency counts, and hands each to the backend while it has
+a free slot; skips and cache hits resolve only then too.  So both
+backends produce the same results, a parallel campaign is a faithful —
+bit-identical — replay of the serial one, and the serial backend's one
+slot makes each job's events follow the previous job's end.  Each job
+is looked up in the cache once, before its first attempt; a duplicate
+of a content key that is executing waits for that job to resolve, then
+resolves as ``cached``.  A backend reporting an attempt *lost* (worker
+crash, broken pool, deadline eviction) emits ``lost``/``requeued``
+events and the job re-runs — worker death is a recoverable event, not
+a run-fatal one.
 
 Resilience: every attempt may carry a wall-clock **deadline**
 (``JobSpec.deadline_s``, or the ``REPRO_JOB_DEADLINE_S`` environment
@@ -32,10 +38,10 @@ hung job can never wedge a campaign.  Its retry starts at once, since
 the hung attempt already waited out its deadline; a retry after an
 error waits an exponentially growing, fully jittered **backoff**
 (``JobSpec.retry_backoff_s``), seedable per run for deterministic
-tests.  The serial and pool loops share this policy.  The scheduler
-also hosts the ``queue.attempt`` fault-injection site
-(:mod:`repro.faults`): ``run_jobs(..., faults=...)`` activates a plan
-for the run, exported to worker processes through the environment.
+tests, while later ready jobs run.  The scheduler also hosts the
+``queue.attempt`` fault-injection site (:mod:`repro.faults`):
+``run_jobs(..., faults=...)`` activates a plan for the run, exported
+to worker processes through the environment.
 
 Events travel over the :class:`~repro.runner.events.EventBus`: every
 run publishes a stamped :class:`~repro.runner.events.Event` stream
@@ -49,6 +55,7 @@ parallel campaign aggregates observability without extra IPC.
 
 from __future__ import annotations
 
+import heapq
 import os
 import random
 import time
@@ -79,17 +86,13 @@ from .events import (
     JobEvent,
 )
 from .executors.base import (
-    KIND_SERIAL,
     OUTCOME_LOST,
     OUTCOME_OK,
     OUTCOME_TIMEOUT,
     AttemptOutcome,
-    DeadlineExceeded,
     ExecutionBackend,
     make_executor,
-    resolve_executor_kind,
 )
-from .executors.serial import SerialExecutor
 from .jobs import (
     STATUS_CACHED,
     STATUS_FAILED,
@@ -209,7 +212,16 @@ def topological_order(specs: Sequence[JobSpec]) -> list[JobSpec]:
 
 
 class _Run:
-    """Shared bookkeeping for one :func:`run_jobs` invocation."""
+    """Shared bookkeeping for one :func:`run_jobs` invocation.
+
+    It also holds the run's queues.  :attr:`ready` is a heap of the
+    topological indices of the jobs that may be taken now.  A job enters
+    it when its last dependency resolves (the counts in :attr:`blocked`),
+    when an attempt is retried or requeued, or when a wait ends.  Two
+    waits keep a job out of it: a retry's backoff window
+    (:attr:`backoff`), and a duplicate's wait for the job that holds the
+    same content key (:attr:`waiting`).
+    """
 
     def __init__(
         self,
@@ -225,13 +237,23 @@ class _Run:
         #: retry schedule is reproducible; unseeded, delays decorrelate
         #: across concurrent campaigns (what production wants).
         self.backoff_rng = random.Random(backoff_seed)
-        self.by_id = {spec.job_id: spec for spec in self.order}
-        self.dependents: dict[str, list[str]] = {
-            spec.job_id: [] for spec in self.order
-        }
-        for spec in self.order:
+        self.index = {spec.job_id: i for i, spec in enumerate(self.order)}
+        self.dependents: list[list[int]] = [[] for _ in self.order]
+        for i, spec in enumerate(self.order):
             for dep in spec.after:
-                self.dependents[dep].append(spec.job_id)
+                self.dependents[self.index[dep]].append(i)
+        #: Unresolved dependencies of each job, by topological index.
+        self.blocked = [len(spec.after) for spec in self.order]
+        # Ascending, so already a heap.
+        self.ready = [i for i, count in enumerate(self.blocked) if not count]
+        #: ``(not_before, index)`` heap of retries waiting out a backoff.
+        self.backoff: list[tuple[float, int]] = []
+        #: Content key -> id of the started job computing it, until that
+        #: job resolves; duplicates wait in :attr:`waiting` meanwhile.
+        self.running: dict[str, str] = {}
+        self.waiting: dict[str, list[int]] = {}
+        #: Attempts handed to the backend per started job.
+        self.attempts: dict[str, int] = {}
         self.cache = cache
         self.bus = EventBus(run_id=run_id)
         for observer in observers:
@@ -261,10 +283,12 @@ class _Run:
         )
 
     def resolve(self, result: JobResult) -> None:
-        """Record a terminal result and emit its event.
+        """Record a terminal result, emit its event, and release waiters.
 
         A result carrying a worker telemetry delta (pool attempts) has
         it merged into the parent's registries here, exactly once.
+        Dependents whose last dependency this was become ready, and so
+        do duplicates waiting on this job's content key.
         """
         if result.telemetry is not None:
             metrics().merge(
@@ -289,8 +313,17 @@ class _Run:
         )
         if result.succeeded and result.key not in self.done_by_key:
             self.done_by_key[result.key] = result
+        index = self.index[result.job_id]
         if self.cache is not None and result.status == STATUS_OK:
-            self.cache.put(self.by_id[result.job_id], result)
+            self.cache.put(self.order[index], result)
+        for dependent in self.dependents[index]:
+            self.blocked[dependent] -= 1
+            if not self.blocked[dependent]:
+                heapq.heappush(self.ready, dependent)
+        if self.running.get(result.key) == result.job_id:
+            del self.running[result.key]
+            for waiter in self.waiting.pop(result.key, ()):
+                heapq.heappush(self.ready, waiter)
 
     def deadline_for(self, spec: JobSpec) -> float | None:
         """Effective per-attempt deadline: spec first, then env default."""
@@ -318,9 +351,6 @@ class _Run:
             error=error_text,
         )
         return error_text
-
-    def deps_resolved(self, spec: JobSpec) -> bool:
-        return all(dep in self.results for dep in spec.after)
 
     def failed_dep(self, spec: JobSpec) -> str | None:
         for dep in spec.after:
@@ -363,6 +393,38 @@ class _Run:
             return False
         self.resolve(hit)
         return True
+
+    def claim(self, spec: JobSpec) -> bool:
+        """Settle a ready job's first turn; True when it must run.
+
+        A failed dependency skips it.  A duplicate of a content key
+        whose job has started and not resolved waits for that job, and
+        takes its turn again once it has.  Otherwise the job is looked
+        up in the cache, once, and a job that misses holds its key until
+        it resolves.
+        """
+        failed = self.failed_dep(spec)
+        if failed is not None:
+            self.skip(spec, failed)
+            return False
+        if spec.key in self.running:
+            self.waiting.setdefault(spec.key, []).append(
+                self.index[spec.job_id]
+            )
+            return False
+        if self.from_cache(spec):
+            return False
+        self.running[spec.key] = spec.job_id
+        self.attempts[spec.job_id] = 0
+        return True
+
+    def requeue(self, spec: JobSpec, delay: float = 0.0) -> None:
+        """Queue another attempt of ``spec``, after ``delay`` seconds."""
+        index = self.index[spec.job_id]
+        if delay > 0:
+            heapq.heappush(self.backoff, (time.monotonic() + delay, index))
+        else:
+            heapq.heappush(self.ready, index)
 
 
 def run_jobs(
@@ -422,21 +484,13 @@ def run_jobs(
     spec_list = list(specs)
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    backend: ExecutionBackend | None = None
-    executor_fn: Executor = execute
-    choice: str | None = None
+    # Resolve (and validate) the backend before any event fires.
     if isinstance(executor, ExecutionBackend):
         backend = executor
     elif isinstance(executor, str):
-        choice = executor
-    elif executor is not None:
-        executor_fn = executor
-    # Resolve (and validate) the backend kind before any event fires.
-    kind = (
-        backend.name
-        if backend is not None
-        else resolve_executor_kind(choice, jobs)
-    )
+        backend = make_executor(executor, jobs=jobs)
+    else:
+        backend = make_executor(None, jobs=jobs, executor_fn=executor)
     if faults is None:
         # A malformed REPRO_FAULTS plan must fail the run up front,
         # not surface as a per-job failure at the first probe.
@@ -446,170 +500,44 @@ def run_jobs(
             spec_list, cache, observers, run_id=run_id,
             backoff_seed=backoff_seed,
         )
-        if not run.order:
-            return {}
-        if backend is None and kind == KIND_SERIAL:
-            _run_serial(run, SerialExecutor(executor_fn=executor_fn))
-        elif isinstance(backend, SerialExecutor):
-            _run_serial(run, backend)
-        else:
-            if backend is None:
-                backend = make_executor(
-                    kind, jobs=jobs, executor_fn=executor_fn
-                )
-            _run_dispatch(run, backend)
+        _run_dispatch(run, backend)
         return run.results
 
 
-def _execute_with_retries(
-    run: _Run, spec: JobSpec, backend: SerialExecutor
-) -> None:
-    """Serial path: attempt (with retries) and resolve one spec.
-
-    One counter (``attempt``) drives the loop, the events, and the
-    final result's ``attempts`` field — it can never disagree with
-    itself the way a loop index plus a recomputed ``retries + 1``
-    could.
-    """
-    error_text = ""
-    duration = 0.0
-    deadline = run.deadline_for(spec)
-    attempt = 0
-    while attempt <= spec.retries:
-        attempt += 1
-        run._event(EVENT_STARTED, spec.job_id, attempt=attempt)
-        timed_out = False
-        try:
-            value, duration, pid = backend.run_attempt(
-                spec, attempt, deadline
-            )
-        except DeadlineExceeded:
-            error_text = run.timed_out(spec, attempt)
-            timed_out = True
-        except Exception as error:  # noqa: BLE001 - jobs may raise anything
-            error_text = f"{type(error).__name__}: {error}"
-        else:
-            run.resolve(
-                JobResult(
-                    job_id=spec.job_id,
-                    key=spec.key,
-                    status=STATUS_OK,
-                    value=value,
-                    attempts=attempt,
-                    duration_s=duration,
-                    worker_pid=pid,
-                )
-            )
-            return
-        if attempt <= spec.retries:
-            run._event(
-                EVENT_RETRY, spec.job_id, attempt=attempt,
-                error=error_text,
-            )
-            if timed_out:
-                # No backoff, as on the pool path: a hung attempt
-                # already waited out its deadline.
-                continue
-            delay = run.backoff_delay(spec, attempt)
-            if delay > 0:
-                time.sleep(delay)
-    run.resolve(
-        JobResult(
-            job_id=spec.job_id,
-            key=spec.key,
-            status=STATUS_FAILED,
-            error=error_text,
-            attempts=attempt,
-        )
-    )
-
-
-def _run_serial(run: _Run, backend: SerialExecutor) -> None:
-    for spec in run.order:
-        failed = run.failed_dep(spec)
-        if failed is not None:
-            run.skip(spec, failed)
-            continue
-        if run.from_cache(spec):
-            continue
-        _execute_with_retries(run, spec, backend)
-
-
 def _submit_ready(
-    run: _Run,
-    backend: ExecutionBackend,
-    pending: list[JobSpec],
-    tickets: dict[str, JobSpec],
-    attempts: dict[str, int],
-    not_before: dict[str, float],
+    run: _Run, backend: ExecutionBackend, tickets: dict[str, JobSpec]
 ) -> None:
-    """Dispatch every runnable pending spec, capacity permitting.
+    """Start ready jobs, in topological order, while a slot is free.
 
-    Mutates ``pending`` in place.  A job is handed to the backend only
-    while it holds fewer attempts than the backend's capacity: for the
+    A job is handed to the backend only while it holds fewer attempts
+    than the backend's capacity: one for the serial backend; for the
     pool, its workers plus one queued attempt.  The pool itself moves
     an attempt no worker started off a broken or evicted pool, so a
     failure never takes down jobs merely queued behind the casualties.
-    The skip/cache cascade keeps running at capacity — only actual
-    dispatch is gated.
+    Skips and cache hits resolve only while a slot is free too, so on
+    the serial backend each job's events follow the previous job's end.
     """
+    now = time.monotonic()
+    while run.backoff and run.backoff[0][0] <= now:
+        heapq.heappush(run.ready, heapq.heappop(run.backoff)[1])
     capacity = backend.capacity()
-    inflight_keys = {spec.key for spec in tickets.values()}
-    progress = True
-    while progress:
-        progress = False
-        now = time.monotonic()
-        still_pending: list[JobSpec] = []
-        for spec in pending:
-            if spec.job_id in run.results:
-                # Already resolved (e.g. skipped by an earlier cascade
-                # pass that left a stale entry in the pending list).
-                continue
-            if not run.deps_resolved(spec):
-                still_pending.append(spec)
-                continue
-            failed = run.failed_dep(spec)
-            if failed is not None:
-                run.skip(spec, failed)
-                progress = True  # may unblock dependents' skip cascade
-                continue
-            if run.from_cache(spec):
-                progress = True  # cached result may ready dependents
-                continue
-            if spec.key in inflight_keys:
-                # A same-key job is already executing; hold this one
-                # back so it resolves as "cached" like in serial mode.
-                still_pending.append(spec)
-                continue
-            if not_before.get(spec.job_id, 0.0) > now:
-                # Backoff window still open; retry later.
-                still_pending.append(spec)
-                continue
-            if len(tickets) >= capacity:
-                still_pending.append(spec)
-                continue
-            not_before.pop(spec.job_id, None)
-            attempts[spec.job_id] = attempts.get(spec.job_id, 0) + 1
-            run._event(
-                EVENT_STARTED, spec.job_id, attempt=attempts[spec.job_id]
-            )
-            ticket = backend.submit(
-                spec, attempts[spec.job_id], run.deadline_for(spec)
-            )
-            tickets[ticket] = spec
-            inflight_keys.add(spec.key)
-        pending[:] = still_pending
-    metrics().gauge("queue.depth", len(pending))
+    while run.ready and len(tickets) < capacity:
+        spec = run.order[heapq.heappop(run.ready)]
+        if spec.job_id not in run.attempts and not run.claim(spec):
+            continue
+        run.attempts[spec.job_id] += 1
+        attempt = run.attempts[spec.job_id]
+        run._event(EVENT_STARTED, spec.job_id, attempt=attempt)
+        ticket = backend.submit(spec, attempt, run.deadline_for(spec))
+        tickets[ticket] = spec
+    metrics().gauge(
+        "queue.depth", run.total - len(run.results) - len(tickets)
+    )
     metrics().gauge_max("queue.active", len(tickets))
 
 
 def _dispatch_outcome(
-    run: _Run,
-    spec: JobSpec,
-    outcome: AttemptOutcome,
-    attempts: dict[str, int],
-    pending: list[JobSpec],
-    not_before: dict[str, float],
+    run: _Run, spec: JobSpec, outcome: AttemptOutcome
 ) -> None:
     """Apply retry/requeue policy to one collected attempt outcome."""
     attempt = outcome.attempt
@@ -634,7 +562,7 @@ def _dispatch_outcome(
             run._event(
                 EVENT_RETRY, spec.job_id, attempt=attempt, error=error_text
             )
-            pending.append(spec)
+            run.requeue(spec)
         else:
             run.resolve(
                 JobResult(
@@ -655,22 +583,19 @@ def _dispatch_outcome(
             EVENT_LOST, spec.job_id, attempt=attempt, error=outcome.error
         )
         if not outcome.charge:
-            attempts[spec.job_id] -= 1
+            run.attempts[spec.job_id] -= 1
         run._event(
             EVENT_REQUEUED, spec.job_id,
-            attempt=attempts[spec.job_id], error=outcome.error,
+            attempt=run.attempts[spec.job_id], error=outcome.error,
         )
-        pending.append(spec)
+        run.requeue(spec)
         return
     # OUTCOME_ERROR: an ordinary job failure, retried under budget.
     if attempt <= spec.retries:
         run._event(
             EVENT_RETRY, spec.job_id, attempt=attempt, error=outcome.error
         )
-        delay = run.backoff_delay(spec, attempt)
-        if delay > 0:
-            not_before[spec.job_id] = time.monotonic() + delay
-        pending.append(spec)
+        run.requeue(spec, run.backoff_delay(spec, attempt))
     else:
         run.resolve(
             JobResult(
@@ -684,56 +609,29 @@ def _dispatch_outcome(
 
 
 def _run_dispatch(run: _Run, backend: ExecutionBackend) -> None:
-    """Drive one run over an asynchronous execution backend.
+    """Drive one run over an execution backend, until every job resolves.
 
-    The loop: dispatch every runnable spec (capacity-capped), poll the
-    backend for finished attempts, apply retry/requeue policy, repeat.
-    The backend owns worker processes and loss detection; this loop
-    owns everything observable (events, budgets, results).
+    The loop: start ready jobs while a slot is free, poll the backend
+    for finished attempts, apply retry/requeue policy, repeat.  The
+    backend owns where attempts run and how their loss is detected;
+    this loop owns everything observable (events, budgets, results).
     """
-    pending = list(run.order)
-    attempts: dict[str, int] = {}
     tickets: dict[str, JobSpec] = {}
-    not_before: dict[str, float] = {}
-    order_index = {spec.job_id: i for i, spec in enumerate(run.order)}
     try:
-        while pending or tickets:
-            _submit_ready(
-                run, backend, pending, tickets, attempts, not_before
-            )
-            if not tickets:
-                if not pending:
-                    return
-                # Nothing executing, yet work remains: every runnable
-                # spec is inside a backoff window (dep-blocked specs
-                # need in-flight work to unblock, which there is none
-                # of).  Sleep the shortest window out.
-                waits = [
-                    not_before[spec.job_id] - time.monotonic()
-                    for spec in pending
-                    if spec.job_id in not_before
-                ]
-                if not waits:
-                    return
-                pause = max(0.0, min(waits))
-                if pause > 0:
-                    time.sleep(pause)
-                continue
-            waits = [
-                not_before[spec.job_id] - time.monotonic()
-                for spec in pending
-                if spec.job_id in not_before
-            ]
-            timeout = max(0.0, min(waits)) if waits else None
-            for tid in backend.poll(timeout):
-                spec = tickets.pop(tid)
-                _dispatch_outcome(
-                    run, spec, backend.collect(tid), attempts, pending,
-                    not_before,
-                )
-            # Requeues append out of order; restore the stable
-            # topological order the whole scheduler guarantees.
-            pending.sort(key=lambda spec: order_index[spec.job_id])
+        _submit_ready(run, backend, tickets)
+        while len(run.results) < run.total:
+            if tickets:
+                wait = None
+                if run.backoff:
+                    wait = max(0.0, run.backoff[0][0] - time.monotonic())
+                for tid in backend.poll(wait):
+                    spec = tickets.pop(tid)
+                    _dispatch_outcome(run, spec, backend.collect(tid))
+            else:
+                # Nothing is executing, so every unresolved job waits,
+                # directly or through a dependency or a duplicate key,
+                # on a retry in its backoff window.  Sleep the first out.
+                time.sleep(max(0.0, run.backoff[0][0] - time.monotonic()))
+            _submit_ready(run, backend, tickets)
     finally:
         backend.shutdown()
-

@@ -170,15 +170,42 @@ class TestPoolDeadline:
         assert results["hung"].attempts == 2
 
 
+class _Clock:
+    """Stands in for the scheduler's ``time``: still until it sleeps.
+
+    A recorded sleep advances the clock by exactly its length, so the
+    scheduler sees each backoff window end as it wakes, at once.
+    """
+
+    def __init__(self):
+        self.now = 0.0
+        self.sleeps = []
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.sleeps.append(seconds)
+        self.now += seconds
+
+
 class TestRetryBackoff:
     def _sleeps(self, monkeypatch, seed):
         """Recorded backoff sleeps of one all-failing retry run."""
         from repro.runner import queue as queue_module
+        from repro.runner.queue import _Run
 
-        recorded = []
-        monkeypatch.setattr(
-            queue_module.time, "sleep", recorded.append
-        )
+        clock = _Clock()
+        monkeypatch.setattr(queue_module, "time", clock)
+        drawn = []
+        original = _Run.backoff_delay
+
+        def recording(self, spec, attempt):
+            drawn.append(original(self, spec, attempt))
+            return drawn[-1]
+
+        monkeypatch.setattr(_Run, "backoff_delay", recording)
+
         def executor(spec):
             raise RuntimeError("nope")
 
@@ -188,9 +215,9 @@ class TestRetryBackoff:
             executor=executor,
             backoff_seed=seed,
         )
-        # Other subsystems yield with time.sleep(0); only the jitter
-        # draws are positive.
-        return [s for s in recorded if s > 0]
+        # The scheduler sleeps out each window it drew, and only those.
+        assert clock.sleeps == pytest.approx(drawn, rel=0, abs=1e-12)
+        return clock.sleeps
 
     def test_full_jitter_is_seed_deterministic(self, monkeypatch):
         first = self._sleeps(monkeypatch, seed=7)
@@ -204,6 +231,49 @@ class TestRetryBackoff:
         delays = self._sleeps(monkeypatch, seed=3)
         for attempt, delay in enumerate(delays, start=1):
             assert 0.0 <= delay <= min(30.0, 0.05 * 2 ** (attempt - 1))
+
+    def test_later_jobs_run_inside_a_backoff_window(self, monkeypatch):
+        """The serial backend, like the pool, waits out no window idle.
+
+        A duplicate of the retried job's content key waits for it, and
+        then resolves from its result.
+        """
+        from repro.runner import queue as queue_module
+
+        clock = _Clock()
+        monkeypatch.setattr(queue_module, "time", clock)
+        ran = []
+
+        def executor(spec):
+            ran.append(spec.job_id)
+            if ran == ["flaky"]:
+                raise RuntimeError("first attempt fails")
+            return spec.job_id
+
+        events = []
+        results = run_jobs(
+            [
+                JobSpec("flaky", "callable", "m:f", {"n": 1}, retries=1,
+                        retry_backoff_s=5.0),
+                JobSpec("copy", "callable", "m:f", {"n": 1}),
+                JobSpec("later", "callable", "m:f", {"n": 2}),
+            ],
+            executor=executor,
+            observers=[events.append],
+            backoff_seed=1,
+        )
+        assert [
+            (e.kind, e.job_id, e.attempt)
+            for e in events if e.kind != "scheduled"
+        ] == [
+            ("started", "flaky", 1), ("retry", "flaky", 1),
+            ("started", "later", 1), ("finished", "later", 1),
+            ("started", "flaky", 2), ("finished", "flaky", 2),
+            ("cached", "copy", 0),
+        ]
+        assert ran == ["flaky", "later", "flaky"]
+        assert results["copy"].value == "flaky"
+        assert len(clock.sleeps) == 1
 
     def test_zero_backoff_never_sleeps(self, monkeypatch):
         from repro.runner import queue as queue_module

@@ -440,6 +440,27 @@ class TestSweepCommand:
         assert "payload columnar-shard: 4 records" in info
         assert "columnar-block" not in info
 
+    @pytest.mark.parametrize(
+        "executor",
+        [[], ["--executor", "pool", "--jobs", "1"]],
+        ids=["serial", "pool-1"],
+    )
+    def test_cache_counts_one_lookup_per_job(
+        self, capsys, tmp_path, executor
+    ):
+        # A shard held back while the pool's slots are full is still
+        # looked up once: 4 shards and the merge, 5 misses.
+        assert main([
+            "sweep", "repro.core.batch:evaluate_rate_grid",
+            "--parameter", "rate_bps",
+            "--min", "32e3", "--max", "4096e3", "--points", "2000",
+            "--shards", "4", *executor,
+            "--store", str(tmp_path / "s.sqlite"), "--quiet",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "5 jobs: 5 ok" in out
+        assert "(cache: 0 hits, 5 misses)" in out
+
     def test_rerun_resolves_from_cache(self, capsys, tmp_path):
         store = str(tmp_path / "sweep.jsonl")
         argv = [
