@@ -297,7 +297,7 @@ class TestTimeoutRetryPolicy:
     def test_timed_out_attempt_retries_without_backoff(
         self, executor, monkeypatch
     ):
-        """Both loops retry a hung attempt at once, with the same events.
+        """Both backends retry a hung attempt at once, with the same events.
 
         The hung attempt already waited out its deadline, so no backoff
         is drawn before its retry, however large ``retry_backoff_s``.
