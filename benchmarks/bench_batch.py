@@ -46,7 +46,6 @@ from repro.formatting.sector import SectorLayout
 from repro.runner import (
     ResultStore,
     collect_arrays,
-    collect_points,
     run_campaign,
     sharded_sweep_campaign,
 )
@@ -294,7 +293,8 @@ def test_streaming_merge_memory_bounded(benchmark, tmp_path):
     """The streaming merge's peak tracked allocation stays O(shard).
 
     Baseline: decoding the full per-point list (what the pre-streaming
-    merge materialised).  The merge itself must peak below 25% of that
+    merge materialised), built here from the decoded columns as one
+    dict per point.  The merge itself must peak below 25% of that
     — it only ever holds one decoded shard payload — and a subsequent
     campaign run still resolves every shard from cache (the merge never
     poisons resume).
@@ -308,11 +308,14 @@ def test_streaming_merge_memory_bounded(benchmark, tmp_path):
     merge = full.specs[-1]
 
     tracemalloc.start()
-    values, points = collect_points(store_path, full)
+    columns = collect_arrays(store_path, full)
+    values = columns.values.tolist()
+    series = {name: col.tolist() for name, col in columns.columns.items()}
+    points = [dict(zip(series, row)) for row in zip(*series.values())]
     full_peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert len(points) == MEM_N
-    del values, points
+    del columns, values, series, points
 
     peaks = {}
 

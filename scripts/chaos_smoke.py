@@ -89,7 +89,7 @@ def torn_write(scratch: str) -> dict[str, object]:
     from repro.faults import InjectedFault
     from repro.runner import (
         ResultStore,
-        collect_points,
+        collect_arrays,
         run_campaign,
         sharded_sweep_campaign,
     )
@@ -108,7 +108,17 @@ def torn_write(scratch: str) -> dict[str, object]:
     assert run_campaign(
         baseline_campaign, store_path=baseline_store
     ).ok
-    baseline = collect_points(baseline_store, baseline_campaign)
+    def bits(store_path, campaign):
+        # Name, dtype and bytes of every column: pins -0.0 and NaN bits.
+        columns = collect_arrays(store_path, campaign)
+        return [
+            (name, column.dtype.str, column.tobytes())
+            for name, column in [
+                ("", columns.values), *columns.columns.items()
+            ]
+        ]
+
+    baseline = bits(baseline_store, baseline_campaign)
 
     store_path = os.path.join(scratch, "torn.jsonl")
     if os.path.exists(store_path):
@@ -132,8 +142,8 @@ def torn_write(scratch: str) -> dict[str, object]:
     # shard0000 was stored before the tear; shard0001 recomputes, and
     # the shards the failed run never reached run now.
     assert counts == {"cached": 1, "ok": 4}, counts
-    assert collect_points(store_path, campaign) == baseline, (
-        "swept points drifted from the undisturbed baseline"
+    assert bits(store_path, campaign) == baseline, (
+        "swept columns drifted from the undisturbed baseline"
     )
 
     store = ResultStore(store_path)

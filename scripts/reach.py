@@ -11,9 +11,10 @@ running:
   ``sweep`` serial, on a pool, over explicit ``--values``, with
   ``break_even_curve``, and serially under a ``REPRO_FAULTS`` plan that
   fails one shard's first attempt (exit 1, the merge skipped); ``store
-  info/verify/compact/migrate``; ``trace export``; ``telemetry
-  summary``; ``dimension``; ``plot``; and ``simulate`` under both
-  policies;
+  info/verify/compact/migrate``, and ``store migrate`` of the per-point
+  store a 1.8.0 build wrote (``tests/runner/data``); ``trace export``;
+  ``telemetry summary``; ``dimension``; ``plot``; and ``simulate``
+  under both policies;
 * the examples: the six scripts under ``examples/``;
 * perfbench: the set-up and one op of each workload in
   ``perfbench/workloads.py``.  ``cli-rerun``'s op, a fresh ``python -m
@@ -194,6 +195,11 @@ def probe_commands(work: str) -> None:
         run_cli(["store", "compact", store])
     run_cli(["store", "migrate", w("c.jsonl"), w("m.sqlite")])
     run_cli(["store", "migrate", w("s.sqlite"), w("m.jsonl")])
+    # Per-point shard payloads, which only migrate reads.
+    legacy = REPO / "tests" / "runner" / "data" / "sweep-88cd83f.jsonl"
+    out = run_cli(["store", "migrate", str(legacy), w("m-legacy.sqlite")])
+    if "converted shard-json: 4 records" not in out:
+        raise RuntimeError(f"the legacy store did not convert:\n{out}")
     run_cli(["trace", "export", w("t.jsonl")])
     run_cli(["telemetry", "summary", w("t.jsonl")])
     run_cli(["dimension", "--rate", "1024"])

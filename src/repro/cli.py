@@ -13,9 +13,10 @@ Subcommands
   --points 1000000 --shards 16 --jobs 4 --store sweep.sqlite`` — run
   one importable batch target over a grid as a sharded, resumable,
   memory-bounded campaign,
-* ``repro store info|compact|migrate`` — inspect, compact (latest
-  record per key), or convert a result store between the JSONL and
-  SQLite backends (``info --timings`` adds backend call latencies),
+* ``repro store info|compact|verify|migrate`` — inspect, compact
+  (latest record per key), integrity-check, or convert a result store
+  between the JSONL and SQLite backends and from the record forms
+  older builds wrote (``info --timings`` adds backend call latencies),
 * ``repro trace export <sidecar>`` — convert a telemetry sidecar
   (``--telemetry`` / ``$REPRO_TELEMETRY``) into ``chrome://tracing``
   JSON; ``repro telemetry summary <sidecar>`` prints the per-phase
@@ -157,9 +158,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             "Evaluate one importable 'pkg.module:function' batch target "
             "over a parameter grid as a sharded campaign: content-hash-"
-            "keyed shard jobs fan out over worker processes, a streaming "
-            "merge files one record per grid point into the store in "
-            "bounded batches, and interrupted sweeps resume from "
+            "keyed shard jobs fan out over worker processes and store "
+            "their points as columns, a streaming merge folds them into "
+            "a per-metric summary, and interrupted sweeps resume from "
             "per-shard cache."
         ),
     )
@@ -250,8 +251,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="integrity-scan a store's checksums (exit 1 on damage)",
         description=(
             "Read-only full-history checksum pass.  Reports verified, "
-            "legacy-unchecked, corrupt (per payload kind), and "
-            "unreadable record counts.  Damaged records stay "
+            "corrupt (failing or lacking a checksum, per payload kind), "
+            "and unreadable record counts.  Damaged records stay "
             "quarantined in place — re-running the campaign recomputes "
             "them.  Exits 1 when any damage is found."
         ),
@@ -264,13 +265,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     migrate_parser = store_sub.add_parser(
         "migrate",
-        help="copy a store into a fresh store (e.g. JSONL -> SQLite)",
+        help=(
+            "copy a store into a fresh store (e.g. JSONL -> SQLite), "
+            "converting what older builds wrote"
+        ),
         description=(
-            "Copy every record, in order and verbatim (provenance "
-            "stamps included), into a new store.  The destination "
-            "backend follows its extension, defaulting to the other "
-            "backend, so 'repro store migrate r.jsonl r.sqlite' "
-            "converts to SQLite."
+            "Copy every verified record, in order and with its "
+            "provenance stamps, into a new store.  This is the one "
+            "reader of older record forms: per-point shard payloads "
+            "are rewritten as columnar ones under the same keys, and "
+            "records nothing serves (point and columnar-block records, "
+            "ragged payloads, records failing or lacking a checksum) "
+            "are set aside and counted per payload kind.  The "
+            "destination backend follows its extension, defaulting to "
+            "the other backend, so 'repro store migrate r.jsonl "
+            "r.sqlite' converts to SQLite."
         ),
     )
     migrate_parser.add_argument("source", metavar="SRC")
@@ -651,7 +660,7 @@ def _command_store(args: argparse.Namespace) -> int:
     from .runner.store import ResultStore, migrate_store
 
     if args.store_command == "migrate":
-        migrated = migrate_store(
+        report = migrate_store(
             args.source,
             args.destination,
             src_backend=args.src_backend,
@@ -659,10 +668,21 @@ def _command_store(args: argparse.Namespace) -> int:
         )
         destination = ResultStore(args.destination)
         print(
-            f"migrated {migrated} records: {args.source} -> "
+            f"migrated {report.copied} records: {args.source} -> "
             f"{args.destination} ({destination.backend_name})"
         )
         destination.close()
+        if report.converted:
+            print(
+                f"  converted shard-json: {report.converted} records "
+                "to columnar-shard"
+            )
+        for counts, why in (
+            (report.set_aside, "no reader"),
+            (report.unverified, "checksum failed or missing"),
+        ):
+            for kind in sorted(counts):
+                print(f"  set aside {kind}: {counts[kind]} records ({why})")
         return 0
 
     if not os.path.exists(args.path):
@@ -678,7 +698,6 @@ def _command_store(args: argparse.Namespace) -> int:
         print(f"backend   : {store.backend_name}")
         print(f"records   : {stats['records']}")
         print(f"verified  : {stats['checked']}")
-        print(f"unchecked : {stats['unchecked']} (pre-checksum records)")
         for kind in sorted(stats["corrupt"]):
             print(f"  corrupt {kind}: {stats['corrupt'][kind]} "
                   f"records quarantined")

@@ -91,7 +91,6 @@ _EXPORTS: dict[str, tuple[str, ...] | None] = {
     ".sharding": (
         "SweepColumns",
         "collect_arrays",
-        "collect_points",
         "grid_descriptor",
         "run_sharded_sweep",
         "shard_grid",

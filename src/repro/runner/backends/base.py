@@ -133,10 +133,6 @@ class StoreBackend(Protocol):
         """
         ...
 
-    def for_job(self, job_id: str) -> list[dict[str, Any]]:
-        """All records for one display id, in append order."""
-        ...
-
     def keys(self) -> set[str]:
         """Content keys with at least one ``ok`` record."""
         ...
@@ -145,14 +141,25 @@ class StoreBackend(Protocol):
         """Drop superseded history; return how many records were removed."""
         ...
 
+    def scan(self) -> Iterator[tuple[dict[str, Any] | None, bool]]:
+        """Every stored record as ``(record, verified)``, in append order.
+
+        The one read that also yields what the other reads quarantine:
+        a record failing or lacking its checksum comes back as parsed
+        with ``verified`` false, an unreadable entry as ``None``.
+        ``verify`` counts them and ``repro store migrate`` sets them
+        aside.
+        """
+        ...
+
     def verify(self) -> dict[str, Any]:
         """Full integrity pass over the persisted history (read-only).
 
-        Returns the :func:`~repro.runner.integrity.new_verify_stats`
-        shape: total records, checksum-verified / legacy-unchecked
-        counts, corrupt records per payload kind, and unreadable
-        entries.  Scans never crash on damage — corrupt records are
-        quarantined (skipped and counted) here and on every read path.
+        Returns the :func:`~repro.runner.integrity.tally_scan` shape:
+        total records, checksum-verified count, corrupt records per
+        payload kind, and unreadable entries.  Scans never crash on
+        damage — corrupt records are quarantined (skipped and counted)
+        here and on every read path.
         """
         ...
 

@@ -24,8 +24,8 @@ Integrity: every line embeds a ``"check"`` CRC-32 token computed over
 the rest of the line (see :mod:`repro.runner.integrity`).  Scans
 verify it and *quarantine* mismatches — the damaged record is skipped
 and counted (``store.jsonl.corrupt``), never yielded — so corruption
-degrades to a cache miss instead of wrong data.  Lines written before
-checksums existed carry no token and pass unchecked.
+degrades to a cache miss instead of wrong data.  A line without a
+token (written by repro 1.7.0 or older) is quarantined the same way.
 """
 
 from __future__ import annotations
@@ -37,13 +37,8 @@ from typing import Any, Collection, Iterable, Iterator, Mapping
 from ...errors import ConfigurationError
 from ...faults import ACTION_TORN_WRITE, InjectedFault, fault_site
 from ...telemetry import metrics
-from ..codec import jsonable_bytes, payload_kind, restore_bytes
-from ..integrity import (
-    count_corrupt,
-    new_verify_stats,
-    stamp_check,
-    verify_jsonable,
-)
+from ..codec import jsonable_bytes, restore_bytes
+from ..integrity import stamp_check, tally_scan, verify_jsonable
 from .base import surviving_indices, validate_record
 
 #: Compact JSON encoding shared by every write path.
@@ -156,6 +151,26 @@ class JsonlBackend:
         if not os.path.exists(self.path):
             return
         fault_site("store.iter")
+        for record, verified, size in self._lines():
+            if record is None:
+                continue  # interrupted append; partial line
+            if not verified:
+                # Quarantine: checksum mismatch or none — skip and
+                # count, never surface damaged data.
+                metrics().count("store.jsonl.corrupt")
+                metrics().count("store.jsonl.quarantined")
+                continue
+            yield restore_bytes(record), size
+
+    def _lines(self) -> Iterator[tuple[dict[str, Any] | None, bool, int]]:
+        """Every non-blank line as ``(record, verified, line_bytes)``.
+
+        ``record`` is ``None`` for a line that is not a JSON object (a
+        torn trailing line); otherwise it is the parsed line with its
+        ``check`` token stripped and its bytes still base64-wrapped.
+        """
+        if not os.path.exists(self.path):
+            return
         with open(self.path, "rb") as handle:
             for raw in handle:
                 line = raw.strip()
@@ -164,7 +179,8 @@ class JsonlBackend:
                 try:
                     record = json.loads(line)
                 except json.JSONDecodeError:
-                    continue  # interrupted append; partial line
+                    yield None, False, len(raw)
+                    continue
                 except UnicodeDecodeError as error:
                     # e.g. the jsonl backend forced onto a SQLite file.
                     raise ConfigurationError(
@@ -172,14 +188,22 @@ class JsonlBackend:
                         f"result store: {error}"
                     ) from error
                 if not isinstance(record, dict):
+                    yield None, False, len(raw)
                     continue
-                if verify_jsonable(record) is False:
-                    # Quarantine: checksum mismatch — skip and count,
-                    # never surface damaged data.
-                    metrics().count("store.jsonl.corrupt")
-                    metrics().count("store.jsonl.quarantined")
-                    continue
-                yield restore_bytes(record), len(raw)
+                yield record, verify_jsonable(record), len(raw)
+
+    def scan(self) -> Iterator[tuple[dict[str, Any] | None, bool]]:
+        """Every stored line as ``(record, verified)``, in append order.
+
+        Read paths serve verified records only; this is what ``verify``
+        and ``repro store migrate`` account the others with.  A record
+        failing or lacking its checksum comes back as parsed (its bytes
+        not restored); an unreadable line comes back as ``None``.
+        """
+        for record, verified, _ in self._lines():
+            if verified:
+                record = restore_bytes(record)
+            yield record, verified
 
     def __len__(self) -> int:
         return sum(1 for _ in self.iter_records())
@@ -222,7 +246,7 @@ class JsonlBackend:
                     continue
                 if keys is not None and record.get("key") not in keys:
                     continue
-                if verify_jsonable(record) is False:
+                if not verify_jsonable(record):
                     metrics().count("store.jsonl.corrupt")
                     metrics().count("store.jsonl.quarantined")
                     continue
@@ -280,11 +304,6 @@ class JsonlBackend:
                 found = record
         return found
 
-    def for_job(self, job_id: str) -> list[dict[str, Any]]:
-        return [
-            r for r in self.iter_records() if r.get("job_id") == job_id
-        ]
-
     def keys(self) -> set[str]:
         return {
             r["key"]
@@ -297,56 +316,39 @@ class JsonlBackend:
     def verify(self) -> dict[str, Any]:
         """Full-file integrity pass (see :mod:`repro.runner.integrity`).
 
-        Counts every line: verified, unchecked (pre-checksum legacy),
-        corrupt (parseable but failing its checksum, charged to its
-        payload kind), and unreadable (not JSON — e.g. a torn trailing
-        line).  Read-only; quarantined records stay in place.
+        Counts every line: verified, corrupt (parseable but failing or
+        lacking its checksum, charged to its payload kind), and
+        unreadable (not JSON — e.g. a torn trailing line).  Read-only;
+        quarantined records stay in place.
         """
-        stats = new_verify_stats(self.name)
-        if not os.path.exists(self.path):
-            return stats
-        with open(self.path, "rb") as handle:
-            for raw in handle:
-                line = raw.strip()
-                if not line:
-                    continue
-                stats["records"] += 1
-                try:
-                    record = json.loads(line)
-                except (json.JSONDecodeError, UnicodeDecodeError):
-                    stats["unreadable"] += 1
-                    continue
-                if not isinstance(record, dict):
-                    stats["unreadable"] += 1
-                    continue
-                verdict = verify_jsonable(record)
-                if verdict is None:
-                    stats["unchecked"] += 1
-                elif verdict:
-                    stats["checked"] += 1
-                else:
-                    count_corrupt(stats, payload_kind(record))
-        return stats
+        return tally_scan(
+            self.name,
+            ((record, verified) for record, verified, _ in self._lines()),
+        )
 
     def compact(self) -> int:
         """Atomically rewrite the file keeping only surviving records.
 
         Two streaming passes: the first keeps only the surviving record
-        *indices* (an int or two per key), the second re-reads the log
-        and copies just those lines — the history is never materialised.
-        The replacement is written to a sibling temp file, fsynced, and
-        renamed over the original, so a crash mid-compaction leaves
-        either the full old log or the full new one — never a mix.
+        *indices* (an int or two per key) among the verified records,
+        the second re-reads the log and copies just those lines — the
+        history is never materialised.  Lines no read serves (torn,
+        damaged or without a checksum) are dropped and counted with the
+        superseded ones.  The replacement is written to a sibling temp
+        file, fsynced, and renamed over the original, so a crash
+        mid-compaction leaves either the full old log or the full new
+        one — never a mix.
         """
         total = 0
 
-        def counted() -> Iterator[dict[str, Any]]:
+        def served() -> Iterator[dict[str, Any]]:
             nonlocal total
-            for record in self.iter_records():
+            for record, verified, _ in self._lines():
                 total += 1
-                yield record
+                if verified:
+                    yield record
 
-        keep = set(surviving_indices(counted()))
+        keep = set(surviving_indices(served()))
         dropped = total - len(keep)
         if dropped == 0:
             return 0

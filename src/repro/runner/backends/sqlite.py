@@ -2,18 +2,18 @@
 
 The same log semantics as the JSONL backend — records in append order,
 latest ``ok`` wins — but persisted in a WAL-mode SQLite database with
-covering indexes on ``(key, id)``, ``(job_id, id)``, and ``stored_at``,
-so ``get``/``latest_by_key`` are O(log n) index walks instead of O(n)
-full-file scans.  Each record is stored as canonical compact JSON in
-the ``record`` column; ``key``/``job_id``/``status``/``stored_at`` are
-denormalised into indexed columns purely for lookup speed.
+an index on ``(key, id)``, so ``get``/``latest_by_key`` are O(log n)
+index walks instead of O(n) full-file scans.  Each record is stored as
+canonical compact JSON in the ``record`` column; ``key``/``job_id``/
+``status``/``stored_at`` are denormalised into columns beside it.
+(Files written by older builds also carry ``(job_id, id)`` and
+``stored_at`` indexes, which no query uses; they keep them.)
 
 Binary column payloads (:mod:`repro.runner.codec`) are lifted out of
 the JSON text into the native ``blob`` column — raw little-endian
 bytes, no base64 tax — and re-attached on decode, so the records the
 cache, compaction, and migration layers see are identical to the JSONL
-backend's.  Databases created before the column existed are migrated
-in place with one ``ALTER TABLE`` on open.
+backend's.
 
 Durability: WAL journaling with ``synchronous=NORMAL`` — every
 acknowledged ``append`` survives a killed process (commits are ordered
@@ -28,8 +28,11 @@ and counted (``store.sqlite.corrupt``), and a key whose newest record
 is damaged is served its newest intact one, as in the JSONL log (or
 reads as missing when it has none) — so bit rot inside a blob degrades
 to an older result or a cache miss, never to silently wrong column
-data.  Rows from databases created before the column existed have
-``crc`` NULL and pass unchecked.
+data.  A row with ``crc`` NULL is quarantined the same way.  A file
+whose table has no ``blob`` or ``crc`` column was written by repro
+1.7.0 or older, so none of its rows could be served: every command
+refuses it on open, before any statement that writes, and leaves it
+as it is.
 """
 
 from __future__ import annotations
@@ -42,9 +45,9 @@ from typing import Any, Iterable, Iterator, Mapping
 from ...errors import ConfigurationError
 from ...faults import ACTION_TORN_WRITE, InjectedFault, fault_site
 from ...telemetry import metrics
-from ..codec import extract_blob, inject_blob, payload_kind
-from ..integrity import count_corrupt, new_verify_stats, row_checksum
-from .base import validate_record
+from ..codec import extract_blob, inject_blob
+from ..integrity import row_checksum, tally_scan
+from .base import surviving_indices, validate_record
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS records (
@@ -58,8 +61,6 @@ CREATE TABLE IF NOT EXISTS records (
     crc       INTEGER
 );
 CREATE INDEX IF NOT EXISTS idx_records_key ON records (key, id);
-CREATE INDEX IF NOT EXISTS idx_records_job ON records (job_id, id);
-CREATE INDEX IF NOT EXISTS idx_records_stored_at ON records (stored_at);
 """
 
 #: Compact JSON encoding shared with the JSONL backend.
@@ -90,26 +91,23 @@ class SqliteBackend:
         if self._conn is None:
             try:
                 conn = sqlite3.connect(self.path)
-                conn.execute("PRAGMA journal_mode=WAL")
-                conn.execute("PRAGMA synchronous=NORMAL")
-                conn.executescript(_SCHEMA)
+                # Checked before anything writes: a refused file is
+                # left byte for byte as it was.
                 columns = {
                     row[1]
                     for row in conn.execute("PRAGMA table_info(records)")
                 }
-                if "blob" not in columns:
-                    # A store created before binary payloads existed:
-                    # add the column in place; old rows read back with
-                    # blob NULL, exactly as they were written.
-                    conn.execute(
-                        "ALTER TABLE records ADD COLUMN blob BLOB"
+                if columns and not {"blob", "crc"} <= columns:
+                    conn.close()
+                    raise ConfigurationError(
+                        f"store {self.path!r} was written by repro 1.7.0 "
+                        "or older: its records carry no checksums, so "
+                        "none of them can be served; it is left as it "
+                        "is (re-run into a new store)"
                     )
-                if "crc" not in columns:
-                    # Pre-checksum store: old rows keep crc NULL and
-                    # verify as "unchecked"; new appends are stamped.
-                    conn.execute(
-                        "ALTER TABLE records ADD COLUMN crc INTEGER"
-                    )
+                conn.execute("PRAGMA journal_mode=WAL")
+                conn.execute("PRAGMA synchronous=NORMAL")
+                conn.executescript(_SCHEMA)
                 conn.commit()
             except sqlite3.DatabaseError as error:
                 raise ConfigurationError(
@@ -193,8 +191,8 @@ class SqliteBackend:
 
     @staticmethod
     def _row_ok(row: tuple[str, bytes | None, int | None]) -> bool:
-        """Verify one row's checksum (NULL crc = legacy, passes)."""
-        return row[2] is None or row_checksum(row[0], row[1]) == row[2]
+        """Verify one row's checksum (a NULL crc fails)."""
+        return row[2] is not None and row_checksum(row[0], row[1]) == row[2]
 
     def _decode(
         self, row: tuple[str, bytes | None, int | None]
@@ -203,17 +201,7 @@ class SqliteBackend:
         if not self._row_ok(row):
             self._quarantine()
             return None
-        try:
-            record = inject_blob(json.loads(row[0]), row[1])
-        except (ValueError, ConfigurationError):
-            # Unparseable despite a passing (NULL) checksum: damaged
-            # legacy row — quarantine rather than crash the scan.
-            self._quarantine()
-            return None
-        if not isinstance(record, dict):  # pragma: no cover - defensive
-            self._quarantine()
-            return None
-        return record
+        return inject_blob(json.loads(row[0]), row[1])
 
     @staticmethod
     def _quarantine() -> None:
@@ -254,6 +242,29 @@ class SqliteBackend:
                 len(row[1]) if row[1] is not None else 0
             )
             yield record, size
+
+    def scan(self) -> Iterator[tuple[dict[str, Any] | None, bool]]:
+        """Every row as ``(record, verified)``, in append order.
+
+        Read paths serve verified rows only; this is what ``verify``
+        and ``repro store migrate`` account the others with.  A row
+        failing or lacking its checksum comes back as parsed (its blob
+        not attached), or as ``None`` when its JSON does not parse.
+        """
+        if not os.path.exists(self.path):
+            return
+        cursor = self._connect().execute(
+            "SELECT record, blob, crc FROM records ORDER BY id"
+        )
+        for row in cursor:
+            if self._row_ok(row):
+                yield inject_blob(json.loads(row[0]), row[1]), True
+                continue
+            try:
+                record = json.loads(row[0])
+            except ValueError:
+                record = None
+            yield (record if isinstance(record, dict) else None), False
 
     def __len__(self) -> int:
         row = self._connect().execute(
@@ -353,18 +364,6 @@ class SqliteBackend:
             for record in self.iter_latest_by_key(status)
         }
 
-    def for_job(self, job_id: str) -> list[dict[str, Any]]:
-        cursor = self._connect().execute(
-            "SELECT record, blob, crc FROM records WHERE job_id = ?"
-            " ORDER BY id",
-            (job_id,),
-        )
-        return [
-            record
-            for record in (self._decode(row) for row in cursor)
-            if record is not None
-        ]
-
     def keys(self) -> set[str]:
         cursor = self._connect().execute(
             "SELECT DISTINCT key FROM records WHERE status = 'ok'"
@@ -376,63 +375,47 @@ class SqliteBackend:
     def verify(self) -> dict[str, Any]:
         """Full-table integrity pass (see :mod:`repro.runner.integrity`).
 
-        Counts every row: verified, unchecked (NULL ``crc`` legacy
-        rows), corrupt (failing the row checksum, charged to a payload
-        kind when the JSON still parses), and unreadable (unparseable
-        JSON).  Read-only; quarantined rows stay in place.
+        Counts every row: verified, corrupt (failing or lacking the row
+        checksum, charged to a payload kind when the JSON still
+        parses), and unreadable (unparseable JSON).  Read-only;
+        quarantined rows stay in place.
         """
-        stats = new_verify_stats(self.name)
-        if not os.path.exists(self.path):
-            return stats
-        cursor = self._connect().execute(
-            "SELECT record, blob, crc FROM records ORDER BY id"
-        )
-        for row in cursor:
-            stats["records"] += 1
-            if row[2] is None:
-                try:
-                    parsed = json.loads(row[0])
-                except ValueError:
-                    stats["unreadable"] += 1
-                    continue
-                if not isinstance(parsed, dict):
-                    stats["unreadable"] += 1
-                    continue
-                stats["unchecked"] += 1
-                continue
-            if self._row_ok(row):
-                stats["checked"] += 1
-                continue
-            try:
-                parsed = json.loads(row[0])
-            except ValueError:
-                stats["unreadable"] += 1
-                continue
-            kind = (
-                payload_kind(parsed)
-                if isinstance(parsed, dict)
-                else "other"
-            )
-            count_corrupt(stats, kind)
-        return stats
+        return tally_scan(self.name, self.scan())
 
     def compact(self) -> int:
-        """Delete superseded rows and reclaim their space.
+        """Delete superseded and unserved rows and reclaim their space.
 
-        Keeps, per key, the newest row overall and the newest ``ok``
-        row — identical semantics to the JSONL backend's rewrite (see
-        :func:`~repro.runner.backends.base.surviving_indices`).
+        Keeps, per key, the newest intact row overall and the newest
+        intact ``ok`` row, and deletes every row failing or lacking its
+        checksum — identical semantics to the JSONL backend's rewrite
+        (see :func:`~repro.runner.backends.base.surviving_indices`).
         """
         conn = self._connect()
-        with conn:
-            cursor = conn.execute(
-                "DELETE FROM records WHERE id NOT IN ("
-                " SELECT MAX(id) FROM records GROUP BY key"
-                " UNION"
-                " SELECT MAX(id) FROM records WHERE status = 'ok'"
-                " GROUP BY key)"
-            )
-            dropped = cursor.rowcount
-        if dropped:
+        intact: list[int] = []
+        doomed: list[int] = []
+
+        def heads() -> Iterator[dict[str, Any]]:
+            for row_id, key, status, *row in conn.execute(
+                "SELECT id, key, status, record, blob, crc FROM records"
+                " ORDER BY id"
+            ):
+                if self._row_ok(tuple(row)):
+                    intact.append(row_id)
+                    yield {"key": key, "status": status}
+                else:
+                    doomed.append(row_id)
+
+        keep = set(surviving_indices(heads()))
+        doomed += [
+            row_id
+            for index, row_id in enumerate(intact)
+            if index not in keep
+        ]
+        if doomed:
+            with conn:
+                conn.executemany(
+                    "DELETE FROM records WHERE id = ?",
+                    [(row_id,) for row_id in doomed],
+                )
             conn.execute("VACUUM")
-        return int(dropped)
+        return len(doomed)

@@ -1,15 +1,10 @@
 """Columnar binary codec for sweep point payloads.
 
-A million-point sweep used to move through the store as a million
-Python dicts: each point built as ``{"metric": value, ...}``, pushed
-through ``json_safe``, JSON-encoded into a shard payload, re-decoded at
-merge, and re-encoded once more as a per-point record.  At that scale
-serialization — not compute — dominates the pipeline.  This module
-replaces the per-point hop with *columns*: a shard's results become
-named ``float64``/``int64`` arrays packed as raw little-endian bytes in
-one contiguous blob, decoded straight back to numpy with
-``np.frombuffer`` — no per-point Python object is ever created on the
-hot path.
+A sharded sweep stores each shard's results as *columns*: named
+``float64``/``int64`` arrays (and one-byte category codes) packed as
+raw little-endian bytes in one contiguous blob, decoded straight back
+to numpy with ``np.frombuffer``, so no per-point Python object is
+built on the way in or out.
 
 Payload shape (the in-memory record value)::
 
@@ -28,10 +23,10 @@ Column descriptors carry ``name`` and ``dtype``: ``"<f8"`` (float64),
 small string vocabularies stored as one-byte codes), or ``"json"``
 with inline ``data`` — the lossless fallback for columns the binary
 dtypes cannot represent exactly.  Type mapping is *exact by
-construction*: a column is only packed binary when every value is the
-same Python scalar type, so the columnar path round-trips bit-for-bit
-against the JSON-dict path (NaN/inf included — IEEE doubles carry them
-natively, which plain JSON cannot even promise).
+construction*: numpy columns pack by their dtype, and a list column
+packs binary only when every value is the same Python scalar type, so
+every column decodes to exactly the values it was given (NaN/inf
+included: IEEE doubles carry them natively).
 
 Bytes cross the persistence boundary two ways:
 
@@ -46,9 +41,12 @@ Either way the record the rest of the system sees — cache, compaction,
 migration — carries real ``bytes``, so columnar payloads move between
 backends verbatim and a JSONL↔SQLite migration is still byte-exact.
 
-Columnar payloads are the one form sharded sweeps write.  Stores whose
-payloads predate the codec keep reading: every decoder branches on the
-payload's ``codec``/``format`` stamp.
+Storage format 1 columnar payloads are the one form sharded sweeps
+write and the one form they read.  Older builds also wrote per-point
+``{"values", "points"}`` shard payloads, merged ``columnar-block``
+records and one record per point; only ``repro store migrate``
+(:func:`~repro.runner.store.migrate_store`) reads those, converting
+the per-point shard payloads to this form.
 """
 
 from __future__ import annotations
@@ -144,9 +142,10 @@ def _pack_ndarray(column: np.ndarray) -> tuple[dict[str, Any], bytes] | None:
 def _pack_values(values: Sequence[Any]) -> tuple[dict[str, Any], bytes]:
     """Pack one column, choosing the tightest exact representation.
 
-    Binary dtypes are used only when every value shares one Python
-    scalar type (so decoding restores the exact types the JSON path
-    would have); anything else falls back to an inline ``json`` column.
+    Numpy columns pack by dtype; a list packs binary only when every
+    value shares one Python scalar type (so decoding restores exactly
+    those values); anything else falls back to an inline ``json``
+    column.
     Returns ``(descriptor, column_bytes)`` — ``json`` columns carry
     their data inline and contribute no bytes.
     """
@@ -181,8 +180,7 @@ def _pack_values(values: Sequence[Any]) -> tuple[dict[str, Any], bytes]:
                 {"dtype": _DTYPE_U1, "categories": list(seen)},
                 _column_bytes(codes, _DTYPE_U1),
             )
-    # Inline fallback: store exactly what the JSON-dict path would
-    # have stored (json_safe is what the legacy payload went through).
+    # Inline fallback: the values as the store's JSON holds them.
     from .jobs import json_safe
 
     return {"dtype": _DTYPE_JSON, "data": json_safe(list(values))}, b""
@@ -218,15 +216,6 @@ def _unpack_array(
             )
         return np.asarray(categories)[raw], offset + nbytes
     return raw, offset + nbytes
-
-
-def _column_to_list(column: np.ndarray | list[Any]) -> list[Any]:
-    """A decoded column as exact Python scalars (the JSON-path types)."""
-    import numpy as np
-
-    if isinstance(column, np.ndarray):
-        return column.tolist()
-    return list(column)
 
 
 # -- payload packing -------------------------------------------------------
@@ -276,54 +265,6 @@ def pack_series(
     return payload
 
 
-def series_from_points(
-    points: Sequence[Any],
-) -> tuple[str, dict[str, list[Any]]] | None:
-    """Columnise a per-point list, or ``None`` when it will not columnise.
-
-    Uniform mappings (every point a mapping with the same key tuple)
-    become one column per key; plain scalars become a single
-    :data:`SCALAR_COLUMN` column.  Anything else — ragged mappings,
-    nested lists — stays on the JSON-dict path.
-    """
-    if not points:
-        return None
-    first = points[0]
-    if isinstance(first, Mapping):
-        names = tuple(first.keys())
-        series: dict[str, list[Any]] = {name: [] for name in names}
-        for point in points:
-            if not isinstance(point, Mapping) or (
-                tuple(point.keys()) != names
-            ):
-                return None
-            for name in names:
-                series[name].append(point[name])
-        return KIND_MAPPING, series
-    scalar_types = (bool, int, float, str)
-    if all(
-        isinstance(point, scalar_types) and not isinstance(point, Mapping)
-        for point in points
-    ):
-        return KIND_SCALAR, {SCALAR_COLUMN: list(points)}
-    return None
-
-
-def pack_points(
-    values: Sequence[Any], points: Sequence[Any]
-) -> dict[str, Any] | None:
-    """Pack a per-point list into a columnar payload (``None`` if ragged)."""
-    if len(values) != len(points):
-        raise ConfigurationError(
-            f"{len(values)} values but {len(points)} points"
-        )
-    columnised = series_from_points(points)
-    if columnised is None:
-        return None
-    points_kind, series = columnised
-    return pack_series(values, series, points_kind)
-
-
 def is_columnar(payload: Any) -> bool:
     """Whether a record value is a columnar payload this codec reads."""
     if not isinstance(payload, Mapping):
@@ -367,27 +308,6 @@ def unpack_columns(
     registry.count("codec.unpack.points", count)
     registry.count("codec.unpack.ns", time.perf_counter_ns() - start_ns)
     return values, columns, str(payload.get("points_kind", KIND_MAPPING))
-
-
-def unpack_points(
-    payload: Mapping[str, Any],
-) -> tuple[list[Any], list[Any]]:
-    """Decode a columnar payload back to the JSON-dict ``(values, points)``.
-
-    The compatibility path: exact Python scalar types, mapping key
-    order preserved, bit-identical to what the JSON-dict pipeline
-    would have stored.
-    """
-    values, columns, points_kind = unpack_columns(payload)
-    values_list = _column_to_list(values)
-    if points_kind == KIND_SCALAR:
-        return values_list, _column_to_list(columns[SCALAR_COLUMN])
-    names = list(columns)
-    series = [_column_to_list(columns[name]) for name in names]
-    points = [
-        dict(zip(names, row)) for row in zip(*series)
-    ] if names else [{} for _ in values_list]
-    return values_list, points
 
 
 # -- bytes across the persistence boundary ---------------------------------
@@ -507,11 +427,11 @@ def payload_kind(record: Mapping[str, Any]) -> str:
     """Classify one store record for ``repro store info`` breakdowns.
 
     Kinds: ``columnar-shard`` (shard payloads in the binary codec),
-    ``shard-json`` (per-point JSON shard payloads, written by older
-    builds and still for points that will not columnise), ``job``
-    (campaign job results), ``other``, and two kinds written by older
-    builds only: ``columnar-block`` (merged point blocks beside the
-    shard payloads) and ``point`` (one record per grid point).
+    ``job`` (campaign job results), ``other``, and three kinds only
+    older builds wrote, which ``repro store migrate`` converts or sets
+    aside: ``shard-json`` (per-point JSON shard payloads),
+    ``columnar-block`` (merged point blocks beside the shard payloads)
+    and ``point`` (one record per grid point).
     """
     value = record.get("value")
     if isinstance(value, Mapping):
@@ -528,36 +448,6 @@ def payload_kind(record: Mapping[str, Any]) -> str:
         if isinstance(job_id, str) and job_id.endswith("]"):
             return "point"
     return "other"
-
-
-def column_to_array(column: Any) -> np.ndarray | list[Any]:
-    """A decoded-or-legacy column as its natural typed array.
-
-    Uniform float/int/bool/str columns become numpy arrays (what
-    decoding the same data from a columnar payload would return);
-    anything else stays a list.  Used to upconvert legacy JSON-dict
-    payloads so array consumers see one shape regardless of how the
-    store was written.
-    """
-    import numpy as np
-
-    if isinstance(column, np.ndarray):
-        return column
-    column = list(column)
-    if column and all(type(v) is float for v in column):
-        return np.asarray(column, dtype=np.float64)
-    if column and all(type(v) is bool for v in column):
-        return np.asarray(column, dtype=bool)
-    if (
-        column
-        and all(type(v) is int for v in column)
-        and _I64_MIN <= min(column)
-        and max(column) <= _I64_MAX
-    ):
-        return np.asarray(column, dtype=np.int64)
-    if column and all(type(v) is str for v in column):
-        return np.asarray(column)
-    return column
 
 
 def concat_columns(

@@ -24,16 +24,17 @@ Checksums are storage-layer-internal: the JSONL backend embeds the
 token as a ``"check"`` field computed over the record's canonical
 JSON *without* that field, and strips it again on read; the SQLite
 backend keeps a ``crc`` column over the row's JSON text plus its
-native blob.  Records written before checksums existed verify as
-"unchecked" and pass — old stores stay readable, and one compaction
-or migration re-stamps everything.
+native blob.  A record is served only when its checksum verifies: one
+written before checksums existed (repro 1.7.0 or older, which the
+cache already refuses as stale) has no token and is quarantined like
+a mismatch.  ``repro store migrate`` sets such records aside.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 #: Record field the JSONL backend stores its token in.
 CHECK_FIELD = "check"
@@ -88,16 +89,14 @@ def stamp_check(jsonable: dict[str, Any]) -> dict[str, Any]:
     return jsonable
 
 
-def verify_jsonable(record: dict[str, Any]) -> bool | None:
+def verify_jsonable(record: dict[str, Any]) -> bool:
     """Verify and strip a parsed JSONL record's ``check`` field.
 
-    Returns ``True`` (verified), ``False`` (corrupt), or ``None``
-    (legacy record with no checksum).  The ``check`` field is removed
-    either way — checksums never leak to upper layers.
+    Returns whether the token matched; a record without one fails.
+    The ``check`` field is removed either way — checksums never leak
+    to upper layers.
     """
     token = record.pop(CHECK_FIELD, None)
-    if token is None:
-        return None
     body = json.dumps(record, sort_keys=True, separators=_SEPARATORS)
     return token_ok(token, body.encode("utf-8"))
 
@@ -110,31 +109,41 @@ def row_checksum(record_json: str, blob: bytes | None) -> int:
     return value
 
 
-def new_verify_stats(backend: str) -> dict[str, Any]:
-    """The empty accumulator :meth:`StoreBackend.verify` fills in."""
-    return {
+def tally_scan(
+    backend: str,
+    scan: Iterable[tuple[Mapping[str, Any] | None, bool]],
+) -> dict[str, Any]:
+    """Count a backend's ``scan()`` into the ``store verify`` stats.
+
+    Every stored record is counted once: verified, corrupt (readable
+    but failing or lacking its checksum, charged to its payload kind),
+    or unreadable (``None``: not a JSON object, e.g. a torn trailing
+    line).  Each corrupt record also counts
+    ``store.<backend>.quarantined`` in the telemetry registry.
+    """
+    from ..telemetry import metrics
+    from .codec import payload_kind
+
+    stats: dict[str, Any] = {
         "backend": backend,
         "records": 0,
         "checked": 0,
-        "unchecked": 0,
         "corrupt": {},
         "corrupt_total": 0,
         "unreadable": 0,
     }
-
-
-def count_corrupt(stats: dict[str, Any], kind: str) -> None:
-    """Charge one corrupt record to its payload kind.
-
-    Also counts ``store.<backend>.quarantined`` in the telemetry
-    registry, so dashboards see quarantine pressure from verify scans
-    without parsing the stats mapping.
-    """
-    from ..telemetry import metrics
-
-    stats["corrupt"][kind] = stats["corrupt"].get(kind, 0) + 1
-    stats["corrupt_total"] += 1
-    metrics().count(f"store.{stats['backend']}.quarantined")
+    for record, verified in scan:
+        stats["records"] += 1
+        if record is None:
+            stats["unreadable"] += 1
+        elif verified:
+            stats["checked"] += 1
+        else:
+            kind = payload_kind(record)
+            stats["corrupt"][kind] = stats["corrupt"].get(kind, 0) + 1
+            stats["corrupt_total"] += 1
+            metrics().count(f"store.{backend}.quarantined")
+    return stats
 
 
 def damage_total(stats: Mapping[str, Any]) -> int:

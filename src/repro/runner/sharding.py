@@ -26,17 +26,16 @@ and slices out its shards, so scheduling a million-point sweep pickles
 a few dozen bytes per job instead of 125k floats, and content keys
 hash O(1) descriptors instead of O(n) value lists.
 
-Shard results move through the store in the **columnar binary codec**
-(:mod:`repro.runner.codec`): a batch target hands back one numpy column
-per metric, :func:`evaluate_shard` packs those columns as they are into
-one blob, and that shard record is the sweep's one stored copy of its
-points.  The merge job only folds the metric summary from the shard
-payloads; :func:`collect_arrays` decodes them straight to numpy and
-:func:`collect_points` to exact Python values.  Points that will not
-columnise (ragged mappings) keep the per-point ``{"values": [...],
-"points": [...]}`` payload older builds wrote, and every reader accepts
-payloads in either form, so stores written before the codec existed
-keep working.
+Sweep targets are batch targets: each gets a whole shard of values in
+one call.  Shard results move through the store in the **columnar
+binary codec** (:mod:`repro.runner.codec`): a target hands back one
+numpy column per metric (or one column of point values),
+:func:`evaluate_shard` packs those columns as they are into one blob,
+and that shard record is the sweep's one stored copy of its points.
+The merge job only folds the metric summary from the shard payloads,
+and :func:`collect_arrays` decodes them straight to numpy.  Both read
+columnar payloads only: a shard record in a form older builds wrote
+fails with an error naming ``repro store migrate``, which converts it.
 """
 
 from __future__ import annotations
@@ -48,12 +47,12 @@ from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..errors import ConfigurationError, InfeasibleDesignError
+from ..errors import ConfigurationError
 from ..telemetry import span
 from . import codec as _codec
 from .campaign import Campaign
 from .codec import KIND_MAPPING, KIND_SCALAR, SCALAR_COLUMN
-from .jobs import json_safe, resolve_callable
+from .jobs import resolve_callable
 from .store import ResultStore
 
 #: Dotted paths the shard and merge jobs resolve in worker processes.
@@ -176,7 +175,8 @@ def _check_series(result: Mapping[str, Any], count: int) -> dict[str, Any]:
 
     Numpy columns (what :mod:`repro.core.batch` targets return) pass
     through as one-dimensional arrays, so the codec packs them by dtype
-    with no per-value type scan; any other series becomes a list.
+    with no per-value type scan; any other series becomes a list, which
+    the codec packs by its values' Python types.
     """
     series: dict[str, Any] = {}
     for name, column in result.items():
@@ -211,14 +211,14 @@ def evaluate_shard(
 
     Exactly one of ``values`` (an explicit list) and ``grid`` (a
     descriptor, with ``shard_index``/``shard_count``) names the shard's
-    points.  A batch target gets them in one call: the list, or for a
-    descriptor the read-only float64 slice of :func:`shard_values`; a
-    scalar target (``batch=False``) gets one Python value per call.
-    Returns the shard payload: a batch target's per-metric series are
-    packed straight into binary columns (numpy columns by dtype, with
-    no per-value type scan) and no per-point dict is ever built.  Only
-    points that will not columnise (ragged mappings) fall back to the
-    per-point ``{"values": [...], "points": [...]}`` form.
+    points.  The batch target gets them in one call: the list, or for a
+    descriptor the read-only float64 slice of :func:`shard_values`.
+    Returns the shard's columnar payload: a mapping result packs as one
+    column per metric, any other result as the single
+    :data:`~repro.runner.codec.SCALAR_COLUMN` column, numpy columns by
+    dtype with no per-value type scan.  ``batch`` is not read; it stays
+    a parameter because shard jobs hash it into their content keys,
+    which keeps existing stores resolving from cache.
     """
     if (values is None) == (grid is None):
         raise ConfigurationError(
@@ -231,8 +231,6 @@ def evaluate_shard(
                 "grid descriptors need shard_index and shard_count"
             )
         shard = shard_values(grid, shard_index, shard_count)
-        if not batch:
-            shard = shard.tolist()
     else:
         shard = list(values)  # type: ignore[arg-type]
     func = resolve_callable(sweep_target)
@@ -245,9 +243,7 @@ def evaluate_shard(
         points=count,
         shard=shard_index,
     ):
-        return _evaluate_shard_points(
-            func, parameter, shard, kwargs, batch, count
-        )
+        return _evaluate_shard_points(func, parameter, shard, kwargs, count)
 
 
 def _evaluate_shard_points(
@@ -255,53 +251,25 @@ def _evaluate_shard_points(
     parameter: str,
     values: Sequence[Any],
     kwargs: dict[str, Any],
-    batch: bool,
     count: int,
 ) -> dict[str, Any]:
     """The compute + pack body of :func:`evaluate_shard`."""
-    if batch:
-        result = func(**{parameter: values}, **kwargs)
-        if isinstance(result, Mapping):
-            series = _check_series(result, count)
-            payload = _codec.pack_series(values, series, KIND_MAPPING)
-            return {"parameter": parameter, **payload}
-        if isinstance(result, np.ndarray) and result.ndim == 1:
-            # One array of point values packs by its dtype; listing it
-            # would give numpy scalars, which the codec stores as JSON.
-            series = _check_series({SCALAR_COLUMN: result}, count)
-            payload = _codec.pack_series(values, series, KIND_SCALAR)
-            return {"parameter": parameter, **payload}
-        points = list(result)
-        if len(points) != count:
-            raise ConfigurationError(
-                f"batch target returned {len(points)} values for a "
-                f"{count}-point shard"
-            )
+    result = func(**{parameter: values}, **kwargs)
+    if isinstance(result, Mapping):
+        points_kind, series = KIND_MAPPING, _check_series(result, count)
     else:
-        points = []
-        for value in values:
-            try:
-                points.append(func(**{parameter: value}, **kwargs))
-            except InfeasibleDesignError:
-                points.append(math.inf)
-    packed = _codec.pack_points(values, points)
-    if packed is not None:
-        return {"parameter": parameter, **packed}
-    return {
-        "parameter": parameter,
-        "values": json_safe(values),
-        "points": json_safe(points),
-    }
+        points_kind = KIND_SCALAR
+        series = _check_series({SCALAR_COLUMN: result}, count)
+    payload = _codec.pack_series(values, series, points_kind)
+    return {"parameter": parameter, **payload}
 
 
 class _PointSummary:
     """Streaming finite-count/min/max accumulator per numeric metric.
 
-    Replaces the materialise-then-reduce summary so the merge job can
-    fold points in as they stream past — state is three scalars per
-    metric name, never the point series itself.  Columnar shards fold
-    in as whole arrays (:meth:`add_columns`); per-point payloads fold
-    point by point (:meth:`add`) to the same statistics.
+    The merge job folds each shard's decoded columns in as they stream
+    past (:meth:`add_columns`), so its state is three scalars per
+    metric name, never the point series itself.
     """
 
     def __init__(self) -> None:
@@ -322,21 +290,16 @@ class _PointSummary:
         if stats["max"] is None or value > stats["max"]:
             stats["max"] = value
 
-    def add(self, point: Any) -> None:
-        items = (
-            point.items()
-            if isinstance(point, Mapping)
-            else [(SCALAR_COLUMN, point)]
-        )
-        for name, value in items:
-            self._fold(name, value)
-
     def add_columns(self, columns: Mapping[str, Any]) -> None:
-        """Fold whole decoded columns in one vectorised pass each."""
+        """Fold whole decoded columns in one vectorised pass each.
+
+        Binary numeric columns fold as arrays; bools and categories are
+        skipped; inline ``json`` columns fold value by value.
+        """
         for name, column in columns.items():
             if isinstance(column, np.ndarray):
                 if column.dtype.kind not in "fi":
-                    continue  # bools and categories, like the dict path
+                    continue  # bools and categories
                 stats = self._stats.setdefault(
                     name, {"finite": 0, "min": None, "max": None}
                 )
@@ -368,7 +331,9 @@ def _iter_shard_payloads(
     it before the next ``store.get`` — which is what keeps the merge
     worker's footprint O(shard) instead of O(points).  Raises
     :class:`~repro.errors.ConfigurationError` when a shard has no
-    ``ok`` record — the sweep was not (fully) run against this store.
+    ``ok`` record — the sweep was not (fully) run against this store —
+    or when its payload is not columnar, the form only ``repro store
+    migrate`` reads.
     """
     for key in shard_keys:
         record = store.get(key)
@@ -377,39 +342,15 @@ def _iter_shard_payloads(
                 f"shard {key} has no ok record in {store_path!r}; "
                 "run the sweep campaign against this store first"
             )
-        yield record["value"]
-
-
-def _payload_points(payload: Mapping[str, Any]) -> tuple[list[Any], list[Any]]:
-    """A shard payload as ``(values, points)``, whatever its codec."""
-    if _codec.is_columnar(payload):
-        return _codec.unpack_points(payload)
-    return payload["values"], payload["points"]
-
-
-def _payload_columns(
-    payload: Mapping[str, Any],
-) -> tuple[Any, dict[str, Any], str] | None:
-    """A shard payload as ``(values, columns, points_kind)`` arrays.
-
-    Columnar payloads decode straight to numpy; per-point JSON payloads
-    are columnised when their points are uniform (``None`` when they
-    are not).
-    """
-    if _codec.is_columnar(payload):
-        return _codec.unpack_columns(payload)
-    columnised = _codec.series_from_points(payload["points"])
-    if columnised is None:
-        return None
-    points_kind, series = columnised
-    return (
-        _codec.column_to_array(payload["values"]),
-        {
-            name: _codec.column_to_array(column)
-            for name, column in series.items()
-        },
-        points_kind,
-    )
+        payload = record["value"]
+        if not _codec.is_columnar(payload):
+            raise ConfigurationError(
+                f"shard {key} in {store_path!r} holds a "
+                f"{_codec.payload_kind(record)} payload an older build "
+                "wrote; convert the store with 'repro store migrate "
+                f"{store_path} NEW' and sweep into NEW"
+            )
+        yield payload
 
 
 def merge_shards(
@@ -428,10 +369,10 @@ def merge_shards(
     results before releasing dependents) and folds the finite count,
     minimum and maximum of each numeric metric.  The shard records are
     the sweep's one stored copy of its points, so the merge writes
-    nothing: a columnar payload decodes straight to column arrays and
-    folds in one vectorised pass per metric, and a per-point payload
-    folds point by point.  The full point list is never materialised:
-    peak merge memory is O(shard), not O(points).  ``prefix`` and
+    nothing: each payload decodes straight to column arrays and folds
+    in one vectorised pass per metric.  The full point list is never
+    materialised: peak merge memory is O(shard), not O(points).
+    ``prefix`` and
     ``common`` are not read; they stay parameters because they are
     hashed into the merge job's content key, which keeps existing
     stores resolving from cache.
@@ -449,14 +390,9 @@ def merge_shards(
             for payload in _iter_shard_payloads(
                 store, shard_keys, store_path
             ):
-                if _codec.is_columnar(payload):
-                    values, series, _ = _codec.unpack_columns(payload)
-                    summary.add_columns(series)
-                    merged += len(values)
-                else:
-                    for point in payload["points"]:
-                        summary.add(point)
-                    merged += len(payload["points"])
+                values, series, _ = _codec.unpack_columns(payload)
+                summary.add_columns(series)
+                merged += len(values)
     finally:
         store.close()
     return {
@@ -478,7 +414,6 @@ def sharded_sweep_campaign(
     store_backend: str | None = None,
     common: Mapping[str, Any] | None = None,
     retries: int = 0,
-    batch: bool = True,
 ) -> Campaign:
     """Build the campaign for one sharded sweep.
 
@@ -521,7 +456,7 @@ def sharded_sweep_campaign(
             sweep_target=target,
             parameter=parameter,
             common=common,
-            batch=batch,
+            batch=True,
             **chunk_params,
         )
         shard_ids.append(job_id)
@@ -554,7 +489,6 @@ def run_sharded_sweep(
     store_backend: str | None = None,
     common: Mapping[str, Any] | None = None,
     retries: int = 0,
-    batch: bool = True,
     monitor: Any = None,
     strict: bool = True,
     observers: Sequence[Any] = (),
@@ -564,8 +498,10 @@ def run_sharded_sweep(
     """Build and execute a sharded sweep; return its ``CampaignResult``.
 
     The merge summary is at ``result.results[f"{name}/merge"].value``;
-    the full per-point series reassembles with :func:`collect_points`,
-    or decodes straight to numpy with :func:`collect_arrays`.  The
+    the full series decodes straight to numpy with
+    :func:`collect_arrays`.  ``target`` is a batch target: it takes the
+    ``parameter`` keyword as a sequence of values and returns a mapping
+    of per-metric columns or one column of point values.  The
     campaign's cache preloads only the campaign's own content keys, so
     re-running against a store that holds millions of other records
     never loads them into memory.  ``executor`` picks the execution
@@ -584,7 +520,6 @@ def run_sharded_sweep(
         store_backend=store_backend,
         common=common,
         retries=retries,
-        batch=batch,
     )
     return run_campaign(
         campaign,
@@ -603,34 +538,6 @@ def _campaign_shard_keys(campaign: Campaign) -> list[str]:
     return [
         spec.key for spec in campaign.specs if spec.target == SHARD_TARGET
     ]
-
-
-def collect_points(
-    store_path: str,
-    campaign: Campaign,
-    store_backend: str | None = None,
-) -> tuple[list[Any], list[Any]]:
-    """Reassemble a sharded sweep's full ``(values, points)`` from its store.
-
-    Streams shard records in shard order, so the caller gets the same
-    series a monolithic sweep would have produced — columnar payloads
-    are decoded back to exact per-point Python values, bit-identical
-    to the per-point JSON payload.  Materialises the whole grid by
-    contract; use :func:`collect_arrays` to skip per-point objects
-    entirely.
-    """
-    shard_keys = _campaign_shard_keys(campaign)
-    store = ResultStore(store_path, backend=store_backend)
-    values: list[Any] = []
-    points: list[Any] = []
-    try:
-        for payload in _iter_shard_payloads(store, shard_keys, store_path):
-            shard_vals, shard_points = _payload_points(payload)
-            values.extend(shard_vals)
-            points.extend(shard_points)
-    finally:
-        store.close()
-    return values, points
 
 
 @dataclass(frozen=True)
@@ -656,12 +563,11 @@ def collect_arrays(
 ) -> SweepColumns:
     """Decode a sharded sweep's store records straight to numpy arrays.
 
-    The array-native twin of :func:`collect_points`: columnar shard
-    payloads are ``np.frombuffer``-decoded and concatenated with no
-    per-point Python-object hop; legacy JSON payloads are columnised
-    on the fly.  Raises :class:`~repro.errors.ConfigurationError` for
-    sweeps whose points will not columnise (ragged mappings) — those
-    need :func:`collect_points`.
+    Shard payloads are ``np.frombuffer``-decoded and concatenated in
+    shard order with no per-point Python-object hop, so the caller gets
+    the series one unsharded evaluation of the grid would have given.
+    Raises :class:`~repro.errors.ConfigurationError` for a shard that
+    is missing or not columnar (see :func:`_iter_shard_payloads`).
     """
     shard_keys = _campaign_shard_keys(campaign)
     store = ResultStore(store_path, backend=store_backend)
@@ -670,13 +576,9 @@ def collect_arrays(
     points_kind: str | None = None
     try:
         for payload in _iter_shard_payloads(store, shard_keys, store_path):
-            columns = _payload_columns(payload)
-            if columns is None:
-                raise ConfigurationError(
-                    "sweep points will not columnise (ragged point "
-                    "mappings?); use collect_points instead"
-                )
-            shard_values, shard_columns, shard_kind = columns
+            shard_values, shard_columns, shard_kind = (
+                _codec.unpack_columns(payload)
+            )
             if points_kind is None:
                 points_kind = shard_kind
                 column_segments = {name: [] for name in shard_columns}

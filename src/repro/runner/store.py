@@ -7,9 +7,9 @@ campaign engine was built on, but delegates persistence to a
 * ``backend="jsonl"`` — one append-only JSON-Lines file; appends are
   flush+fsync durable and atomic at line granularity, so a killed
   campaign leaves at most one torn trailing line (skipped on load),
-* ``backend="sqlite"`` — a WAL-mode SQLite database with key/job/time
-  indexes, so ``get``/``latest_by_key`` stay O(log n) at
-  million-record campaign-history scale.
+* ``backend="sqlite"`` — a WAL-mode SQLite database indexed by key,
+  so ``get``/``latest_by_key`` stay O(log n) at million-record
+  campaign-history scale.
 
 With no explicit ``backend`` the store recognises the on-disk format
 of an existing file, then honours the ``REPRO_STORE_BACKEND``
@@ -20,18 +20,28 @@ Every appended record is stamped with the package version and the
 reference-config content hash (:mod:`repro.runner.provenance`) so the
 cache can detect and invalidate results produced by older model code.
 Content-addressed lookup semantics (latest ``ok`` record per key) live
-in :mod:`repro.runner.cache`.
+in :mod:`repro.runner.cache`.  :func:`migrate_store` is the one reader
+of the record forms older builds wrote.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Any, Iterable, Iterator, Mapping
+from collections import Counter
+from dataclasses import dataclass, field
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import ConfigurationError
 from ..telemetry import metrics, span
 from .backends import StoreBackend, make_backend
+from .codec import (
+    KIND_MAPPING,
+    KIND_SCALAR,
+    SCALAR_COLUMN,
+    pack_series,
+    payload_kind,
+)
 from .provenance import stamp_record
 
 
@@ -192,10 +202,6 @@ class ResultStore:
         with metrics().timer(self._metric("get_s")):
             return self._backend.get(key)
 
-    def for_job(self, job_id: str) -> list[dict[str, Any]]:
-        """All records for one display id, in append order."""
-        return self._backend.for_job(job_id)
-
     def keys(self) -> set[str]:
         """Content keys with at least one ``ok`` record."""
         return self._backend.keys()
@@ -251,18 +257,82 @@ def _migration_target_backend(dst: str, src_name: str) -> str:
     return "sqlite" if src_name == "jsonl" else "jsonl"
 
 
+def series_from_points(
+    points: Sequence[Any],
+) -> tuple[str, dict[str, list[Any]]] | None:
+    """Columnise a per-point list, or ``None`` when it will not columnise.
+
+    Uniform mappings (every point a mapping with the same key tuple)
+    become one column per key; plain scalars become a single
+    :data:`~repro.runner.codec.SCALAR_COLUMN` column.  Anything else —
+    ragged mappings, nested lists — returns ``None``.
+    """
+    if not points:
+        return None
+    first = points[0]
+    if isinstance(first, Mapping):
+        names = tuple(first.keys())
+        series: dict[str, list[Any]] = {name: [] for name in names}
+        for point in points:
+            if not isinstance(point, Mapping) or (
+                tuple(point.keys()) != names
+            ):
+                return None
+            for name in names:
+                series[name].append(point[name])
+        return KIND_MAPPING, series
+    if all(isinstance(point, (bool, int, float, str)) for point in points):
+        return KIND_SCALAR, {SCALAR_COLUMN: list(points)}
+    return None
+
+
+def _columnar_shard(value: Mapping[str, Any]) -> dict[str, Any] | None:
+    """A per-point shard payload packed as columns (``None`` if ragged)."""
+    values, points = value["values"], value["points"]
+    columnised = series_from_points(points)
+    if columnised is None or len(values) != len(points):
+        return None
+    points_kind, series = columnised
+    rest = {k: v for k, v in value.items() if k not in ("values", "points")}
+    return {**rest, **pack_series(values, series, points_kind)}
+
+
+@dataclass
+class MigrationReport:
+    """What :func:`migrate_store` did with the source's records.
+
+    ``copied`` records went to the destination, ``converted`` of them
+    per-point shard payloads rewritten as columnar ones.  The rest were
+    left out, counted per payload kind: ``set_aside`` holds readable
+    records no current reader reads (``point``, ``columnar-block`` and
+    ragged ``shard-json`` payloads), ``unverified`` the records failing
+    or lacking their checksum (``unreadable`` for entries that do not
+    parse).
+    """
+
+    copied: int = 0
+    converted: int = 0
+    set_aside: Counter[str] = field(default_factory=Counter)
+    unverified: Counter[str] = field(default_factory=Counter)
+
+
 def migrate_store(
     src_path: str | os.PathLike[str],
     dst_path: str | os.PathLike[str],
     src_backend: str | None = None,
     dst_backend: str | None = None,
-) -> int:
-    """Copy every record of one store into a fresh store, verbatim.
+) -> MigrationReport:
+    """Copy a store into a fresh store in the form current builds read.
 
     Records keep their original provenance stamps (an old result does
     not become "current" by being moved), and append order — and
-    therefore every latest-wins query — is preserved.  The destination
-    must not already contain records.  Returns the number migrated.
+    therefore every latest-wins query — is preserved.  This is the one
+    reader of what older builds wrote: a per-point shard payload that
+    columnises is rewritten as a columnar one under the same key, and
+    records nothing serves are left out (see :class:`MigrationReport`).
+    None of those records is served today: a record without a checksum
+    is stamped 1.7.0 or older, and the readers take columnar shard
+    payloads only.  The destination must not already contain records.
 
     Backend resolution: the source is recognised from its on-disk
     format; the destination follows its extension, falling back to the
@@ -281,23 +351,39 @@ def migrate_store(
     if dst_backend is None:
         dst_backend = _migration_target_backend(dst, source.name)
     destination = make_backend(dst, dst_backend)
-    if len(destination) > 0:
+    # A fresh destination file is created by the first append, so a
+    # source refused on open leaves nothing behind.
+    if os.path.exists(dst) and len(destination) > 0:
         raise ConfigurationError(
             f"destination store {dst!r} already holds records; "
             f"refusing to mix histories"
         )
+    report = MigrationReport()
     # Stream in batches so a million-record history never has to fit
     # in memory (the whole point of migrating to the indexed backend).
-    migrated = 0
     batch: list[dict[str, Any]] = []
-    for record in source.iter_records():
+    for record, verified in source.scan():
+        kind = "unreadable" if record is None else payload_kind(record)
+        if record is None or not verified:
+            report.unverified[kind] += 1
+            continue
+        if kind == "shard-json":
+            value = _columnar_shard(record["value"])
+            if value is None:
+                report.set_aside[kind] += 1
+                continue
+            record = {**record, "value": value}
+            report.converted += 1
+        elif kind in ("point", "columnar-block"):
+            report.set_aside[kind] += 1
+            continue
         batch.append(record)
         if len(batch) >= 5000:
             destination.append_many(batch)
-            migrated += len(batch)
+            report.copied += len(batch)
             batch = []
     destination.append_many(batch)
-    migrated += len(batch)
+    report.copied += len(batch)
     destination.close()
     source.close()
-    return migrated
+    return report

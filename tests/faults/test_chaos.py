@@ -5,8 +5,8 @@ pipeline: under any plan of injected raises, torn writes and (on the
 process pool) hard worker crashes, a campaign either
 
 * converges — every job succeeds (retries absorbing the faults) and
-  the merged points are *bit-exact* against an undisturbed baseline —
-  or
+  the stored columns are *bit-exact* against an undisturbed baseline
+  (name, dtype and bytes of every column) — or
 * fails loudly — the result reports the failed jobs with their error
   text, or the injection surfaces as an exception.
 
@@ -24,7 +24,7 @@ from repro.errors import ReproError
 from repro.faults import FaultPlan, InjectedFault, reset
 from repro.runner import (
     ResultStore,
-    collect_points,
+    collect_arrays,
     run_campaign,
     run_jobs,
     sharded_sweep_campaign,
@@ -58,6 +58,15 @@ _rule = st.fixed_dictionaries(
 _rules = st.lists(_rule, min_size=0, max_size=4)
 
 
+def _bits(store_path, campaign):
+    """The sweep's stored columns as ``(name, dtype, bytes)`` triples."""
+    columns = collect_arrays(store_path, campaign)
+    return columns.points_kind, [
+        (name, column.dtype.str, column.tobytes())
+        for name, column in [("", columns.values), *columns.columns.items()]
+    ]
+
+
 def _sweep(store_path, **kwargs):
     return sharded_sweep_campaign(
         "chaos", TARGET, "values", GRID, store_path=store_path, shards=2,
@@ -67,12 +76,12 @@ def _sweep(store_path, **kwargs):
 
 @pytest.fixture(scope="module")
 def baseline(tmp_path_factory):
-    """The undisturbed sweep's merged points (the bit-exact oracle)."""
+    """The undisturbed sweep's stored columns (the bit-exact oracle)."""
     store_path = str(tmp_path_factory.mktemp("baseline") / "s.jsonl")
     campaign = _sweep(store_path)
     result = run_campaign(campaign, store_path=store_path)
     assert result.ok
-    return collect_points(store_path, campaign)
+    return _bits(store_path, campaign)
 
 
 class TestChaosProperty:
@@ -94,7 +103,7 @@ class TestChaosProperty:
         finally:
             reset()
         if result.ok:
-            assert collect_points(store_path, campaign) == baseline
+            assert _bits(store_path, campaign) == baseline
         else:
             assert result.failures
             for job_id in result.failures:
@@ -146,7 +155,7 @@ def _pool_chaos(rules, baseline, tmp_path_factory, jobs):
         reset()
     if result is not None:
         if result.ok:
-            assert collect_points(store_path, campaign) == baseline
+            assert _bits(store_path, campaign) == baseline
         else:
             assert result.failures
             for job_id in result.failures:
@@ -205,7 +214,7 @@ def _shard_kill(tmp_path, baseline, jobs):
     )
     assert result.ok
     assert result.results["chaos/shard0000"].attempts == 2
-    assert collect_points(store_path, campaign) == baseline
+    assert _bits(store_path, campaign) == baseline
     kinds = [
         e.kind for e in events if e.job_id == "chaos/shard0000"
     ]
@@ -241,7 +250,7 @@ class TestCannedScenarios:
         # converges bit-exact.
         result = run_campaign(campaign, store_path=store_path)
         assert result.status_counts() == {"cached": 1, "ok": 2}
-        assert collect_points(store_path, campaign) == baseline
+        assert _bits(store_path, campaign) == baseline
         store = ResultStore(store_path)
         try:
             stats = store.verify()

@@ -61,9 +61,13 @@ def flaky(marker):
 
 
 def break_even_kb(rate_bps):
-    """A real model evaluation (picklable, deterministic)."""
+    """Batch target: one kilobyte value per rate, from the scalar model."""
+    import numpy as np
+
     model = EnergyModel(ibm_mems_prototype(), table1_workload())
-    return bits_to_kb(model.break_even_buffer(rate_bps))
+    return np.array(
+        [bits_to_kb(model.break_even_buffer(rate)) for rate in rate_bps]
+    )
 
 
 def drop_last(values):
@@ -92,9 +96,8 @@ def doubled_short(values):
 
 
 def infeasible_above_two(x):
-    """Scalar sweep target that turns infeasible past x=2."""
-    from repro.errors import InfeasibleDesignError
+    """Batch target whose points turn infeasible (inf) past x=2."""
+    import numpy as np
 
-    if x > 2:
-        raise InfeasibleDesignError("too big")
-    return float(x)
+    x = np.asarray(x, dtype=float)
+    return np.where(x > 2, np.inf, x)

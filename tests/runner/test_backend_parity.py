@@ -51,7 +51,6 @@ query_ops = st.one_of(
     st.tuples(
         st.just("iter_latest"), st.sampled_from(STATUSES + [None])
     ),
-    st.tuples(st.just("for_job"), st.sampled_from(JOB_IDS)),
     st.just(("keys",)),
     st.just(("len",)),
     st.just(("compact",)),
@@ -76,8 +75,6 @@ def apply(backend, op):
         return backend.latest_by_key(op[1])
     if op[0] == "iter_latest":
         return list(backend.iter_latest_by_key(op[1]))
-    if op[0] == "for_job":
-        return backend.for_job(op[1])
     if op[0] == "keys":
         return backend.keys()
     if op[0] == "len":

@@ -1,20 +1,21 @@
 """Columnar codec tests: round-trip parity, backends, migration, resume.
 
-The codec's contract is *bit-exact equivalence* with the per-point
-JSON payload: whatever a sweep stores through binary columns must
-decode back to the same Python values — same types, same mapping key
-order, NaN/inf included — that a per-point payload of the same points
-holds.  These tests drive that contract property-based (hypothesis
-generates adversarial column mixes), through both persistence
-backends, across store migration, through a crash-resumed columnar
-merge, and against stores of per-point payloads that older builds
-wrote.
+The codec's contract is *bit-exact round trips*: whatever columns a
+sweep packs decode back to the same values — same Python types when
+listed, NaN/inf included — and a store of them answers a sweep exactly
+as one direct evaluation of its grid does.  These tests drive that
+contract property-based (hypothesis generates adversarial column
+mixes), through both persistence backends, across store migration,
+through a crash-resumed merge, and through ``repro store migrate`` on
+stores that older builds wrote (``tests/runner/data``).
 """
 
 from __future__ import annotations
 
 import gc
 import math
+import pathlib
+import shutil
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from repro.runner import (
     Campaign,
     ResultStore,
     collect_arrays,
-    collect_points,
+    grid_descriptor,
     migrate_store,
     run_campaign,
     run_sharded_sweep,
@@ -38,22 +39,55 @@ from repro.runner.codec import (
     inject_blob,
     is_columnar,
     jsonable_bytes,
-    pack_points,
     pack_series,
     payload_kind,
     restore_bytes,
     unpack_columns,
-    unpack_points,
 )
-from repro.runner.jobs import STATUS_OK, JobResult, content_key
-from repro.runner.provenance import stamp_record
 from repro.runner.sharding import merge_shards
+from repro.runner.store import series_from_points
 
 GRID = [float(v) for v in range(32_000, 32_000 + 40)]
 TARGET_DSPACE = "repro.core.batch:evaluate_rate_grid"
 
-#: A grid whose upper rates are infeasible, so its points carry inf.
-LEGACY_GRID = np.geomspace(32e3, 1e8, 42).tolist()
+#: Stores older builds wrote, one per commit (see data/README.md).
+DATA = pathlib.Path(__file__).parent / "data"
+#: The grid every store in DATA swept.
+FIXTURE_GRID = grid_descriptor("geomspace", 32e3, 4096e3, 40)
+
+
+def fixture_copy(tmp_path, commit):
+    """A writable copy of the store ``commit`` wrote."""
+    path = tmp_path / f"sweep-{commit}.jsonl"
+    shutil.copyfile(DATA / f"sweep-{commit}.jsonl", path)
+    return path
+
+
+def fixture_campaign(store_path):
+    """The current build's campaign for the fixtures' sweep."""
+    return sharded_sweep_campaign(
+        "sweep", TARGET_DSPACE, "rate_bps", FIXTURE_GRID,
+        store_path=str(store_path), shards=4,
+    )
+
+
+def column_bits(columns):
+    """A :class:`SweepColumns` as ``(name, dtype, bytes)`` per column.
+
+    Grid values first, then the metrics by name, so two sweeps compare
+    equal only when every column matches bit for bit (-0.0 and NaN
+    payloads included) whatever order their columns were packed in.
+    """
+    arrays = sorted(columns.columns.items())
+    return columns.points_kind, [
+        (name, column.dtype.str, column.tobytes())
+        for name, column in [("", columns.values), *arrays]
+    ]
+
+
+def listed(column):
+    """A decoded column as Python values (the round-trip oracle's view)."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
 
 
 def same_value(a, b) -> bool:
@@ -65,27 +99,11 @@ def same_value(a, b) -> bool:
     return a == b
 
 
-def same_points(left, right, ordered: bool = True) -> bool:
-    """Point-list equality oracle.
-
-    ``ordered=True`` (pack/unpack round trips) also requires mapping
-    key order to survive; cross-pipeline comparisons pass
-    ``ordered=False`` because the JSON path's ``sort_keys`` store
-    encoding never preserved key order in the first place.
-    """
-    if len(left) != len(right):
-        return False
-    for a, b in zip(left, right):
-        if isinstance(a, dict) and isinstance(b, dict):
-            if ordered and list(a) != list(b):
-                return False
-            if set(a) != set(b):
-                return False
-            if not all(same_value(a[k], b[k]) for k in a):
-                return False
-        elif not same_value(a, b):
-            return False
-    return True
+def same_points(left, right) -> bool:
+    """Element-wise :func:`same_value` over two sequences."""
+    return len(left) == len(right) and all(
+        same_value(a, b) for a, b in zip(left, right)
+    )
 
 
 # Column element strategies: one uniform scalar type per column (the
@@ -114,7 +132,7 @@ _ELEMENTS = {
 
 @st.composite
 def mapping_sweeps(draw):
-    """(values, points) with 1..4 columns of adversarial type mixes."""
+    """(values, series) with 1..4 columns of adversarial type mixes."""
     count = draw(st.integers(min_value=1, max_value=12))
     values = draw(
         st.lists(_floats, min_size=count, max_size=count)
@@ -133,78 +151,27 @@ def mapping_sweeps(draw):
         series[name] = draw(
             st.lists(_ELEMENTS[kind], min_size=count, max_size=count)
         )
-    points = [
-        {name: series[name][index] for name in names}
-        for index in range(count)
-    ]
-    return values, points
+    return values, series
 
 
-def _model_points(values):
-    """``evaluate_rate_grid`` over ``values`` as one dict per point."""
-    from repro.core.batch import evaluate_rate_grid
-
-    lists = {
-        name: column.tolist()
-        for name, column in evaluate_rate_grid(values).items()
-    }
-    return [
-        {name: lists[name][index] for name in lists}
-        for index in range(len(values))
-    ]
-
-
-def _legacy_sweep_store(path):
-    """A store of LEGACY_GRID's shards as builds before the codec left it.
-
-    Each shard record holds the per-point ``{"parameter", "values",
-    "points"}`` payload those builds wrote, under the campaign's own
-    content key, and one per-point record of their merge sits beside
-    the shards.  No merge of this build has run.  Returns the campaign.
-    """
-    campaign = sharded_sweep_campaign(
-        "sweep", TARGET_DSPACE, "rate_bps", LEGACY_GRID,
-        store_path=str(path), shards=4,
-    )
-    records = []
-    for spec in campaign.specs[:-1]:
-        values = spec.params_dict()["values"]
-        payload = {
-            "parameter": "rate_bps",
-            "values": values,
-            "points": _model_points(values),
-        }
-        result = JobResult(
-            job_id=spec.job_id, key=spec.key, status=STATUS_OK,
-            value=payload,
-        )
-        records.append(stamp_record(result.to_record(spec)))
-    records.append({
-        "key": content_key(
-            "point", TARGET_DSPACE, {"rate_bps": LEGACY_GRID[0]}
-        ),
-        "job_id": f"sweep[{LEGACY_GRID[0]}]",
-        "status": "ok",
-        "value": _model_points(LEGACY_GRID[:1])[0],
-    })
-    store = ResultStore(path)
-    try:
-        store.append_many(records)
-    finally:
-        store.close()
-    return campaign
+def assert_round_trip(values, series, payload):
+    """``payload`` decodes to exactly ``values`` and ``series``."""
+    out_values, columns, _ = unpack_columns(payload)
+    assert same_points(values, listed(out_values))
+    assert list(columns) == list(series)
+    for name, column in series.items():
+        assert same_points(column, listed(columns[name]))
 
 
 class TestRoundTrip:
     @given(mapping_sweeps())
     @settings(max_examples=120, deadline=None)
     def test_mapping_points_bit_exact(self, sweep):
-        values, points = sweep
-        payload = pack_points(values, points)
-        assert payload is not None and is_columnar(payload)
-        out_values, out_points = unpack_points(payload)
-        assert same_points(values, out_values)
-        assert same_points(points, out_points)
+        values, series = sweep
+        payload = pack_series(values, series)
+        assert is_columnar(payload)
+        assert payload["points_kind"] == "mapping"
+        assert_round_trip(values, series, payload)
 
     @given(
         st.lists(
@@ -216,42 +183,40 @@ class TestRoundTrip:
     @settings(max_examples=80, deadline=None)
     def test_scalar_points_bit_exact(self, points):
         values = [float(i) for i in range(len(points))]
-        payload = pack_points(values, points)
-        assert payload is not None
-        out_values, out_points = unpack_points(payload)
-        assert same_points(values, out_values)
-        assert same_points(points, out_points)
+        payload = pack_series(values, {"value": points}, "scalar")
+        assert unpack_columns(payload)[2] == "scalar"
+        assert_round_trip(values, {"value": points}, payload)
 
     def test_nan_inf_native(self):
         values = [1.0, 2.0, 3.0]
-        points = [
-            {"m": math.nan},
-            {"m": math.inf},
-            {"m": -math.inf},
-        ]
-        payload = pack_points(values, points)
+        payload = pack_series(values, {"m": [math.nan, math.inf, -math.inf]})
         # All-float column: packed binary, not the JSON fallback.
         assert payload["columns"][0]["dtype"] == "<f8"
-        _, out = unpack_points(payload)
-        assert math.isnan(out[0]["m"])
-        assert out[1]["m"] == math.inf
-        assert out[2]["m"] == -math.inf
+        out = unpack_columns(payload)[1]["m"].tolist()
+        assert math.isnan(out[0])
+        assert out[1] == math.inf
+        assert out[2] == -math.inf
 
     def test_ragged_mappings_refuse_to_columnise(self):
-        assert pack_points([1.0, 2.0], [{"a": 1}, {"b": 2}]) is None
-        assert pack_points([1.0, 2.0], [{"a": 1}, 3.0]) is None
-        assert pack_points([1.0], [[1, 2]]) is None
+        assert series_from_points([{"a": 1}, {"b": 2}]) is None
+        assert series_from_points([{"a": 1}, 3.0]) is None
+        assert series_from_points([[1, 2]]) is None
+        assert series_from_points([{"a": 1}, {"a": 2}]) == (
+            "mapping", {"a": [1, 2]}
+        )
+        assert series_from_points([2.0, 3]) == ("scalar", {"value": [2.0, 3]})
 
     def test_unknown_storage_format_fails_loudly(self):
-        payload = pack_points([1.0], [2.0])
+        payload = pack_series([1.0], {"value": [2.0]}, "scalar")
         payload["format"] = STORAGE_FORMAT + 1
         with pytest.raises(ConfigurationError):
             is_columnar(payload)
 
     def test_arrays_decode_without_point_objects(self):
         values = [1.0, 2.0, 4.0]
-        points = [{"m": 0.5, "n": 2}, {"m": 1.5, "n": 3}, {"m": 2.5, "n": 4}]
-        payload = pack_points(values, points)
+        payload = pack_series(
+            values, {"m": [0.5, 1.5, 2.5], "n": [2, 3, 4]}
+        )
         out_values, columns, kind = unpack_columns(payload)
         assert kind == "mapping"
         assert isinstance(out_values, np.ndarray)
@@ -292,82 +257,127 @@ class TestBytesAcrossBackends:
     @settings(max_examples=25, deadline=None)
     def test_store_roundtrip_bit_exact(self, tmp_path_factory, backend,
                                        sweep):
-        values, points = sweep
-        payload = pack_points(values, points)
+        values, series = sweep
+        payload = pack_series(values, series)
         path = tmp_path_factory.mktemp("codec") / f"s.{backend}"
         store = ResultStore(path, backend=backend)
         store.append({"key": "k", "status": "ok", "value": payload})
         stored = store.get("k")
         store.close()
         assert stored["value"]["blob"] == payload["blob"]
-        out_values, out_points = unpack_points(stored["value"])
-        assert same_points(values, out_values)
-        assert same_points(points, out_points)
+        assert_round_trip(values, series, stored["value"])
+
+
+def _sweep_store(path, backend=None, values=GRID):
+    """Run a 4-shard sweep of ``values`` into ``path``; its campaign."""
+    campaign = sharded_sweep_campaign(
+        "sweep",
+        TARGET_DSPACE,
+        "rate_bps",
+        values,
+        store_path=str(path),
+        shards=4,
+    )
+    result = run_campaign(
+        campaign, store_path=str(path), store_backend=backend
+    )
+    assert result.ok
+    return campaign
 
 
 class TestMigration:
-    def _sweep_store(self, path, backend=None):
-        campaign = sharded_sweep_campaign(
-            "sweep",
-            TARGET_DSPACE,
-            "rate_bps",
-            GRID,
-            store_path=str(path),
-            shards=4,
-        )
-        result = run_campaign(
-            campaign, store_path=str(path), store_backend=backend
-        )
-        assert result.ok
-        return campaign
-
     def test_migrate_across_payload_kinds_both_directions(self, tmp_path):
         """Columnar payloads survive JSONL -> SQLite -> JSONL verbatim."""
         jsonl_path = tmp_path / "a.jsonl"
-        campaign = self._sweep_store(jsonl_path, backend="jsonl")
+        campaign = _sweep_store(jsonl_path, backend="jsonl")
         sqlite_path = tmp_path / "b.sqlite"
-        migrated = migrate_store(jsonl_path, sqlite_path)
+        report = migrate_store(jsonl_path, sqlite_path)
         back_path = tmp_path / "c.jsonl"
         migrate_store(sqlite_path, back_path, dst_backend="jsonl")
 
         source = ResultStore(jsonl_path).load()
         via = ResultStore(sqlite_path).load()
         back = ResultStore(back_path).load()
-        assert len(source) == migrated
+        assert report.copied == len(source) and report.converted == 0
+        assert not report.set_aside and not report.unverified
         assert source == via == back  # bytes payloads included
 
         # The migrated store answers sweep queries as its source does.
-        values, points = collect_points(str(sqlite_path), campaign)
-        assert values == GRID
-        assert (values, points) == collect_points(str(jsonl_path), campaign)
         arrays = collect_arrays(str(sqlite_path), campaign)
-        assert arrays.columns["dominant"].tolist() == [
-            p["dominant"] for p in points
-        ]
+        assert arrays.values.tolist() == GRID
+        assert column_bits(arrays) == column_bits(
+            collect_arrays(str(jsonl_path), campaign)
+        )
 
     def test_mixed_payload_kind_store_migrates(self, tmp_path):
-        """Legacy per-point and columnar payloads coexist and migrate."""
-        path = tmp_path / "mixed.sqlite"
-        legacy = _legacy_sweep_store(path)
-        self._sweep_store(path)  # columnar payloads of another grid
-        resumed = run_campaign(legacy, store_path=str(path))
-        assert resumed.status_counts() == {"cached": 4, "ok": 1}
+        """Per-point and columnar payloads in one store migrate to one form.
+
+        The per-point shard payloads of an older build become columnar
+        under the same keys, its ``point`` records are set aside, and
+        the columnar sweep beside them is copied as it is.
+        """
+        path = fixture_copy(tmp_path, "88cd83f")
+        columnar = _sweep_store(path)
+        legacy = fixture_campaign(path)
         store = ResultStore(path)
         kinds = {payload_kind(record) for record in store.iter_records()}
+        total = len(store)
         store.close()
         assert kinds == {"shard-json", "point", "columnar-shard", "job"}
-        dst = tmp_path / "mixed.jsonl"
-        migrated = migrate_store(path, dst, dst_backend="jsonl")
-        assert migrated == len(ResultStore(path).load())
-        assert ResultStore(dst).load() == ResultStore(path).load()
-        assert collect_points(str(dst), legacy) == collect_points(
-            str(path), legacy
+
+        dst = tmp_path / "mixed.sqlite"
+        report = migrate_store(path, dst)
+        assert report.converted == 4
+        assert report.set_aside == {"point": 40}
+        assert not report.unverified
+        assert report.copied == total - 40
+        store = ResultStore(dst)
+        kinds = {payload_kind(record) for record in store.iter_records()}
+        store.close()
+        assert kinds == {"columnar-shard", "job"}
+
+        reference = tmp_path / "reference.sqlite"
+        _sweep_store(reference)
+        assert column_bits(collect_arrays(str(dst), columnar)) == (
+            column_bits(collect_arrays(str(reference), columnar))
         )
+        assert run_sharded_sweep(
+            "sweep", TARGET_DSPACE, "rate_bps", FIXTURE_GRID,
+            store_path=str(reference), shards=4,
+        ).ok
+        assert column_bits(collect_arrays(str(dst), legacy)) == (
+            column_bits(collect_arrays(str(reference), legacy))
+        )
+
+    def test_cli_sweep_names_migrate_then_serves_the_copy(
+        self, tmp_path, capsys
+    ):
+        """An old store fails loudly; its migrated copy serves the shards."""
+        from repro.cli import main
+
+        old = fixture_copy(tmp_path, "88cd83f")
+        new = tmp_path / "new.jsonl"
+        sweep = [
+            "sweep", TARGET_DSPACE, "--parameter", "rate_bps",
+            "--min", "32e3", "--max", "4096e3", "--points", "40",
+            "--shards", "4", "--quiet", "--store",
+        ]
+        assert main(sweep + [str(old)]) == 1
+        out = capsys.readouterr().out
+        assert "(cache: 4 hits, 1 misses)" in out
+        assert "repro store migrate" in out
+
+        assert main(["store", "migrate", str(old), str(new)]) == 0
+        out = capsys.readouterr().out
+        assert "converted shard-json: 4 records" in out
+        assert "set aside point: 40 records" in out
+        assert main(sweep + [str(new)]) == 0
+        assert "(cache: 4 hits, 1 misses)" in capsys.readouterr().out
 
 
 class TestColumnarParity:
     def test_columnar_vs_json_pipeline_identical(self, tmp_path):
-        """A sweep's readers and summary equal one direct model call."""
+        """A sweep's reader and summary equal one direct model call."""
         from repro.core.batch import evaluate_rate_grid
 
         path = str(tmp_path / "s.sqlite")
@@ -382,9 +392,6 @@ class TestColumnarParity:
         result = run_campaign(campaign, store_path=path)
         assert result.ok
         whole = evaluate_rate_grid(GRID)
-        values, points = collect_points(path, campaign)
-        assert same_points(values, GRID)
-        assert same_points(points, _model_points(GRID))
         columns = collect_arrays(path, campaign)
         assert np.asarray(columns.values).tolist() == GRID
         assert set(columns.columns) == set(whole)
@@ -405,48 +412,38 @@ class TestColumnarParity:
             }
         assert metrics == expected
 
-    def test_pre_codec_store_still_reads_and_merges(self, tmp_path):
-        """A store of per-point shard payloads answers like a new one."""
-        path = str(tmp_path / "old.sqlite")
-        campaign = _legacy_sweep_store(path)
+    def test_pre_codec_store_reads_after_migrate(self, tmp_path):
+        """Per-point shard payloads read only through ``repro store migrate``.
+
+        Un-migrated, both readers refuse them with an error naming the
+        command; migrated, they fold into the summary of a fresh sweep
+        and decode to its columns bit for bit, and a re-run resolves
+        every shard from cache.
+        """
+        path = fixture_copy(tmp_path, "88cd83f")
+        campaign = fixture_campaign(path)
+        with pytest.raises(ConfigurationError, match="repro store migrate"):
+            merge_shards(**campaign.specs[-1].params_dict())
+        with pytest.raises(ConfigurationError, match="repro store migrate"):
+            collect_arrays(str(path), campaign)
+
+        migrated = tmp_path / "migrated.sqlite"
+        assert migrate_store(path, migrated).converted == 4
+        campaign = fixture_campaign(migrated)
         reference_path = str(tmp_path / "new.sqlite")
         reference = run_sharded_sweep(
-            "sweep", TARGET_DSPACE, "rate_bps", LEGACY_GRID,
+            "sweep", TARGET_DSPACE, "rate_bps", FIXTURE_GRID,
             store_path=reference_path, shards=4,
         )
         assert reference.ok
         reference_summary = reference.results["sweep/merge"].value
-
-        # A current build folds those legacy payloads into the same
-        # summary without writing a record...
-        store = ResultStore(path)
-        stored = len(store)
-        store.close()
         summary = merge_shards(**campaign.specs[-1].params_dict())
         assert summary == reference_summary
-        assert summary["metrics"]["required_buffer_bits"]["finite"] < len(
-            LEGACY_GRID
-        )  # the infinite points are counted out
-        store = ResultStore(path)
-        assert len(store) == stored
-        store.close()
-
-        # ...both readers answer as for the columnar store...
-        values, points = collect_points(path, campaign)
-        ref_values, ref_points = collect_points(reference_path, campaign)
-        assert same_points(values, ref_values)
-        assert same_points(points, ref_points, ordered=False)
-        arrays = collect_arrays(path, campaign)
-        ref_arrays = collect_arrays(reference_path, campaign)
-        assert np.array_equal(arrays.values, ref_arrays.values)
-        assert arrays.points_kind == ref_arrays.points_kind
-        assert set(arrays.columns) == set(ref_arrays.columns)
-        for name, column in ref_arrays.columns.items():
-            assert arrays.columns[name].dtype == column.dtype
-            assert arrays.columns[name].tolist() == column.tolist()
-
-        # ...and a re-run resolves every shard from cache.
-        rerun = run_campaign(campaign, store_path=path)
+        assert summary["metrics"]["required_buffer_bits"]["finite"] < 40
+        assert column_bits(collect_arrays(str(migrated), campaign)) == (
+            column_bits(collect_arrays(reference_path, campaign))
+        )
+        rerun = run_campaign(campaign, store_path=str(migrated))
         assert rerun.status_counts() == {"cached": 4, "ok": 1}
         assert rerun.results["sweep/merge"].value == reference_summary
 
@@ -497,11 +494,11 @@ class TestColumnarCrashResume:
         assert resumed.status_counts() == {"cached": 4, "ok": 1}
         summary = resumed.results["sweep/merge"].value
         assert summary["points"] == len(GRID)
-        values, points = collect_points(str(path), full)
-        assert values == GRID
-        assert collect_arrays(str(path), full).columns[
-            "required_buffer_bits"
-        ].tolist() == [p["required_buffer_bits"] for p in points]
+        columns = collect_arrays(str(path), full)
+        assert columns.values.tolist() == GRID
+        assert summary["metrics"]["required_buffer_bits"]["max"] == float(
+            np.max(columns.columns["required_buffer_bits"])
+        )
 
 
 class TestLegacyBlockRecords:
@@ -510,43 +507,38 @@ class TestLegacyBlockRecords:
     ):
         """Stores merged by older builds also hold columnar block records.
 
-        Those merges re-packed every point into ``point-block`` records
-        beside the shard payloads.  The readers take the shard payloads,
-        which every sweep store holds, so an old block changes none of
-        their answers; the block still classifies.
+        Those merges re-packed every point into a ``columnar-block``
+        record beside the shard payloads.  The readers take the shard
+        payloads, so the block changes none of their answers; ``repro
+        store migrate`` sets the block aside and copies the rest, and
+        the copy serves every shard from cache.
         """
-        path = str(tmp_path / "old.sqlite")
-        campaign = sharded_sweep_campaign(
-            "sweep", TARGET_DSPACE, "rate_bps", GRID,
-            store_path=path, shards=4,
-        )
-        assert run_campaign(campaign, store_path=path).ok
-        points = collect_points(path, campaign)
-        columns = collect_arrays(path, campaign)
-        block = pack_series(columns.values, columns.columns)
-        block["block"] = 0
-        shard_keys = [spec.key for spec in campaign.specs[:-1]]
+        path = fixture_copy(tmp_path, "56a8e64")
         store = ResultStore(path)
-        try:
-            store.append({
-                "key": content_key("point-block", TARGET_DSPACE, {
-                    "parameter": "rate_bps", "common": {},
-                    "shards": shard_keys, "block": 0,
-                }),
-                "job_id": "sweep/block00000",
-                "status": "ok",
-                "value": block,
-            })
-            kinds = [payload_kind(r) for r in store.iter_records()]
-        finally:
-            store.close()
+        kinds = [payload_kind(r) for r in store.iter_records()]
+        store.close()
         assert kinds.count("columnar-block") == 1
-        assert collect_points(path, campaign) == points
-        after = collect_arrays(path, campaign)
-        assert after.points_kind == columns.points_kind
-        assert np.array_equal(after.values, columns.values)
-        for name, column in columns.columns.items():
-            assert np.array_equal(after.columns[name], column)
+        campaign = fixture_campaign(path)
+        reference = tmp_path / "reference.sqlite"
+        assert run_sharded_sweep(
+            "sweep", TARGET_DSPACE, "rate_bps", FIXTURE_GRID,
+            store_path=str(reference), shards=4,
+        ).ok
+        expected = column_bits(collect_arrays(str(reference), campaign))
+        assert column_bits(collect_arrays(str(path), campaign)) == expected
+
+        migrated = tmp_path / "migrated.jsonl"
+        report = migrate_store(path, migrated)
+        assert report.set_aside == {"columnar-block": 1}
+        assert not report.unverified and report.converted == 0
+        assert report.copied == len(kinds) - 1
+        assert column_bits(collect_arrays(str(migrated), campaign)) == (
+            expected
+        )
+        rerun = run_campaign(
+            fixture_campaign(migrated), store_path=str(migrated)
+        )
+        assert rerun.status_counts() == {"cached": 4, "ok": 1}
 
 
 class TestNoReferenceCycles:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
 import sqlite3
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigurationError
 from repro.runner.integrity import (
     CHECK_FIELD,
     canonical_body,
@@ -20,10 +22,13 @@ from repro.runner.integrity import (
     token_ok,
     verify_jsonable,
 )
-from repro.runner.store import ResultStore
+from repro.runner.store import ResultStore, migrate_store
 from repro.telemetry import metrics
 
 BACKENDS = ("jsonl", "sqlite")
+
+#: Stores older builds wrote, one per commit (see data/README.md).
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def record(key, job_id="job", value=1.5):
@@ -59,8 +64,8 @@ class TestTokens:
         stamped["value"] = 2.5
         assert verify_jsonable(stamped) is False
 
-    def test_legacy_record_is_unchecked(self):
-        assert verify_jsonable(record("k")) is None
+    def test_record_without_a_token_fails(self):
+        assert verify_jsonable(record("k")) is False
 
     def test_canonical_body_excludes_the_token(self):
         plain = record("k")
@@ -228,8 +233,9 @@ class TestDamagedHistoriesAgree:
                 for index in damaged:
                     _damage_row(store, index, f"{1000 + index}", "9")
                 store = _store(pathlib.Path(scratch), backend)
-                try:
-                    answers[backend] = [
+
+                def ask():
+                    return [
                         [
                             (r["key"], r["value"])
                             for r in store.iter_latest_by_key(
@@ -239,6 +245,13 @@ class TestDamagedHistoriesAgree:
                         for status in ("ok", None)
                         for wanted in (None, [f"k{k}" for k in keys])
                     ] + [store.get(f"k{key}") for key in range(5)]
+
+                try:
+                    before = ask()
+                    # Compaction keeps every answer and drops the damage.
+                    dropped = store.compact()
+                    assert ask() == before
+                    answers[backend] = before + [dropped, store.load()]
                 finally:
                     store.close()
         assert answers["jsonl"] == answers["sqlite"]
@@ -292,19 +305,143 @@ class TestKeyFilteredReads:
         assert _quarantined() == before
 
 
+def _append_unchecked(store, rec):
+    """Append ``rec`` the way repro 1.7.0 and older did: no checksum."""
+    path = store.backend.path
+    store.close()
+    if store.backend_name == "jsonl":
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(rec) + "\n")
+    else:
+        with sqlite3.connect(path) as conn:
+            conn.execute(
+                "INSERT INTO records (key, job_id, status, record)"
+                " VALUES (?, ?, ?, ?)",
+                (rec["key"], rec["job_id"], rec["status"], json.dumps(rec)),
+            )
+
+
+#: The table repro 1.4.0 created (no ``blob``, no ``crc`` column).
+_PRE_CHECKSUM_SCHEMA = """
+CREATE TABLE IF NOT EXISTS records (
+    id        INTEGER PRIMARY KEY AUTOINCREMENT,
+    key       TEXT NOT NULL,
+    job_id    TEXT,
+    status    TEXT NOT NULL,
+    stored_at REAL,
+    record    TEXT NOT NULL
+);
+CREATE INDEX IF NOT EXISTS idx_records_key ON records (key, id);
+CREATE INDEX IF NOT EXISTS idx_records_job ON records (job_id, id);
+CREATE INDEX IF NOT EXISTS idx_records_stored_at ON records (stored_at);
+"""
+
+
+def _pre_checksum_sqlite(path):
+    """A SQLite store as repro 1.4.0 left it: WAL mode, two records."""
+    conn = sqlite3.connect(path)
+    conn.execute("PRAGMA journal_mode=WAL")
+    conn.executescript(_PRE_CHECKSUM_SCHEMA)
+    with conn:
+        for key in ("a", "b"):
+            rec = record(key)
+            conn.execute(
+                "INSERT INTO records (key, job_id, status, record)"
+                " VALUES (?, ?, ?, ?)",
+                (key, rec["job_id"], "ok", json.dumps(rec)),
+            )
+    conn.close()
+
+
+def _sha256(path):
+    return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+
+
 class TestLegacyRecords:
-    def test_unchecked_lines_still_readable(self, tmp_path):
+    def test_unchecked_lines_are_quarantined(self, tmp_path):
         path = tmp_path / "legacy.jsonl"
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(json.dumps(record("old")) + "\n")
         store = ResultStore(str(path))
         try:
-            assert store.get("old") is not None
+            assert store.get("old") is None
             stats = store.verify()
         finally:
             store.close()
-        assert stats["unchecked"] == 1
-        assert damage_total(stats) == 0
+        assert stats["corrupt"] == {"other": 1}
+        assert damage_total(stats) == 1
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_records_without_a_checksum_are_never_served(
+        self, tmp_path, backend
+    ):
+        """Not by get or iter_latest_by_key, nor copied by compact or
+        migrate: the intact record of the same key answers instead."""
+        store = _store(tmp_path, backend)
+        store.append_many([record("k"), record("other", value=3.5)])
+        _append_unchecked(store, record("k", value=2.5))
+        _append_unchecked(store, record("bare", value=4.5))
+
+        store = _store(tmp_path, backend)
+        try:
+            assert store.get("k")["value"] == 1.5
+            assert store.get("bare") is None
+            winners = [
+                (r["key"], r["value"]) for r in store.iter_latest_by_key()
+            ]
+            keyed = list(store.iter_latest_by_key(keys={"k", "bare"}))
+            assert winners == [("k", 1.5), ("other", 3.5)]
+            assert [(r["key"], r["value"]) for r in keyed] == [("k", 1.5)]
+            report = migrate_store(store.path, tmp_path / "copy.store")
+            assert store.compact() == 2
+            assert [r["value"] for r in store.load()] == [1.5, 3.5]
+            stats = store.verify()
+        finally:
+            store.close()
+        assert report.copied == 2 and report.unverified == {"other": 2}
+        assert stats["records"] == stats["checked"] == 2
+        copy = ResultStore(tmp_path / "copy.store")
+        try:
+            assert [r["value"] for r in copy.load()] == [1.5, 3.5]
+        finally:
+            copy.close()
+
+    def test_pre_checksum_store_migrates_to_nothing(self, tmp_path):
+        """Every record of a 1.4.0 store lacks a checksum: none is copied."""
+        report = migrate_store(
+            DATA / "sweep-7ea2f8f.jsonl", tmp_path / "m.sqlite"
+        )
+        assert report.copied == report.converted == 0
+        assert not report.set_aside
+        assert report.unverified == {"shard-json": 4, "point": 40, "job": 1}
+
+    @pytest.mark.parametrize("command", ["info", "verify", "compact"])
+    def test_pre_checksum_sqlite_refused_read_only(
+        self, tmp_path, capsys, command
+    ):
+        """A file without ``blob``/``crc`` columns is refused, unaltered."""
+        from repro.cli import main
+
+        path = tmp_path / "old.sqlite"
+        _pre_checksum_sqlite(path)
+        before = _sha256(path)
+        assert main(["store", command, str(path)]) == 2
+        assert "1.7.0 or older" in capsys.readouterr().err
+        assert _sha256(path) == before
+        with sqlite3.connect(path) as conn:
+            columns = {
+                row[1] for row in conn.execute("PRAGMA table_info(records)")
+            }
+        assert not {"blob", "crc"} & columns
+
+    def test_pre_checksum_sqlite_refused_by_migrate(self, tmp_path):
+        path = tmp_path / "old.sqlite"
+        _pre_checksum_sqlite(path)
+        before = _sha256(path)
+        with pytest.raises(ConfigurationError, match="1.7.0 or older"):
+            migrate_store(path, tmp_path / "new.jsonl")
+        assert _sha256(path) == before
+        assert not (tmp_path / "new.jsonl").exists()
 
 
 class TestVerifyCli:

@@ -13,22 +13,14 @@ from repro.errors import ConfigurationError
 from repro.runner import (
     Campaign,
     collect_arrays,
-    collect_points,
     grid_descriptor,
     run_campaign,
     run_sharded_sweep,
     shard_grid,
     sharded_sweep_campaign,
 )
-from repro.runner.codec import is_columnar, unpack_points
+from repro.runner.codec import is_columnar, unpack_columns
 from repro.runner.sharding import evaluate_shard
-
-
-def _payload_points(payload):
-    """(values, points) of a columnar or per-point shard payload."""
-    if is_columnar(payload):
-        return unpack_points(payload)
-    return payload["values"], payload["points"]
 
 GRID = [float(v) for v in range(32_000, 32_000 + 40)]
 TARGET_SCALAR = "runner_workers:break_even_kb"
@@ -79,41 +71,37 @@ class TestShardGrid:
 
 class TestEvaluateShard:
     def test_scalar_and_batch_targets_agree(self):
-        scalar = evaluate_shard(
-            TARGET_SCALAR, "rate_bps", GRID[:5], batch=False
-        )
-        batch = evaluate_shard(TARGET_BATCH, "rate_bps", GRID[:5], batch=True)
+        """A one-column target agrees with a mapping target."""
+        scalar = evaluate_shard(TARGET_SCALAR, "rate_bps", GRID[:5])
+        batch = evaluate_shard(TARGET_BATCH, "rate_bps", GRID[:5])
         assert is_columnar(scalar) and is_columnar(batch)
-        scalar_values, scalar_points = _payload_points(scalar)
-        batch_values, batch_points = _payload_points(batch)
-        assert scalar_values == batch_values == GRID[:5]
+        scalar_values, scalar_columns, kind = unpack_columns(scalar)
+        batch_values, batch_columns, _ = unpack_columns(batch)
+        assert kind == "scalar" and list(scalar_columns) == ["value"]
+        assert scalar_values.tolist() == batch_values.tolist() == GRID[:5]
         # break_even_curve reports bits, break_even_kb kilobytes.
-        scaled = [p["break_even_bits"] / 8000.0 for p in batch_points]
-        assert scaled == pytest.approx(scalar_points, rel=1e-12)
+        scaled = batch_columns["break_even_bits"] / 8000.0
+        assert scaled.tolist() == pytest.approx(
+            scalar_columns["value"].tolist(), rel=1e-12
+        )
 
     def test_codec_paths_bit_identical(self):
-        """The shard decodes point for point to the model's own lists."""
+        """The shard decodes column for column to the model's arrays."""
         from repro.core.batch import evaluate_rate_grid
 
         columnar = evaluate_shard(TARGET_DSPACE, "rate_bps", GRID[:7])
         assert is_columnar(columnar)
-        lists = {
-            name: column.tolist()
-            for name, column in evaluate_rate_grid(GRID[:7]).items()
-        }
-        expected = [
-            {name: lists[name][index] for name in lists}
-            for index in range(7)
-        ]
-        values, points = _payload_points(columnar)
-        assert values == GRID[:7]
-        assert points == expected
-        assert [list(point) for point in points] == [list(lists)] * 7
-        assert all(
-            type(point[name]) is type(expected[0][name])
-            for point in points
-            for name in lists
-        )
+        expected = evaluate_rate_grid(GRID[:7])
+        values, columns, kind = unpack_columns(columnar)
+        assert kind == "mapping"
+        assert values.tolist() == GRID[:7]
+        assert list(columns) == list(expected)
+        for name, column in expected.items():
+            if column.dtype.kind == "U":  # labels decode at their width
+                assert columns[name].tolist() == column.tolist()
+                continue
+            assert columns[name].dtype == column.dtype
+            assert columns[name].tobytes() == column.tobytes()
 
     def test_batch_length_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -134,13 +122,10 @@ class TestEvaluateShard:
             for column in payload["columns"]
         }
         assert dtypes == {"double": "<f8", "index": "<i8"}
-        _, points = _payload_points(payload)
-        assert points == [
-            {"double": 2.0, "index": 0},
-            {"double": 4.0, "index": 1},
-            {"double": 6.0, "index": 2},
-        ]
-        assert all(type(p["index"]) is int for p in points)
+        _, columns, _ = unpack_columns(payload)
+        assert columns["double"].tolist() == [2.0, 4.0, 6.0]
+        assert columns["index"].tolist() == [0, 1, 2]
+        assert all(type(i) is int for i in columns["index"].tolist())
 
     def test_single_array_target_packs_one_binary_column(self, tmp_path):
         """A target returning one array stores one ``<f8`` scalar column.
@@ -161,10 +146,8 @@ class TestEvaluateShard:
             *sweep, store_path=store_path, shards=3
         )
         expected = [value * 2.0 for value in grid]
-        values, points = collect_points(store_path, campaign)
-        assert values == grid and points == expected
-        assert all(type(point) is float for point in points)
         columns = collect_arrays(store_path, campaign)
+        assert columns.values.tolist() == grid
         assert columns.points_kind == "scalar"
         assert columns.columns["value"].dtype == np.float64
         assert columns.columns["value"].tolist() == expected
@@ -208,11 +191,15 @@ class TestEvaluateShard:
         assert labels == {"C", "E", "X"}
 
     def test_per_point_infeasibility_is_inf(self):
+        """Points a batch target marks infeasible store as ``inf``."""
         result = evaluate_shard(
-            "runner_workers:infeasible_above_two", "x", [1, 2, 3], batch=False
+            "runner_workers:infeasible_above_two", "x", [1, 2, 3]
         )
-        _, points = _payload_points(result)
-        assert points == [1.0, 2.0, math.inf]
+        assert [(c["name"], c["dtype"]) for c in result["columns"]] == [
+            ("value", "<f8")
+        ]
+        _, columns, _ = unpack_columns(result)
+        assert columns["value"].tolist() == [1.0, 2.0, math.inf]
 
     def test_values_or_grid_exactly_one(self):
         with pytest.raises(ConfigurationError):
@@ -296,16 +283,17 @@ class TestShardedSweepCampaign:
         assert summary["metrics"]["required_buffer_bits"]["finite"] > 0
 
         campaign = self._campaign(store_path)
-        values, points = collect_points(str(store_path), campaign)
-        assert values == GRID
+        columns = collect_arrays(str(store_path), campaign)
+        assert columns.values.tolist() == GRID
         # Identical to one unsharded batch evaluation of the grid.
         from repro.core.batch import evaluate_rate_grid
 
         whole = evaluate_rate_grid(GRID)
-        assert [p["required_buffer_bits"] for p in points] == whole[
-            "required_buffer_bits"
-        ].tolist()
-        assert [p["dominant"] for p in points] == whole["dominant"].tolist()
+        assert (
+            columns.columns["required_buffer_bits"].tobytes()
+            == whole["required_buffer_bits"].tobytes()
+        )
+        assert np.array_equal(columns.columns["dominant"], whole["dominant"])
 
     def test_interrupted_sweep_resumes_from_cache(self, tmp_path):
         store_path = str(tmp_path / "s.sqlite")
@@ -352,7 +340,8 @@ class TestShardedSweepCampaign:
             shards=4,
         )
         campaign = self._campaign(store_path)
-        point = collect_points(store_path, campaign)[1][7]
+        columns = collect_arrays(store_path, campaign).columns
+        point = {name: column[7].item() for name, column in columns.items()}
         assert point["dominant"] in ("E", "C", "Lsp", "Lpb", "lat")
         # Shard records never masquerade as cache entries for a real
         # single-point job: that job sees a scalar argument and shapes
@@ -433,8 +422,8 @@ class TestShardedSweepCampaign:
             store_path=str(tmp_path / "grid.sqlite"),
             shards=4,
         )
-        values, _ = collect_points(str(tmp_path / "grid.sqlite"), campaign)
-        assert values == explicit
+        values = collect_arrays(str(tmp_path / "grid.sqlite"), campaign).values
+        assert values.tolist() == explicit
         # Shard jobs carry the descriptor, never the value list.
         for spec in campaign.specs[:-1]:
             params = spec.params_dict()

@@ -21,6 +21,7 @@ from repro.runner.backends import (
     detect_format,
     resolve_backend_name,
 )
+from repro.runner.integrity import stamp_check
 from repro.runner.provenance import (
     CONFIG_FIELD,
     VERSION_FIELD,
@@ -204,8 +205,8 @@ class TestDurability:
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "r.jsonl"
         path.write_text(
-            json.dumps(record()) + "\n\n" + json.dumps(record(key="k2"))
-            + "\n",
+            json.dumps(stamp_check(record())) + "\n\n"
+            + json.dumps(stamp_check(record(key="k2"))) + "\n",
             encoding="utf-8",
         )
         assert len(ResultStore(path).load()) == 2
@@ -232,12 +233,6 @@ class TestQueries:
         store.append(record(status="ok"))
         assert store.get("k1")["status"] == "ok"
         assert store.latest_by_key(status=None)["k1"]["status"] == "ok"
-
-    def test_for_job(self, store):
-        store.append(record(job_id="a"))
-        store.append(record(key="k2", job_id="b"))
-        store.append(record(key="k3", job_id="a"))
-        assert [r["key"] for r in store.for_job("a")] == ["k1", "k3"]
 
     def test_keys(self, store):
         store.append(record())
@@ -339,7 +334,7 @@ class TestMigration:
             src_path, dst_path,
             src_backend=src_backend, dst_backend=dst_backend,
         )
-        assert migrated == 4
+        assert migrated.copied == 4
         destination = ResultStore(dst_path, backend=dst_backend)
         assert destination.load() == original
         destination.close()

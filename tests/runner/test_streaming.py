@@ -21,7 +21,7 @@ from repro.errors import ConfigurationError
 from repro.runner import (
     Campaign,
     ResultStore,
-    collect_points,
+    collect_arrays,
     run_campaign,
     sharded_sweep_campaign,
 )
@@ -77,12 +77,13 @@ class TestBoundedChunks:
         store_path = tmp_path / "s.sqlite"
         full = _run_shards_only(store_path)
         summary = merge_shards(**full.specs[-1].params_dict())
-        _, points = collect_points(str(store_path), full)
-        series = [p["break_even_bits"] for p in points]
+        series = collect_arrays(str(store_path), full).columns[
+            "break_even_bits"
+        ]
         stats = summary["metrics"]["break_even_bits"]
         assert stats["finite"] == len(series)
-        assert stats["min"] == min(series)
-        assert stats["max"] == max(series)
+        assert stats["min"] == series.min()
+        assert stats["max"] == series.max()
 
 
 class TestIterLatestByKey:

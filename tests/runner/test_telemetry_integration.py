@@ -18,7 +18,7 @@ from repro.runner.jobs import JobSpec
 from repro.runner.queue import run_jobs
 from repro.runner.campaign import run_campaign
 from repro.runner.sharding import (
-    collect_points,
+    collect_arrays,
     run_sharded_sweep,
     sharded_sweep_campaign,
 )
@@ -95,7 +95,13 @@ class TestResultsUnchangedByTelemetry:
                 cache_preload="specs", strict=True,
             )
             assert result.ok
-            return collect_points(str(store), campaign)
+            columns = collect_arrays(str(store), campaign)
+            return [
+                (name, column.dtype.str, column.tobytes())
+                for name, column in [
+                    ("", columns.values), *columns.columns.items()
+                ]
+            ]
 
         points_on = run(tmp_path / "on.sqlite", None)
         points_off = run(tmp_path / "off.sqlite", "off")
